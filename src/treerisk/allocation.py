@@ -13,7 +13,21 @@ from .errors import ValidationError
 from .process import AdaptedProcess, _require_same_tree
 from .riskcore import RiskMeasureSpec, rho_eval
 
-_SUM_TOL = 1e-12
+# Tolerance of the add-up check, from rounding analysis with u = 2**-53.
+# Exactly, the charges K_i sum to the portfolio risk R (rho is linear in the
+# position at a fixed scenario). A charge is an fsum of node terms
+# P(n) X_i(n) (pr(n) + op(n)), each rounded three times, so
+# |k_i - K_i| <= u |k_i| + 3u S_i with S_i the sum of |terms|. rho reads the
+# same terms after n - 1 roundings adding the n positions and two forming the
+# weight, so |rho - R| <= u |rho| + (n + 2)u S with S = sum_i S_i, and fsum(k)
+# adds u |sum_k|. With S estimated by sum_i |k_i| + |rho| (an upper bound
+# unless a charge's own terms cancel), |sum_k - rho| <= (n + 8)u (sum_i |k_i|
+# + |rho|) to first order; the factor 2 covers the second-order terms.
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _sum_tol(k: tuple[float, ...], rho: float) -> float:
+    return 2 * (len(k) + 8) * _UNIT_ROUNDOFF * (fsum(abs(x) for x in k) + abs(rho))
 
 
 @dataclass(frozen=True)
@@ -27,7 +41,7 @@ class AllocationResult:
     sum_k: float
 
     def __post_init__(self):
-        if abs(self.sum_k - self.rho_total) > _SUM_TOL:
+        if abs(self.sum_k - self.rho_total) > _sum_tol(self.k, self.rho_total):
             raise ValidationError(
                 f"allocation does not add up: sum k = {self.sum_k!r} "
                 f"vs rho = {self.rho_total!r}"

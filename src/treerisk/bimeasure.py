@@ -10,12 +10,13 @@ allowed. Increments are stored sparsely; a missing entry means zero.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from math import fsum, isfinite
 
 from .errors import ValidationError
-from .process import AdaptedProcess, RawProcess, StaticRV, _require_same_tree
+from .process import AdaptedProcess, RawProcess, StaticRV, _check_grid, _require_same_tree
 from .scenario import ScenarioTree
 
 
@@ -94,7 +95,7 @@ class BiMeasure:
         return self + (-other)
 
     def _stored_nodes(self) -> list[str]:
-        return sorted(set(self.pr_inc) | set(self.op_inc), key=self.tree.sort_key)
+        return sorted(set(self.pr_inc) | set(self.op_inc), key=self.tree.index.__getitem__)
 
 
 @dataclass(frozen=True)
@@ -111,30 +112,9 @@ class RawBiMeasure:
     right_inc: dict[tuple[str, int], float]
 
     def __post_init__(self):
-        K = self.tree.K
-        leaves = set(self.tree.leaves)
-
-        def check(entries, lo, label):
-            vals = {}
-            for (leaf, k), v in entries.items():
-                if leaf not in leaves:
-                    raise ValidationError(f"{label} increment keyed on unknown leaf '{leaf}'")
-                if not lo <= k <= K:
-                    raise ValidationError(
-                        f"{label} increment at ({leaf}, {k}) out of range {lo}..{K}"
-                    )
-                v = float(v)
-                if not isfinite(v):
-                    raise ValidationError(f"non-finite {label} increment at ({leaf}, {k})")
-                vals[(leaf, int(k))] = v
-            for leaf in leaves:
-                for k in range(lo, K + 1):
-                    if (leaf, k) not in vals:
-                        raise ValidationError(f"missing {label} increment at ({leaf}, {k})")
-            return vals
-
-        object.__setattr__(self, "left_inc", check(self.left_inc, 1, "left"))
-        object.__setattr__(self, "right_inc", check(self.right_inc, 0, "right"))
+        tree = self.tree
+        object.__setattr__(self, "left_inc", _check_grid(tree, self.left_inc, 1, "left increment"))
+        object.__setattr__(self, "right_inc", _check_grid(tree, self.right_inc, 0, "right increment"))
 
 
 def as_raw(a: BiMeasure) -> RawBiMeasure:
@@ -183,42 +163,27 @@ def raw_pairing(Z: RawProcess, a: RawBiMeasure) -> float:
     return fsum(terms)
 
 
-def _variation_parts(a: BiMeasure) -> dict[str, list[float]]:
-    """Absolute-increment contributions per leaf, visiting only stored nodes.
-
-    Leaves absent from the result see no increment and have variation zero.
-    fsum of each list is order independent (it rounds the exact sum once),
-    so scattering by stored node gives the same values as a path walk.
-    """
-    tree = a.tree
-    parts: dict[str, list[float]] = {}
-    for inc_map in (a.pr_inc, a.op_inc):
-        for nid, inc in inc_map.items():
-            mag = abs(inc)
-            for leaf in tree.leaves_under(nid):
-                parts.setdefault(leaf, []).append(mag)
-    return parts
+def _path_sums(a: BiMeasure, term=lambda inc: inc) -> dict[str, float]:
+    """Per leaf, the sum of term(increment) over both fields along its path (sparse)."""
+    incs = itertools.chain(a.pr_inc.items(), a.op_inc.items())
+    return a.tree.path_sums((n, term(v)) for n, v in incs)
 
 
 def variation(a: BiMeasure) -> StaticRV:
     """Pathwise total variation: the sum of absolute increments seen along each leaf's path."""
-    tree = a.tree
-    out = {leaf: 0.0 for leaf in tree.leaves}
-    for leaf, terms in _variation_parts(a).items():
-        out[leaf] = fsum(terms)
-    return StaticRV(tree, out)
+    return StaticRV(a.tree, {**dict.fromkeys(a.tree.leaves, 0.0), **_path_sums(a, abs)})
 
 
 def variation_norm(a: BiMeasure, p: float = 1.0) -> float:
     """L^p norm of the pathwise variation under the leaf measure (p = inf gives the max)."""
-    parts = _variation_parts(a)
+    var = _path_sums(a, abs)
     if p == math.inf:
-        return max((fsum(terms) for terms in parts.values()), default=0.0)
+        return max(var.values(), default=0.0)
     p = float(p)
     if not p >= 1.0:
         raise ValidationError(f"norm order must satisfy p >= 1, got {p!r}")
     prob = a.tree.prob
-    total = fsum(prob[leaf] * fsum(terms) ** p for leaf, terms in parts.items())
+    total = fsum(prob[leaf] * v**p for leaf, v in var.items())
     return total ** (1.0 / p)
 
 
@@ -239,17 +204,7 @@ def jordan(a: BiMeasure) -> tuple[BiMeasure, BiMeasure]:
 
 def terminal_increment(a: BiMeasure) -> StaticRV:
     """Signed sum of all increments along each path: the net terminal mass a_T - a_0."""
-    tree = a.tree
-    out = {}
-    for leaf in tree.leaves:
-        terms = []
-        for nid in tree.path(leaf):
-            if nid in a.pr_inc:
-                terms.append(a.pr_inc[nid])
-            if nid in a.op_inc:
-                terms.append(a.op_inc[nid])
-        out[leaf] = fsum(terms)
-    return StaticRV(tree, out)
+    return StaticRV(a.tree, {**dict.fromkeys(a.tree.leaves, 0.0), **_path_sums(a)})
 
 
 def dual_projection(a: RawBiMeasure) -> BiMeasure:
@@ -266,21 +221,12 @@ def dual_projection(a: RawBiMeasure) -> BiMeasure:
     for k in range(tree.K + 1):
         right_k = {leaf: a.right_inc[(leaf, k)] for leaf in tree.leaves}
         for nid in tree.depth_nodes[k]:
-            op[nid] = _node_mean(tree, right_k, nid)
+            op[nid] = tree.conditional_mean(right_k, nid)
         if k < tree.K:
             left_next = {leaf: a.left_inc[(leaf, k + 1)] for leaf in tree.leaves}
             for nid in tree.depth_nodes[k]:
-                pr[nid] = _node_mean(tree, left_next, nid)
+                pr[nid] = tree.conditional_mean(left_next, nid)
     return BiMeasure(tree, pr, op)
-
-
-def _node_mean(tree: ScenarioTree, leaf_values: dict[str, float], nid: str) -> float:
-    leaves = tree.leaves_under(nid)
-    first = leaf_values[leaves[0]]
-    if all(leaf_values[leaf] == first for leaf in leaves):
-        return first
-    prob = tree.prob
-    return fsum(prob[leaf] * leaf_values[leaf] for leaf in leaves) / prob[nid]
 
 
 def normalize_scenario(a: BiMeasure) -> BiMeasure:

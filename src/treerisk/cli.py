@@ -1,9 +1,9 @@
 """Command line driver: file-driven evaluation, projection, allocation, diagnostics.
 
 Exit codes: 0 on success, 1 on validation problems (malformed files, broken
-invariants, bad flags), 2 when a requested quantity is infeasible or
-undefined. Reports are deterministic: same inputs and seed give identical
-bytes.
+invariants, bad flags, an unwritable ``--out``), 2 when a requested quantity
+is infeasible or undefined. Reports are deterministic: same inputs and seed
+give identical bytes.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ from .bimeasure import (
     BiMeasure,
     RawBiMeasure,
     as_raw,
+    dual_projection,
+    normalize_scenario,
     pairing,
     raw_pairing,
     variation,
@@ -144,7 +146,10 @@ def render(doc: ReportDoc, fmt: str) -> str:
 def _emit(doc: ReportDoc, config: RunConfig) -> None:
     text = render(doc, config.format)
     if config.out:
-        Path(config.out).write_text(text)
+        try:
+            Path(config.out).write_text(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write report to {config.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -376,9 +381,6 @@ def _cmd_diagnose_identities(config: RunConfig) -> int:
         raise ValidationError(f"--samples must be positive, got {samples}")
     rng = np.random.default_rng(config.seed)
 
-    from .bimeasure import dual_projection, normalize_scenario
-    from .process import optional_projection_raw as opt_raw
-
     duality_dev = 0.0
     adjoint_dev = 0.0
     signed = []
@@ -393,14 +395,12 @@ def _cmd_diagnose_identities(config: RunConfig) -> int:
         Y = StaticRV(tree, {leaf: float(rng.uniform(-1.0, 1.0)) for leaf in tree.leaves})
         if plus.pr_inc or plus.op_inc:
             pos = normalize_scenario(plus)
-            lhs = fsum(
-                tree.prob[leaf] * variation(pos).values[leaf] * Y.values[leaf]
-                for leaf in tree.leaves
-            )
+            var = variation(pos).values
+            lhs = fsum(tree.prob[leaf] * var[leaf] * Y.values[leaf] for leaf in tree.leaves)
             rhs = pairing(optional_projection_static(Y), pos)
             duality_dev = max(duality_dev, abs(lhs - rhs))
         Z, ra = _random_raw_pair(tree, rng)
-        M = opt_raw(Z)
+        M = optional_projection_raw(Z)
         proj = dual_projection(ra)
         lhs2 = raw_pairing(RawProcess.from_adapted(M), ra)
         mid2 = pairing(M, proj)

@@ -184,16 +184,10 @@ def load_bimeasure(path: str | Path, tree: ScenarioTree) -> BiMeasure:
 
 
 def _measure_to_obj(a: BiMeasure) -> dict:
-    tree = a.tree
+    key = a.tree.index.__getitem__
     return {
-        "pr": [
-            {"node": n, "inc": a.pr_inc[n]}
-            for n in sorted(a.pr_inc, key=tree.sort_key)
-        ],
-        "op": [
-            {"node": n, "inc": a.op_inc[n]}
-            for n in sorted(a.op_inc, key=tree.sort_key)
-        ],
+        field: [{"node": n, "inc": inc[n]} for n in sorted(inc, key=key)]
+        for field, inc in (("pr", a.pr_inc), ("op", a.op_inc))
     }
 
 

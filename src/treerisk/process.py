@@ -22,6 +22,25 @@ def _check_finite(label: str, value: float) -> float:
     return v
 
 
+def _check_grid(
+    tree: ScenarioTree, entries: Mapping[tuple[str, int], float], lo: int, label: str
+) -> dict[tuple[str, int], float]:
+    """Check values keyed on (leaf, k), k = lo..K: known leaves, finite floats, full coverage."""
+    K = tree.K
+    vals = {}
+    for (leaf, k), v in entries.items():
+        if leaf not in tree.nodes or tree.nodes[leaf].depth != K:
+            raise ValidationError(f"{label} keyed on unknown leaf '{leaf}'")
+        if not lo <= k <= K:
+            raise ValidationError(f"{label} at ({leaf}, {k}) out of range {lo}..{K}")
+        vals[(leaf, int(k))] = _check_finite(f"{label} ({leaf}, {k})", v)
+    for leaf in tree.leaves:
+        for k in range(lo, K + 1):
+            if (leaf, k) not in vals:
+                raise ValidationError(f"{label} is missing at ({leaf}, {k})")
+    return vals
+
+
 @dataclass(frozen=True)
 class AdaptedProcess:
     """A process carrying one value per tree node.
@@ -139,20 +158,7 @@ class RawProcess:
     values: dict[tuple[str, int], float]
 
     def __post_init__(self):
-        vals = {}
-        K = self.tree.K
-        for key, v in self.values.items():
-            leaf, k = key
-            if leaf not in self.tree.nodes or self.tree.nodes[leaf].depth != K:
-                raise ValidationError(f"raw process keyed on unknown leaf '{leaf}'")
-            if not 0 <= k <= K:
-                raise ValidationError(f"raw process depth {k} at leaf '{leaf}' out of range 0..{K}")
-            vals[(leaf, int(k))] = _check_finite(f"({leaf}, {k})", v)
-        for leaf in self.tree.leaves:
-            for k in range(K + 1):
-                if (leaf, k) not in vals:
-                    raise ValidationError(f"raw process is missing a value at ({leaf}, {k})")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _check_grid(self.tree, self.values, 0, "raw process"))
 
     @classmethod
     def from_adapted(cls, X: AdaptedProcess) -> "RawProcess":
@@ -173,26 +179,18 @@ def terminal_values(X: AdaptedProcess) -> StaticRV:
 def running_sup(X: AdaptedProcess) -> StaticRV:
     """Pathwise supremum of |X| from the root through each leaf."""
     tree = X.tree
-    out = {}
-    for leaf in tree.leaves:
-        out[leaf] = max(abs(X.values[nid]) for nid in tree.path(leaf))
-    return StaticRV(tree, out)
+    sup: dict[str, float] = {}
+    for nid in tree.order:  # canonical order visits each parent before its children
+        v = abs(X.values[nid])
+        parent = tree.nodes[nid].parent
+        sup[nid] = v if parent is None else max(sup[parent], v)
+    return StaticRV(tree, {leaf: sup[leaf] for leaf in tree.leaves})
 
 
 def sup_norm(X: AdaptedProcess) -> float:
     """Essential supremum of the running supremum (plain maximum: every leaf has mass)."""
     rs = running_sup(X)
     return max(rs.values[leaf] for leaf in X.tree.leaves)
-
-
-def _conditional_mean(tree: ScenarioTree, leaf_values: Mapping[str, float], nid: str) -> float:
-    leaves = tree.leaves_under(nid)
-    first = leaf_values[leaves[0]]
-    if all(leaf_values[leaf] == first for leaf in leaves):
-        # conditioning a constant returns it exactly
-        return first
-    p = tree.prob
-    return fsum(p[leaf] * leaf_values[leaf] for leaf in leaves) / p[nid]
 
 
 def optional_projection_static(Y: StaticRV) -> AdaptedProcess:
@@ -207,7 +205,7 @@ def optional_projection_static(Y: StaticRV) -> AdaptedProcess:
         if tree.nodes[nid].depth == tree.K:
             out[nid] = Y.values[nid]
         else:
-            out[nid] = _conditional_mean(tree, Y.values, nid)
+            out[nid] = tree.conditional_mean(Y.values, nid)
     return AdaptedProcess(tree, out)
 
 
@@ -221,7 +219,7 @@ def optional_projection_raw(Z: RawProcess) -> AdaptedProcess:
             if k == tree.K:
                 out[nid] = slice_k[nid]
             else:
-                out[nid] = _conditional_mean(tree, slice_k, nid)
+                out[nid] = tree.conditional_mean(slice_k, nid)
     return AdaptedProcess(tree, out)
 
 
@@ -236,11 +234,11 @@ def predictable_projection_raw(Z: RawProcess) -> AdaptedProcess:
     out: dict[str, float] = {}
     root = tree.root
     slice_0 = {leaf: Z.values[(leaf, 0)] for leaf in tree.leaves}
-    out[root] = _conditional_mean(tree, slice_0, root)
+    out[root] = tree.conditional_mean(slice_0, root)
     for k in range(1, tree.K + 1):
         slice_k = {leaf: Z.values[(leaf, k)] for leaf in tree.leaves}
         for parent in tree.depth_nodes[k - 1]:
-            m = _conditional_mean(tree, slice_k, parent)
+            m = tree.conditional_mean(slice_k, parent)
             for child in tree.children(parent):
                 out[child] = m
     return AdaptedProcess(tree, out)

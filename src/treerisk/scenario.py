@@ -30,6 +30,13 @@ class ScenarioTree:
     strictly positive, so every conditional expectation along the tree is well
     defined and every leaf has positive mass.
 
+    ``index`` maps each node id to its position in the canonical (depth, id)
+    ``order``. A depth-first pass, children in id order, lays the leaves out
+    so that every subtree owns a contiguous range of that DFS leaf order;
+    ``leaves_under`` returns the range as a slice, in DFS order, which differs
+    from the canonical order of ``leaves`` when ids interleave subtrees.
+    ``path`` walks the parents.
+
     Instances are immutable after construction and meant to be shared by the
     processes and bi-measures built on them (those types compare trees by
     object identity). Construct via :func:`build_tree` or
@@ -39,6 +46,7 @@ class ScenarioTree:
     __slots__ = (
         "nodes",
         "order",
+        "index",
         "depth_nodes",
         "leaves",
         "K",
@@ -46,8 +54,8 @@ class ScenarioTree:
         "times",
         "prob",
         "_children",
-        "_paths",
-        "_leaves_under",
+        "_dfs_leaves",
+        "_span",
     )
 
     def __init__(self, node_list: Iterable[TreeNode]):
@@ -144,35 +152,38 @@ class ScenarioTree:
         if abs(mass - 1.0) > SUM_TOL:
             raise ValidationError(f"leaf probabilities sum != 1 (got {mass!r})")
 
-        paths: dict[str, tuple[str, ...]] = {}
-        for leaf in leaves:
-            chain = []
-            cur: str | None = leaf
-            while cur is not None:
-                chain.append(cur)
-                cur = by_id[cur].parent
-            paths[leaf] = tuple(reversed(chain))
+        # preorder walk, children in id order: the leaves under any node are
+        # consecutive, so each node owns the half-open range [lo, hi) of them
+        dfs_leaves: list[str] = []
+        stack = [root.id]
+        while stack:
+            nid = stack.pop()
+            if children[nid]:
+                stack.extend(reversed(children[nid]))
+            else:
+                dfs_leaves.append(nid)
+        span = {leaf: (i, i + 1) for i, leaf in enumerate(dfs_leaves)}
+        for nid in reversed(order):
+            kids = children[nid]
+            if kids:
+                span[nid] = (span[kids[0]][0], span[kids[-1]][1])
 
-        leaves_under: dict[str, list[str]] = {nid: [] for nid in order}
-        for leaf in leaves:
-            for nid in paths[leaf]:
-                leaves_under[nid].append(leaf)
-
-        depth_nodes = tuple(
-            tuple(nid for nid in order if by_id[nid].depth == k) for k in range(K + 1)
-        )
+        depth_nodes: list[list[str]] = [[] for _ in range(K + 1)]
+        for nid in order:
+            depth_nodes[by_id[nid].depth].append(nid)
 
         self.nodes = by_id
         self.order = tuple(order)
-        self.depth_nodes = depth_nodes
+        self.index = {nid: i for i, nid in enumerate(order)}
+        self.depth_nodes = tuple(tuple(ids) for ids in depth_nodes)
         self.leaves = tuple(leaves)
         self.K = K
         self.T = times[K]
         self.times = tuple(times)
         self.prob = prob
         self._children = {nid: tuple(kids) for nid, kids in children.items()}
-        self._paths = paths
-        self._leaves_under = {nid: tuple(ls) for nid, ls in leaves_under.items()}
+        self._dfs_leaves = tuple(dfs_leaves)
+        self._span = span
 
     def require_node(self, node_id: str) -> TreeNode:
         try:
@@ -186,17 +197,58 @@ class ScenarioTree:
 
     def path(self, leaf_id: str) -> tuple[str, ...]:
         """Node ids from the root down to ``leaf_id``, inclusive."""
-        if leaf_id not in self._paths:
+        node = self.nodes.get(leaf_id)
+        if node is None or node.depth != self.K:
             raise ValidationError(f"'{leaf_id}' is not a leaf of this tree")
-        return self._paths[leaf_id]
+        chain = [leaf_id]
+        while node.parent is not None:
+            chain.append(node.parent)
+            node = self.nodes[node.parent]
+        return tuple(reversed(chain))
 
     def leaves_under(self, node_id: str) -> tuple[str, ...]:
+        """The leaves of the subtree at ``node_id``, in DFS order."""
         self.require_node(node_id)
-        return self._leaves_under[node_id]
+        lo, hi = self._span[node_id]
+        return self._dfs_leaves[lo:hi]
 
-    def sort_key(self, node_id: str):
-        n = self.require_node(node_id)
-        return (n.depth, n.id)
+    def conditional_mean(self, leaf_values: Mapping[str, float], node_id: str) -> float:
+        """E[V | node] over the leaves under ``node_id``; a constant subtree gives its value exactly."""
+        leaves = self.leaves_under(node_id)
+        first = leaf_values[leaves[0]]
+        if all(leaf_values[leaf] == first for leaf in leaves):
+            return first
+        p = self.prob
+        return fsum(p[leaf] * leaf_values[leaf] for leaf in leaves) / p[node_id]
+
+    def path_sums(self, node_terms: Iterable[tuple[str, float]]) -> dict[str, float]:
+        """Per leaf, the fsum of the terms stored at the nodes on its path.
+
+        ``node_terms`` yields (node id, term) pairs, a node possibly more than
+        once. Only leaves whose paths hold a term appear. fsum rounds the exact
+        sum once, so the order of the terms does not matter.
+        """
+        # Sweep the DFS leaf order with a stack of the spans covering the
+        # current leaf. Spans nest, so the innermost, which ends first, is on
+        # top; sorting by (lo, -hi) pushes enclosing spans before nested ones.
+        spans = sorted((lo, -hi, t) for nid, t in node_terms for lo, hi in [self._span[nid]])
+        sums: dict[str, float] = {}
+        ends: list[int] = []
+        terms: list[float] = []
+        i = pos = 0
+        while i < len(spans) or ends:
+            if not ends:
+                pos = spans[i][0]
+            while i < len(spans) and spans[i][0] == pos:
+                ends.append(-spans[i][1])
+                terms.append(spans[i][2])
+                i += 1
+            sums[self._dfs_leaves[pos]] = fsum(terms)
+            pos += 1
+            while ends and ends[-1] <= pos:
+                ends.pop()
+                terms.pop()
+        return sums
 
     @property
     def root(self) -> str:
@@ -254,8 +306,3 @@ def uniform_binomial(depth: int) -> ScenarioTree:
         level = nxt
     return build_tree(rows, probs)
 
-
-def node_probability(tree: ScenarioTree, node_id: str) -> float:
-    """Unconditional probability of the node, the product of branch probabilities above it."""
-    tree.require_node(node_id)
-    return tree.prob[node_id]

@@ -80,6 +80,27 @@ def random_tree(rng, max_depth=3, max_branch=3):
     return ScenarioTree(nodes)
 
 
+def interleaved_tree(rng, max_depth=3, max_branch=3):
+    """A random_tree shape with ids shuffled within each depth.
+
+    random_tree names children after their parent, so canonical (depth, id)
+    order groups every subtree; here canonical order interleaves subtrees and
+    differs from the depth-first leaf order.
+    """
+    base = random_tree(rng, max_depth=max_depth, max_branch=max_branch)
+    name = {base.root: "root"}
+    for k in range(1, base.K + 1):
+        ids = base.depth_nodes[k]
+        for nid, j in zip(ids, rng.permutation(len(ids))):
+            name[nid] = f"n{k}.{j:03d}"
+    nodes = []
+    for nid in base.order:
+        n = base.nodes[nid]
+        parent = None if n.parent is None else name[n.parent]
+        nodes.append(TreeNode(name[nid], parent, n.depth, n.time, n.branch_prob))
+    return ScenarioTree(nodes)
+
+
 def random_static(tree, rng, scale=1.0):
     return StaticRV(tree, {leaf: float(rng.uniform(-scale, scale)) for leaf in tree.leaves})
 

@@ -1,5 +1,7 @@
 """Capital allocation against a maximizing scenario and its fairness audit."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from treerisk import (
     allocate,
     fairness_check,
     rho_eval,
+    uniform_binomial,
     worst_case_spec,
 )
 
@@ -71,6 +74,20 @@ class TestAllocate:
     def test_requires_positions(self, t1):
         with pytest.raises(ValidationError):
             allocate(worst_case_spec(t1), [])
+
+    def test_million_scale_positions_add_up(self):
+        # at this scale one rounding of the charges or of rho is worth ~1e-10,
+        # far above any fixed absolute tolerance near 1e-12
+        rng = np.random.default_rng(41)
+        tree = uniform_binomial(6)
+        spec = random_spec(tree, rng, n_elements=5, coherent=True)
+        for _ in range(20):
+            positions = [random_process(tree, rng, scale=1e6) for _ in range(7)]
+            result = allocate(spec, positions)
+            assert result.sum_k == math.fsum(result.k)
+            # the node weights of a unit-variation scenario sum to one
+            magnitude = sum(max(abs(v) for v in X.values.values()) for X in positions)
+            assert abs(result.sum_k - result.rho_total) <= 64 * 2.0**-53 * magnitude
 
     def test_result_consistency_enforced(self):
         with pytest.raises(ValidationError):

@@ -28,6 +28,7 @@ from treerisk import (
 )
 
 from conftest import (
+    interleaved_tree,
     random_bimeasure,
     random_process,
     random_raw_bimeasure,
@@ -141,6 +142,22 @@ class TestVariation:
                     if inc != 0.0
                 )
                 assert abs(var.values[leaf] - walked) <= TOL
+
+    def test_path_sums_on_interleaved_ids(self):
+        rng = np.random.default_rng(37)
+        for _ in range(20):
+            tree = interleaved_tree(rng)
+            a = random_bimeasure(tree, rng)
+            var, ti = variation(a), terminal_increment(a)
+            assert tuple(var.values) == tuple(ti.values) == tree.leaves
+            for leaf in tree.leaves:
+                incs = []
+                node = tree.nodes[leaf]
+                while node is not None:
+                    incs += [a.pr_inc.get(node.id, 0.0), a.op_inc.get(node.id, 0.0)]
+                    node = tree.nodes.get(node.parent)
+                assert var.values[leaf] == math.fsum(abs(v) for v in incs)
+                assert ti.values[leaf] == math.fsum(incs)
 
     def test_jordan_additivity(self):
         rng = np.random.default_rng(29)

@@ -2,8 +2,10 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -157,6 +159,17 @@ class TestMalformedFiles:
         p.write_text(json.dumps(doc))
         with pytest.raises(FileFormatError):
             load_bimeasure(p, t1)
+
+
+def test_readme_tree_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+    example = next(b for b in blocks if '"format": "tree"' in b)
+    p = tmp_path / "tree.json"
+    p.write_text(example)
+    tree = load_tree(p)
+    assert tree.leaves == ("d", "u")
+    assert tree.prob == {"root": 1.0, "d": 0.5, "u": 0.5}
 
 
 class TestFormatting:
@@ -520,6 +533,18 @@ class TestDeterminismAndErrors:
         )
         assert code == 1
         assert err.startswith("error:")
+
+    def test_out_into_missing_directory_exits_1(self, workdir, capsys, tmp_path):
+        _, p = workdir
+        out = tmp_path / "no" / "such" / "dir" / "report.txt"
+        code, stdout, err = run_cli(
+            capsys, "eval", "--tree", p["tree"], "--spec", p["spec"], "--process", p["x"],
+            "--out", str(out),
+        )
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error: cannot write report to")
+        assert not out.exists()
 
     def test_module_entry_point(self, workdir):
         _, p = workdir

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from treerisk import ScenarioTree, TreeNode, ValidationError, node_probability, uniform_binomial
+from treerisk import ScenarioTree, TreeNode, ValidationError, uniform_binomial
 
-from conftest import random_tree
+from conftest import interleaved_tree, random_tree
 
 TOL = 1e-12
 
@@ -16,16 +16,16 @@ def test_minimal_binary_tree(t1):
     assert t1.K == 1
     assert t1.leaves == ("d", "u")
     assert t1.order == ("root", "d", "u")
-    assert node_probability(t1, "root") == 1.0
-    assert node_probability(t1, "u") == 0.5
-    assert node_probability(t1, "d") == 0.5
+    assert t1.prob["root"] == 1.0
+    assert t1.prob["u"] == 0.5
+    assert t1.prob["d"] == 0.5
 
 
 def test_uniform_binomial_depth_two(t2):
     assert t2.K == 2
     assert len(t2.leaves) == 4
     for leaf in t2.leaves:
-        assert node_probability(t2, leaf) == 0.25
+        assert t2.prob[leaf] == 0.25
     assert [t2.nodes[n].time for n in ("root", "d", "dd")] == [0.0, 0.5, 1.0]
 
 
@@ -44,7 +44,7 @@ def test_uniform_binomial_rejects_nonpositive_depth():
 
 def test_chain_tree_single_leaf(chain_tree):
     assert chain_tree.leaves == ("b",)
-    assert node_probability(chain_tree, "b") == 1.0
+    assert chain_tree.prob["b"] == 1.0
 
 
 def test_children_probabilities_must_sum_to_one():
@@ -124,7 +124,7 @@ def test_leaves_must_share_depth():
 def test_unknown_node_lookup():
     tree = uniform_binomial(1)
     with pytest.raises(ValidationError):
-        node_probability(tree, "ghost")
+        tree.require_node("ghost")
 
 
 def test_canonical_order_is_depth_then_id(t2):
@@ -163,3 +163,76 @@ def test_children_partition_subtree():
         for c in kids:
             pooled.extend(tree.leaves_under(c))
         assert sorted(pooled) == sorted(tree.leaves_under(nid))
+
+
+def brute_path(tree, leaf):
+    """Root-to-leaf ids found by following parent links one by one."""
+    chain = [leaf]
+    while tree.nodes[chain[-1]].parent is not None:
+        chain.append(tree.nodes[chain[-1]].parent)
+    return tuple(reversed(chain))
+
+
+def brute_leaves_under(tree, nid):
+    return {leaf for leaf in tree.leaves if nid in brute_path(tree, leaf)}
+
+
+def test_index_is_canonical_position():
+    tree = interleaved_tree(np.random.default_rng(5))
+    assert [tree.index[nid] for nid in tree.order] == list(range(len(tree.order)))
+    assert len(tree.index) == len(tree.nodes)
+
+
+def test_interleaved_ids_separate_dfs_from_canonical_order():
+    rng = np.random.default_rng(31)
+    trees = [interleaved_tree(rng) for _ in range(10)]
+    # otherwise the span tests below could not tell a DFS range from a canonical one
+    assert any(t.leaves_under(t.root) != t.leaves for t in trees)
+
+
+def test_spans_are_contiguous_and_match_path_walks():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        tree = interleaved_tree(rng)
+        dfs = tree.leaves_under(tree.root)
+        assert sorted(dfs) == sorted(tree.leaves)
+        for leaf in tree.leaves:
+            assert tree.path(leaf) == brute_path(tree, leaf)
+        for nid in tree.order:
+            under = tree.leaves_under(nid)
+            assert set(under) == brute_leaves_under(tree, nid)
+            lo = dfs.index(under[0])
+            assert dfs[lo : lo + len(under)] == under
+            kids = tree.children(nid)
+            if kids:
+                assert sum((tree.leaves_under(c) for c in kids), ()) == under
+
+
+def test_conditional_mean_matches_brute_force():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        tree = interleaved_tree(rng)
+        values = {leaf: float(rng.uniform(-1.0, 1.0)) for leaf in tree.leaves}
+        for nid in tree.order:
+            under = sorted(brute_leaves_under(tree, nid))
+            if len(under) == 1:
+                expected = values[under[0]]
+            else:
+                expected = math.fsum(tree.prob[l] * values[l] for l in under) / tree.prob[nid]
+            assert tree.conditional_mean(values, nid) == expected
+
+
+def test_path_sums_match_brute_force():
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        tree = interleaved_tree(rng)
+        terms = [(nid, float(rng.uniform(-1.0, 1.0))) for nid in tree.order if rng.uniform() < 0.7]
+        terms += terms[: len(terms) // 2]
+        sums = tree.path_sums(terms)
+        for leaf in tree.leaves:
+            path = brute_path(tree, leaf)
+            on_path = [t for nid, t in terms if nid in path]
+            if on_path:
+                assert sums[leaf] == math.fsum(on_path)
+            else:
+                assert leaf not in sums
