@@ -120,15 +120,8 @@ class RawBiMeasure:
 def as_raw(a: BiMeasure) -> RawBiMeasure:
     """Resolve a bi-measure along each path into its raw counterpart."""
     tree = a.tree
-    left: dict[tuple[str, int], float] = {}
-    right: dict[tuple[str, int], float] = {}
-    for leaf in tree.leaves:
-        path = tree.path(leaf)
-        for k, nid in enumerate(path):
-            if k < tree.K:
-                left[(leaf, k + 1)] = a.pr_inc.get(nid, 0.0)
-            right[(leaf, k)] = a.op_inc.get(nid, 0.0)
-    return RawBiMeasure(tree, left, right)
+    left = {(leaf, k + 1): v for (leaf, k), v in tree.along_paths(a.pr_inc).items() if k < tree.K}
+    return RawBiMeasure(tree, left, tree.along_paths(a.op_inc))
 
 
 def pairing(X: AdaptedProcess, a: BiMeasure) -> float:
@@ -216,17 +209,7 @@ def dual_projection(a: RawBiMeasure) -> BiMeasure:
     time no mass is left over for a continuous part.
     """
     tree = a.tree
-    pr: dict[str, float] = {}
-    op: dict[str, float] = {}
-    for k in range(tree.K + 1):
-        right_k = {leaf: a.right_inc[(leaf, k)] for leaf in tree.leaves}
-        for nid in tree.depth_nodes[k]:
-            op[nid] = tree.conditional_mean(right_k, nid)
-        if k < tree.K:
-            left_next = {leaf: a.left_inc[(leaf, k + 1)] for leaf in tree.leaves}
-            for nid in tree.depth_nodes[k]:
-                pr[nid] = tree.conditional_mean(left_next, nid)
-    return BiMeasure(tree, pr, op)
+    return BiMeasure(tree, tree.slice_means(a.left_inc, 1), tree.slice_means(a.right_inc))
 
 
 def normalize_scenario(a: BiMeasure) -> BiMeasure:

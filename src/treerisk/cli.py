@@ -173,16 +173,6 @@ def _single_process_path(config: RunConfig) -> str:
     return config.processes[0]
 
 
-def _peek_format(path: str) -> str:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise fileio.FileFormatError(f"{path}: cannot parse document ({exc})") from exc
-    if not isinstance(doc, dict) or not isinstance(doc.get("format"), str):
-        raise fileio.FileFormatError(f"{path}: missing 'format' tag")
-    return doc["format"]
-
-
 def _cmd_eval(config: RunConfig) -> int:
     tree = _load_tree(config)
     _need(config, spec=config.spec)
@@ -214,27 +204,20 @@ def _cmd_static_eval(config: RunConfig) -> int:
 
 def _cmd_project(config: RunConfig) -> int:
     tree = _load_tree(config)
-    path = _single_process_path(config)
-    kind = _peek_format(path)
-    if kind == "static":
-        Y = fileio.load_static(path, tree)
-        M = optional_projection_static(Y)
+    source = fileio.load_projectable(_single_process_path(config), tree)
+    if isinstance(source, StaticRV):
+        M = optional_projection_static(source)
         doc = ReportDoc(command="project", columns=["node", "optional"])
         for nid in tree.order:
             doc.rows.append([nid, M.values[nid]])
         doc.summary["input"] = "static"
-    elif kind == "raw_process":
-        Z = fileio.load_raw_process(path, tree)
-        opt = optional_projection_raw(Z)
-        pred = predictable_projection_raw(Z)
+    else:
+        opt = optional_projection_raw(source)
+        pred = predictable_projection_raw(source)
         doc = ReportDoc(command="project", columns=["node", "optional", "predictable"])
         for nid in tree.order:
             doc.rows.append([nid, opt.values[nid], pred.values[nid]])
         doc.summary["input"] = "raw_process"
-    else:
-        raise ValidationError(
-            f"project expects a 'static' or 'raw_process' document, got '{kind}'"
-        )
     _emit(doc, config)
     return 0
 

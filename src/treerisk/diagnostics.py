@@ -15,7 +15,10 @@ from .riskcore import RiskMeasureSpec, rho_eval
 from .scenario import ScenarioTree, uniform_binomial
 
 DEFAULT_K_GRID = (0.0, 1.0, 5.0, 10.0, 20.0, 50.0)
-DEFAULT_EPS_GRID = (0.5, 0.25, 0.125)
+EPS_GRID = (0.5, 0.25, 0.125)  # separation levels lebesgue_probe records
+DECAY_THRESHOLD = 1e-6  # a tail modulus below this counts as vanished
+GAP_FLOOR = 0.5  # lebesgue_probe's verdict thresholds, see its docstring
+CONSISTENT_COEFF = 10.0
 
 
 @dataclass(frozen=True)
@@ -26,15 +29,11 @@ class UIReport:
     verdict: str  # "decaying" or "non-decaying"
 
 
-def ui_modulus(
-    family: Sequence[StaticRV],
-    thresholds: Sequence[float],
-    decay_threshold: float = 1e-6,
-) -> UIReport:
+def ui_modulus(family: Sequence[StaticRV], thresholds: Sequence[float]) -> UIReport:
     """Tail-mass modulus eta(K) = sup_f E[|f| ; |f| > K] over a finite family.
 
     Computed exactly atom by atom. ``decaying`` means the modulus at the
-    largest threshold has dropped below ``decay_threshold``; on a finite tree
+    largest threshold has dropped below ``DECAY_THRESHOLD``; on a finite tree
     that is the meaningful stand-in for the vanishing-tail limit.
     """
     family = list(family)
@@ -62,11 +61,11 @@ def ui_modulus(
             if mass > eta:
                 eta = mass
         etas.append(eta)
-    verdict = "decaying" if etas[-1] < decay_threshold else "non-decaying"
+    verdict = "decaying" if etas[-1] < DECAY_THRESHOLD else "non-decaying"
     return UIReport(
         thresholds=tuple(ks),
         modulus=tuple(etas),
-        decay_threshold=decay_threshold,
+        decay_threshold=DECAY_THRESHOLD,
         verdict=verdict,
     )
 
@@ -185,14 +184,7 @@ class LebesgueReport:
     verdict: str  # "consistent" | "violating" | "inconclusive"
 
 
-def lebesgue_probe(
-    schedule: RefinementSchedule,
-    k_grid: Sequence[float] = DEFAULT_K_GRID,
-    eps_grid: Sequence[float] = DEFAULT_EPS_GRID,
-    gap_floor: float = 0.5,
-    consistent_coeff: float = 10.0,
-    modulus_decay_threshold: float = 1e-6,
-) -> LebesgueReport:
+def lebesgue_probe(schedule: RefinementSchedule, k_grid: Sequence[float] = DEFAULT_K_GRID) -> LebesgueReport:
     """Chase the dominated-convergence behaviour of a family along refinements.
 
     At each depth the probe evaluates the family on the moving process and on
@@ -200,9 +192,9 @@ def lebesgue_probe(
     pair, and the tail modulus of the family's variation densities.
 
     Verdicts on the final depths (up to three): ``violating`` when the gap
-    stays above ``gap_floor`` while the separation probability vanishes;
+    stays above ``GAP_FLOOR`` while the separation probability vanishes;
     ``consistent`` when the gap falls at least geometrically, within
-    ``consistent_coeff`` times 2^-depth; otherwise ``inconclusive``.
+    ``CONSISTENT_COEFF`` times 2^-depth; otherwise ``inconclusive``.
     """
     rows: list[DepthProbe] = []
     label = None
@@ -215,11 +207,9 @@ def lebesgue_probe(
         rho_n = family.rho(X_n)
         rho_lim = family.rho(X_lim)
         exceedance = tuple(
-            (eps, prob_sup_exceedance(X_n, X_lim, eps)) for eps in eps_grid
+            (eps, prob_sup_exceedance(X_n, X_lim, eps)) for eps in EPS_GRID
         )
-        mod = ui_modulus(
-            family.variation_densities(), k_grid, decay_threshold=modulus_decay_threshold
-        )
+        mod = ui_modulus(family.variation_densities(), k_grid)
         rows.append(
             DepthProbe(
                 depth=depth,
@@ -233,13 +223,13 @@ def lebesgue_probe(
 
     window = rows[-min(3, len(rows)):]
     last = rows[-1]
-    vanish_tol = max(consistent_coeff * 2.0 ** -last.depth, 1e-12)
+    vanish_tol = max(CONSISTENT_COEFF * 2.0 ** -last.depth, 1e-12)
     exceedance_vanishing = all(value <= vanish_tol for _, value in last.exceedance)
     # boundary counts as tracking: canonical families land exactly on it
-    tracking = all(r.gap <= consistent_coeff * 2.0 ** -r.depth + 1e-15 for r in window)
-    if tracking and last.gap <= gap_floor and last.modulus.verdict == "decaying":
+    tracking = all(r.gap <= CONSISTENT_COEFF * 2.0 ** -r.depth + 1e-15 for r in window)
+    if tracking and last.gap <= GAP_FLOOR and last.modulus.verdict == "decaying":
         verdict = "consistent"
-    elif not tracking and last.gap > gap_floor and exceedance_vanishing:
+    elif not tracking and last.gap > GAP_FLOOR and exceedance_vanishing:
         verdict = "violating"
     else:
         verdict = "inconclusive"

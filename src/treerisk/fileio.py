@@ -24,30 +24,52 @@ class FileFormatError(ValidationError):
     """A document failed structural validation; the message carries the path and field."""
 
 
-def _read_document(path: str | Path, expected: str) -> dict:
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key '{key}'")
+            seen.add(key)
+    return obj
+
+
+def _read_document(path: str | Path, expected: str | None) -> dict:
+    """Parse the document at ``path``; check its format tag unless ``expected`` is None."""
     p = Path(path)
     try:
-        text = p.read_text()
+        text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise FileFormatError(f"{p}: cannot read file ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{p}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{p}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # a duplicate key, an over-long integer, deep nesting
+        raise FileFormatError(f"{p}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FileFormatError(f"{p}: top level must be an object")
     fmt = doc.get("format")
-    if fmt != expected:
+    if expected is not None and fmt != expected:
         raise FileFormatError(f"{p}: expected format '{expected}', found {fmt!r}")
     return doc
 
 
-def _number(path: Path | str, field: str, value: Any) -> float:
+def _number(path: Path | str, value: Any, field: str, *args: object) -> float:
+    """``value`` as a finite float; the field name, ``field.format(*args)``, is built on failure only."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise FileFormatError(f"{path}: field '{field}' must be a number, got {value!r}")
-    v = float(value)
+        raise FileFormatError(f"{path}: field '{field.format(*args)}' must be a number, got {value!r}")
+    try:
+        v = float(value)
+    except OverflowError:
+        raise FileFormatError(
+            f"{path}: field '{field.format(*args)}' is an integer beyond the float range"
+        ) from None
     if not math.isfinite(v):
-        raise FileFormatError(f"{path}: field '{field}' must be finite, got {value!r}")
+        raise FileFormatError(f"{path}: field '{field.format(*args)}' must be finite, got {value!r}")
     return v
 
 
@@ -77,11 +99,11 @@ def load_tree(path: str | Path) -> ScenarioTree:
         depth = row["depth"]
         if isinstance(depth, bool) or not isinstance(depth, int):
             raise FileFormatError(f"{path}: nodes[{i}].depth must be an integer")
-        time = _number(path, f"nodes[{i}].time", row["time"])
+        time = _number(path, row["time"], "nodes[{}].time", i)
         if parent is not None or "p" in row:
             if "p" not in row:
                 raise FileFormatError(f"{path}: nodes[{i}] ('{nid}') missing branch probability 'p'")
-            probs[nid] = _number(path, f"nodes[{i}].p", row["p"])
+            probs[nid] = _number(path, row["p"], "nodes[{}].p", i)
         node_rows.append((nid, parent, depth, time))
     return build_tree(node_rows, probs)
 
@@ -101,7 +123,7 @@ def _load_value_map(path: str | Path, doc: dict) -> dict[str, float]:
     values = doc.get("values")
     if not isinstance(values, dict):
         raise FileFormatError(f"{path}: 'values' must be an object")
-    return {k: _number(path, f"values['{k}']", v) for k, v in values.items()}
+    return {k: _number(path, v, "values['{}']", k) for k, v in values.items()}
 
 
 def load_process(path: str | Path, tree: ScenarioTree) -> AdaptedProcess:
@@ -118,12 +140,26 @@ def load_static(path: str | Path, tree: ScenarioTree) -> StaticRV:
     return StaticRV(tree, _load_value_map(path, doc))
 
 
+def load_projectable(path: str | Path, tree: ScenarioTree) -> StaticRV | RawProcess:
+    """A 'static' or a 'raw_process' document, parsed once and built by its format tag."""
+    doc = _read_document(path, None)
+    fmt = doc.get("format")
+    if fmt == "static":
+        return StaticRV(tree, _load_value_map(path, doc))
+    if fmt == "raw_process":
+        return _raw_process_from(path, doc, tree)
+    raise FileFormatError(f"project expects a 'static' or 'raw_process' document, got {fmt!r}")
+
+
 def dump_static(Y: StaticRV, path: str | Path) -> None:
     _write(path, {"format": "static", "values": {l: Y.values[l] for l in Y.tree.leaves}})
 
 
 def load_raw_process(path: str | Path, tree: ScenarioTree) -> RawProcess:
-    doc = _read_document(path, "raw_process")
+    return _raw_process_from(path, _read_document(path, "raw_process"), tree)
+
+
+def _raw_process_from(path: str | Path, doc: dict, tree: ScenarioTree) -> RawProcess:
     entries = doc.get("entries")
     if not isinstance(entries, list):
         raise FileFormatError(f"{path}: 'entries' must be an array")
@@ -143,7 +179,7 @@ def load_raw_process(path: str | Path, tree: ScenarioTree) -> RawProcess:
         key = (leaf, depth)
         if key in values:
             raise FileFormatError(f"{path}: duplicate entry for ({leaf}, {depth})")
-        values[key] = _number(path, f"entries[{i}].value", row["value"])
+        values[key] = _number(path, row["value"], "entries[{}].value", i)
     return RawProcess(tree, values)
 
 
@@ -174,7 +210,7 @@ def _measure_from_obj(path: str | Path, obj: Any, tree: ScenarioTree, where: str
                 raise FileFormatError(f"{path}: {where}.{field}[{i}].node must be a string")
             if nid in sink:
                 raise FileFormatError(f"{path}: duplicate {field} increment at node '{nid}'")
-            sink[nid] = _number(path, f"{where}.{field}[{i}].inc", row["inc"])
+            sink[nid] = _number(path, row["inc"], "{}.{}[{}].inc", where, field, i)
     return BiMeasure(tree, pr, op)
 
 
@@ -206,7 +242,7 @@ def load_spec(path: str | Path, tree: ScenarioTree) -> RiskMeasureSpec:
     for i, row in enumerate(rows):
         if not isinstance(row, dict):
             raise FileFormatError(f"{path}: elements[{i}] must be an object")
-        gamma = _number(path, f"elements[{i}].gamma", row.get("gamma", 0.0))
+        gamma = _number(path, row.get("gamma", 0.0), "elements[{}].gamma", i)
         if "measure" in row:
             a = _measure_from_obj(path, row["measure"], tree, f"elements[{i}].measure")
         elif "file" in row:

@@ -220,25 +220,16 @@ def stopped_worst_case(tree: ScenarioTree, X: AdaptedProcess) -> StoppedWorstCas
         raise ValidationError("tree mismatch: process was built on a different scenario tree")
     V: dict[str, float] = {}
     stop: dict[str, bool] = {}
-    for leaf in tree.depth_nodes[tree.K]:
-        V[leaf] = -X.values[leaf]
-        stop[leaf] = True
-    for k in range(tree.K - 1, -1, -1):
-        for nid in tree.depth_nodes[k]:
-            cont = fsum(
-                tree.nodes[c].branch_prob * V[c] for c in tree.children(nid)
-            )
-            here = -X.values[nid]
-            if here >= cont:
-                V[nid] = here
-                stop[nid] = True
-            else:
-                V[nid] = cont
-                stop[nid] = False
-    tau: dict[str, int] = {}
-    for leaf in tree.leaves:
-        for k, nid in enumerate(tree.path(leaf)):
-            if stop[nid]:
-                tau[leaf] = k
-                break
+    for nid in reversed(tree.order):  # children before their parents
+        kids = tree.children(nid)
+        here = -X.values[nid]
+        cont = fsum(tree.nodes[c].branch_prob * V[c] for c in kids)
+        stop[nid] = not kids or here >= cont
+        V[nid] = here if stop[nid] else cont
+    first: dict[str, int | None] = {}  # the depth of the first stop on the way down
+    for nid in tree.order:
+        node = tree.nodes[nid]
+        above = None if node.parent is None else first[node.parent]
+        first[nid] = above if above is not None else (node.depth if stop[nid] else None)
+    tau = {leaf: first[leaf] for leaf in tree.leaves}
     return StoppedWorstCase(value=V[tree.root], tau=tau)

@@ -163,12 +163,7 @@ class RawProcess:
     @classmethod
     def from_adapted(cls, X: AdaptedProcess) -> "RawProcess":
         """Resolve an adapted process along each path: value at (leaf, k) is X at the depth-k ancestor."""
-        tree = X.tree
-        vals = {}
-        for leaf in tree.leaves:
-            for k, nid in enumerate(tree.path(leaf)):
-                vals[(leaf, k)] = X.values[nid]
-        return cls(tree, vals)
+        return cls(X.tree, X.tree.along_paths(X.values))
 
 
 def terminal_values(X: AdaptedProcess) -> StaticRV:
@@ -211,16 +206,7 @@ def optional_projection_static(Y: StaticRV) -> AdaptedProcess:
 
 def optional_projection_raw(Z: RawProcess) -> AdaptedProcess:
     """Optional projection: at a depth-k node, the conditional mean of the depth-k raw slice."""
-    tree = Z.tree
-    out: dict[str, float] = {}
-    for k in range(tree.K + 1):
-        slice_k = {leaf: Z.values[(leaf, k)] for leaf in tree.leaves}
-        for nid in tree.depth_nodes[k]:
-            if k == tree.K:
-                out[nid] = slice_k[nid]
-            else:
-                out[nid] = tree.conditional_mean(slice_k, nid)
-    return AdaptedProcess(tree, out)
+    return AdaptedProcess(Z.tree, Z.tree.slice_means(Z.values))
 
 
 def predictable_projection_raw(Z: RawProcess) -> AdaptedProcess:
@@ -231,16 +217,11 @@ def predictable_projection_raw(Z: RawProcess) -> AdaptedProcess:
     value.
     """
     tree = Z.tree
-    out: dict[str, float] = {}
-    root = tree.root
     slice_0 = {leaf: Z.values[(leaf, 0)] for leaf in tree.leaves}
-    out[root] = tree.conditional_mean(slice_0, root)
-    for k in range(1, tree.K + 1):
-        slice_k = {leaf: Z.values[(leaf, k)] for leaf in tree.leaves}
-        for parent in tree.depth_nodes[k - 1]:
-            m = tree.conditional_mean(slice_k, parent)
-            for child in tree.children(parent):
-                out[child] = m
+    ahead = tree.slice_means(Z.values, 1)
+    out = {tree.root: tree.conditional_mean(slice_0, tree.root)}
+    for nid in tree.order[1:]:
+        out[nid] = ahead[tree.nodes[nid].parent]
     return AdaptedProcess(tree, out)
 
 

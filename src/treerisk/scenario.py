@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import fsum, isfinite
+from operator import mul
 from typing import Iterable, Mapping
 
 from .errors import ValidationError
@@ -37,6 +38,12 @@ class ScenarioTree:
     from the canonical order of ``leaves`` when ids interleave subtrees.
     ``path`` walks the parents.
 
+    Two walks serve the processes and bi-measures, both returning dicts in
+    canonical key order: ``along_paths`` reads node values along every leaf's
+    path, keyed on (leaf, k) with ``leaves`` outermost and k = 0..K innermost;
+    ``slice_means`` takes, at each node in ``order``, the conditional mean of
+    one depth's slice of a (leaf, k)-keyed grid.
+
     Instances are immutable after construction and meant to be shared by the
     processes and bi-measures built on them (those types compare trees by
     object identity). Construct via :func:`build_tree` or
@@ -55,6 +62,7 @@ class ScenarioTree:
         "prob",
         "_children",
         "_dfs_leaves",
+        "_dfs_prob",
         "_span",
     )
 
@@ -183,6 +191,7 @@ class ScenarioTree:
         self.prob = prob
         self._children = {nid: tuple(kids) for nid, kids in children.items()}
         self._dfs_leaves = tuple(dfs_leaves)
+        self._dfs_prob = tuple(prob[leaf] for leaf in dfs_leaves)
         self._span = span
 
     def require_node(self, node_id: str) -> TreeNode:
@@ -214,12 +223,33 @@ class ScenarioTree:
 
     def conditional_mean(self, leaf_values: Mapping[str, float], node_id: str) -> float:
         """E[V | node] over the leaves under ``node_id``; a constant subtree gives its value exactly."""
-        leaves = self.leaves_under(node_id)
-        first = leaf_values[leaves[0]]
-        if all(leaf_values[leaf] == first for leaf in leaves):
-            return first
-        p = self.prob
-        return fsum(p[leaf] * leaf_values[leaf] for leaf in leaves) / p[node_id]
+        self.require_node(node_id)
+        lo, hi = self._span[node_id]
+        values = [leaf_values[leaf] for leaf in self._dfs_leaves[lo:hi]]
+        if values.count(values[0]) == len(values):
+            return values[0]
+        return fsum(map(mul, self._dfs_prob[lo:hi], values)) / self.prob[node_id]
+
+    def along_paths(self, node_values: Mapping[str, float]) -> dict[tuple[str, int], float]:
+        """Per (leaf, k), the value at the leaf's depth-k ancestor, or 0.0 where none is given."""
+        paths: dict[str, tuple[float, ...]] = {}
+        for nid in self.order:  # canonical order visits each parent before its children
+            parent = self.nodes[nid].parent
+            paths[nid] = (() if parent is None else paths[parent]) + (node_values.get(nid, 0.0),)
+        return {(leaf, k): v for leaf in self.leaves for k, v in enumerate(paths[leaf])}
+
+    def slice_means(self, grid: Mapping[tuple[str, int], float], shift: int = 0) -> dict[str, float]:
+        """At each node of depth k <= K - shift, E[grid's depth-(k + shift) slice | node].
+
+        ``grid`` is keyed on (leaf, depth). A constant subtree gives its value
+        exactly, and so does a leaf, whose mean is its own value.
+        """
+        out: dict[str, float] = {}
+        for k in range(self.K + 1 - shift):
+            values = {leaf: grid[(leaf, k + shift)] for leaf in self.leaves}
+            for nid in self.depth_nodes[k]:
+                out[nid] = values[nid] if k == self.K else self.conditional_mean(values, nid)
+        return out
 
     def path_sums(self, node_terms: Iterable[tuple[str, float]]) -> dict[str, float]:
         """Per leaf, the fsum of the terms stored at the nodes on its path.

@@ -1,5 +1,7 @@
 """Shared fixtures: canonical small trees and seeded random generators."""
 
+import math
+
 import pytest
 
 from treerisk import (
@@ -99,6 +101,22 @@ def interleaved_tree(rng, max_depth=3, max_branch=3):
         parent = None if n.parent is None else name[n.parent]
         nodes.append(TreeNode(name[nid], parent, n.depth, n.time, n.branch_prob))
     return ScenarioTree(nodes)
+
+
+def brute_mean(tree, leaf_values, nid):
+    """E[V | nid] over the leaves whose paths pass nid; a constant subtree gives its value exactly."""
+    under = [leaf for leaf in tree.leaves if nid in tree.path(leaf)]
+    values = [leaf_values[leaf] for leaf in under]
+    if all(v == values[0] for v in values):
+        return values[0]
+    return math.fsum(tree.prob[leaf] * leaf_values[leaf] for leaf in under) / tree.prob[nid]
+
+
+def value_sampler(rng, coarse):
+    """Draws values; coarse draws repeat often, so whole subtrees come out constant."""
+    if coarse:
+        return lambda: float(rng.choice([-1.0, 0.5, 2.0]))
+    return lambda: float(rng.uniform(-1.0, 1.0))
 
 
 def random_static(tree, rng, scale=1.0):

@@ -28,6 +28,7 @@ from treerisk import (
 )
 
 from conftest import (
+    brute_mean,
     interleaved_tree,
     random_bimeasure,
     random_process,
@@ -35,6 +36,7 @@ from conftest import (
     random_raw_process,
     random_scenario,
     random_tree,
+    value_sampler,
 )
 
 TOL = 1e-12
@@ -255,6 +257,44 @@ class TestDualProjection:
             again = dual_projection(as_raw(proj))
             assert again.pr_inc == proj.pr_inc
             assert again.op_inc == proj.op_inc
+
+
+class TestInterleavedIds:
+    """Canonical order differs from DFS order: results match path walks, keys come in canonical order."""
+
+    def test_dual_projection_matches_path_walks(self):
+        rng = np.random.default_rng(63)
+        for i in range(20):
+            tree = interleaved_tree(rng)
+            draw = value_sampler(rng, coarse=i % 2 == 0)
+            K = tree.K
+            left = {(leaf, k): draw() for leaf in tree.leaves for k in range(1, K + 1)}
+            right = {(leaf, k): draw() for leaf in tree.leaves for k in range(K + 1)}
+            pr, op = {}, {}
+            for nid in tree.order:
+                k = tree.nodes[nid].depth
+                if k < K:
+                    pr[nid] = brute_mean(tree, {leaf: left[(leaf, k + 1)] for leaf in tree.leaves}, nid)
+                op[nid] = brute_mean(tree, {leaf: right[(leaf, k)] for leaf in tree.leaves}, nid)
+            proj = dual_projection(RawBiMeasure(tree, left, right))
+            expected = BiMeasure(tree, pr, op)
+            assert list(proj.pr_inc.items()) == list(expected.pr_inc.items())
+            assert list(proj.op_inc.items()) == list(expected.op_inc.items())
+
+    def test_as_raw_matches_path_walks(self):
+        rng = np.random.default_rng(64)
+        for _ in range(20):
+            tree = interleaved_tree(rng)
+            a = random_bimeasure(tree, rng)
+            left, right = {}, {}
+            for leaf in tree.leaves:
+                for k, nid in enumerate(tree.path(leaf)):
+                    if k < tree.K:
+                        left[(leaf, k + 1)] = a.pr_inc.get(nid, 0.0)
+                    right[(leaf, k)] = a.op_inc.get(nid, 0.0)
+            raw = as_raw(a)
+            assert list(raw.left_inc.items()) == list(left.items())
+            assert list(raw.right_inc.items()) == list(right.items())
 
 
 class TestNormalize:

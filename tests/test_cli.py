@@ -546,6 +546,50 @@ class TestDeterminismAndErrors:
         assert err.startswith("error: cannot write report to")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'{"format": "static", "values": {"d": 1' + b"0" * 400 + b', "u": 0.0}}', "float range"),
+            (b"\xff\xfe" + '{"format": "static"}'.encode("utf-16-le"), "not UTF-8"),
+            (b'{"format": "static", "values": {"d": 1.0, "u": 0.0, "d": 5.0}}', "duplicate key 'd'"),
+            (b'{"format": "static", "values": {"d": 1' + b"0" * 5000 + b', "u": 0.0}}', "invalid JSON"),
+            (b"[" * 100000 + b"]" * 100000, "invalid JSON"),
+        ],
+        ids=["huge-integer", "utf-16", "duplicate-key", "over-long-integer", "deep-nesting"],
+    )
+    def test_hostile_document_exits_1(self, workdir, capsys, tmp_path, content, message):
+        _, p = workdir
+        bad = tmp_path / "hostile.json"
+        bad.write_bytes(content)
+        code, out, err = run_cli(
+            capsys, "instances", "--tree", p["tree"], "--process", str(bad), "--alpha", "0.5"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {bad}: ")
+        assert message in err
+
+    def test_project_parses_its_input_once(self, workdir, capsys, monkeypatch):
+        _, p = workdir
+        parsed = []
+        loads = json.loads
+
+        def counting_loads(text, **kw):
+            parsed.append(text)
+            return loads(text, **kw)
+
+        monkeypatch.setattr(json, "loads", counting_loads)
+        code, _, _ = run_cli(capsys, "project", "--tree", p["tree"], "--process", p["y"])
+        assert code == 0
+        assert len(parsed) == 2  # the tree and the input
+
+    def test_project_rejects_other_documents(self, workdir, capsys):
+        _, p = workdir
+        code, out, err = run_cli(capsys, "project", "--tree", p["tree"], "--process", p["x"])
+        assert code == 1
+        assert out == ""
+        assert err == "error: project expects a 'static' or 'raw_process' document, got 'process'\n"
+
     def test_module_entry_point(self, workdir):
         _, p = workdir
         result = subprocess.run(

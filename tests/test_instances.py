@@ -29,7 +29,7 @@ from treerisk import (
     worst_case_spec,
 )
 
-from conftest import random_static, random_tree
+from conftest import interleaved_tree, random_static, random_tree
 
 TOL = 1e-12
 TRIPLE_TOL = 1e-10
@@ -329,3 +329,26 @@ class TestStoppedWorstCase:
             result = stopped_worst_case(tree, X)
             m = stopping_time_measure(tree, result.tau)
             assert abs(-pairing(X, m) - result.value) <= TOL
+
+    def test_rule_matches_path_walks_on_interleaved_ids(self):
+        rng = np.random.default_rng(107)
+        for _ in range(20):
+            tree = interleaved_tree(rng)
+            X = dyadic_process(tree, rng)
+            V = {}
+            stops = set()
+            for k in range(tree.K, -1, -1):
+                for nid in tree.depth_nodes[k]:
+                    kids = tree.children(nid)
+                    here = -X.values[nid]
+                    cont = math.fsum(tree.nodes[c].branch_prob * V[c] for c in kids) if kids else -math.inf
+                    V[nid] = max(here, cont)
+                    if here >= cont:
+                        stops.add(nid)
+            tau = {
+                leaf: next(k for k, nid in enumerate(tree.path(leaf)) if nid in stops)
+                for leaf in tree.leaves
+            }
+            result = stopped_worst_case(tree, X)
+            assert list(result.tau.items()) == list(tau.items())
+            assert result.value == V[tree.root]

@@ -20,7 +20,15 @@ from treerisk import (
     uniform_binomial,
 )
 
-from conftest import random_process, random_raw_process, random_static, random_tree
+from conftest import (
+    brute_mean,
+    interleaved_tree,
+    random_process,
+    random_raw_process,
+    random_static,
+    random_tree,
+    value_sampler,
+)
 
 TOL = 1e-12
 
@@ -221,6 +229,41 @@ class TestRawProjections:
     def test_raw_requires_dense_grid(self, t1):
         with pytest.raises(ValidationError):
             RawProcess(t1, {("u", 0): 1.0, ("u", 1): 1.0, ("d", 1): -1.0})
+
+
+class TestInterleavedIds:
+    """Canonical order differs from DFS order: results match path walks, keys come in canonical order."""
+
+    def test_projections_match_path_walks(self):
+        rng = np.random.default_rng(61)
+        for i in range(20):
+            tree = interleaved_tree(rng)
+            draw = value_sampler(rng, coarse=i % 2 == 0)
+            Y = StaticRV(tree, {leaf: draw() for leaf in tree.leaves})
+            Z = RawProcess(tree, {(leaf, k): draw() for leaf in tree.leaves for k in range(tree.K + 1)})
+            slices = [{leaf: Z.values[(leaf, k)] for leaf in tree.leaves} for k in range(tree.K + 1)]
+            opt_static, opt, pred = {}, {}, {}
+            for nid in tree.order:
+                node = tree.nodes[nid]
+                opt_static[nid] = brute_mean(tree, Y.values, nid)
+                opt[nid] = brute_mean(tree, slices[node.depth], nid)
+                # one step ahead: condition on the parent; the root on itself
+                pred[nid] = brute_mean(tree, slices[node.depth], node.parent or nid)
+            assert list(optional_projection_static(Y).values.items()) == list(opt_static.items())
+            assert list(optional_projection_raw(Z).values.items()) == list(opt.items())
+            assert list(predictable_projection_raw(Z).values.items()) == list(pred.items())
+
+    def test_from_adapted_matches_path_walks(self):
+        rng = np.random.default_rng(62)
+        for _ in range(20):
+            tree = interleaved_tree(rng)
+            X = random_process(tree, rng)
+            expected = {
+                (leaf, k): X.values[nid]
+                for leaf in tree.leaves
+                for k, nid in enumerate(tree.path(leaf))
+            }
+            assert list(RawProcess.from_adapted(X).values.items()) == list(expected.items())
 
 
 class TestExceedance:

@@ -7,7 +7,7 @@ import pytest
 
 from treerisk import ScenarioTree, TreeNode, ValidationError, uniform_binomial
 
-from conftest import interleaved_tree, random_tree
+from conftest import brute_mean, interleaved_tree, random_tree, value_sampler
 
 TOL = 1e-12
 
@@ -236,3 +236,32 @@ def test_path_sums_match_brute_force():
                 assert sums[leaf] == math.fsum(on_path)
             else:
                 assert leaf not in sums
+
+
+def test_along_paths_matches_path_walks():
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        tree = interleaved_tree(rng)
+        values = {nid: float(rng.uniform(-1.0, 1.0)) for nid in tree.order if rng.uniform() < 0.7}
+        expected = {
+            (leaf, k): values.get(nid, 0.0)
+            for leaf in tree.leaves
+            for k, nid in enumerate(tree.path(leaf))
+        }
+        # items in order: canonical leaves outermost, depth innermost
+        assert list(tree.along_paths(values).items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_slice_means_match_path_walks(shift):
+    rng = np.random.default_rng(47 + shift)
+    for i in range(20):
+        tree = interleaved_tree(rng)
+        draw = value_sampler(rng, coarse=i % 2 == 0)
+        grid = {(leaf, k): draw() for leaf in tree.leaves for k in range(tree.K + 1)}
+        expected = {}
+        for nid in tree.order:
+            j = tree.nodes[nid].depth + shift
+            if j <= tree.K:
+                expected[nid] = brute_mean(tree, {leaf: grid[(leaf, j)] for leaf in tree.leaves}, nid)
+        assert list(tree.slice_means(grid, shift).items()) == list(expected.items())
