@@ -232,6 +232,15 @@ def dump_bimeasure(a: BiMeasure, path: str | Path) -> None:
 
 
 def load_spec(path: str | Path, tree: ScenarioTree) -> RiskMeasureSpec:
+    elements, labels = _spec_elements(path, tree)
+    return RiskMeasureSpec(tree, elements, labels=labels)
+
+
+def _spec_elements(
+    path: str | Path, tree: ScenarioTree
+) -> tuple[list[tuple[BiMeasure, float]], list[str]]:
+    """A spec document's elements and labels; the parsed JSON is freed on return,
+    before the spec's build allocates its caches on top of it."""
     doc = _read_document(path, "spec")
     rows = doc.get("elements")
     if not isinstance(rows, list) or not rows:
@@ -259,7 +268,7 @@ def load_spec(path: str | Path, tree: ScenarioTree) -> RiskMeasureSpec:
             raise FileFormatError(f"{path}: elements[{i}].label must be a string")
         elements.append((a, gamma))
         labels.append(label)
-    return RiskMeasureSpec(tree, elements, labels=labels)
+    return elements, labels
 
 
 def dump_spec(spec: RiskMeasureSpec, path: str | Path) -> None:

@@ -7,8 +7,12 @@ so var_alpha(Y) = 2 means two units must be added to make Y acceptable.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress, repeat
 from math import fsum
+from operator import mul, ne, sub
+from typing import NamedTuple
 
 from .bimeasure import BiMeasure, terminal_density_measure
 from .errors import UndefinedQuantityError, ValidationError
@@ -30,28 +34,60 @@ class QuantileLevel:
         object.__setattr__(self, "alpha", a)
 
 
-def _atoms(Y: StaticRV) -> list[tuple[float, float]]:
-    """Realized values with aggregated probabilities, ordered by value."""
-    grouped: dict[float, list[float]] = {}
-    prob = Y.tree.prob
-    for leaf in Y.tree.leaves:
-        grouped.setdefault(Y.values[leaf], []).append(prob[leaf])
-    return [(v, fsum(ps)) for v, ps in sorted(grouped.items())]
+class _Ladder(NamedTuple):
+    """A payoff's leaves sorted by outcome, grouped into atoms of equal outcome.
+
+    Atom i holds the leaf slots starts[i]:starts[i + 1] of the flat
+    outcomes/probs lists; its mass is the fsum of their probabilities.
+    """
+
+    values: list[float]
+    masses: list[float]
+    starts: list[int]
+    outcomes: tuple[float, ...]
+    probs: tuple[float, ...]
+
+
+def _ladder(Y: StaticRV) -> _Ladder:
+    value = Y.values.__getitem__
+    leaves = sorted(Y.values, key=value)
+    outcomes, probs = tuple(map(value, leaves)), tuple(map(Y.tree.prob.__getitem__, leaves))
+    starts = [0, *compress(range(1, len(outcomes)), map(ne, outcomes[1:], outcomes))]
+    ends = [*starts[1:], len(outcomes)]
+    return _Ladder(
+        values=[outcomes[s] for s in starts],
+        masses=[fsum(probs[s:e]) for s, e in zip(starts, ends)],
+        starts=starts,
+        outcomes=outcomes,
+        probs=probs,
+    )
+
+
+def _crossing(ladder: _Ladder, alpha: float) -> int:
+    """The first atom i with fsum(masses[: i + 1]) > alpha (len(masses) if none), by bisection.
+
+    The exactly rounded prefix sums never decrease, so the predicate is
+    monotone in the prefix length; a float running sum could round across
+    the level.
+    """
+    masses = ladder.masses
+    return bisect_right(range(len(masses)), alpha, key=lambda i: fsum(masses[: i + 1]))
+
+
+def _quantile_atom(Y: StaticRV, alpha: float) -> tuple[_Ladder, int]:
+    """The ladder of Y and its value-at-risk atom at level alpha."""
+    level = QuantileLevel(alpha)
+    ladder = _ladder(Y)
+    i = _crossing(ladder, level.alpha)
+    if i == len(ladder.values):  # the probabilities add up to alpha or less
+        raise RuntimeError("tail scan failed to cross the level")
+    return ladder, i
 
 
 def var_alpha(Y: StaticRV, alpha: float) -> float:
     """Value at risk: minus the smallest realized outcome whose lower tail exceeds alpha."""
-    level = QuantileLevel(alpha)
-    cum = 0.0
-    atoms = _atoms(Y)
-    probs_so_far: list[float] = []
-    for v, p in atoms:
-        probs_so_far.append(p)
-        cum = fsum(probs_so_far)
-        if cum > level.alpha:
-            return 0.0 - v
-    # unreachable: the full mass is 1 > alpha
-    raise RuntimeError("tail scan failed to cross the level")
+    ladder, i = _quantile_atom(Y, alpha)
+    return 0.0 - ladder.values[i]
 
 
 def es_tce(Y: StaticRV, alpha: float) -> float:
@@ -60,39 +96,55 @@ def es_tce(Y: StaticRV, alpha: float) -> float:
     Undefined when nothing lies strictly below the quantile outcome, e.g. at
     the minimum of the support.
     """
-    v = var_alpha(Y, alpha)
-    cutoff = -v
-    tree = Y.tree
-    event = [leaf for leaf in tree.leaves if Y.values[leaf] < cutoff]
-    if not event:
+    ladder, i = _quantile_atom(Y, alpha)
+    s = ladder.starts[i]
+    if not s:
+        cutoff = -(0.0 - ladder.values[i])  # minus the value at risk
         raise UndefinedQuantityError(
             f"tail expectation undefined: no outcome lies strictly below {cutoff!r}"
         )
-    prob = tree.prob
-    mass = fsum(prob[leaf] for leaf in event)
-    return fsum(prob[leaf] * Y.values[leaf] for leaf in event) / mass
+    probs = ladder.probs[:s]
+    return fsum(map(mul, probs, ladder.outcomes[:s])) / fsum(probs)
 
 
 def avar(Y: StaticRV, alpha: float) -> float:
     """Average value at risk by the scan form min_t { t + E[(-Y - t)^+] / alpha }.
 
-    The objective is piecewise linear in t with kinks at realized losses, so
-    scanning those suffices.
+    The objective g is convex and piecewise linear in t with kinks at the
+    realized losses. Its slope right of a loss t is 1 - P(-Y > t) / alpha, so
+    it changes sign at the loss of the value at risk, the first loss whose
+    upper tail mass is at most alpha. g is evaluated there, then at
+    successive losses on each side until one exceeds the smallest value
+    found by twice the rounding bound of g; by convexity every loss further
+    out gives a larger value still. Each evaluation is one fsum over the
+    leaves strictly beyond t. The search usually stops at the two
+    neighbours; it goes further only where g is flat to within rounding.
+    The result is the smallest computed g over all realized losses, bit for
+    bit, at O(L log L) for the sort and the bisection plus O(L) per
+    evaluated loss, against O(L^2) for evaluating every loss.
     """
     level = QuantileLevel(alpha)
     inv = 1.0 / level.alpha
-    tree = Y.tree
-    prob = tree.prob
-    losses = {leaf: -Y.values[leaf] for leaf in tree.leaves}
-    candidates = sorted(set(losses.values()))
-    best = math.inf
-    for t in candidates:
-        tail = fsum(
-            prob[leaf] * (losses[leaf] - t) for leaf in tree.leaves if losses[leaf] > t
-        )
-        g = t + inv * tail
-        if g < best:
-            best = g
+    values, _, starts, outcomes, probs = ladder = _ladder(Y)
+
+    def g(i: int) -> float:
+        # loss - t for a leaf strictly beyond t = -values[i] rounds as values[i] - outcome
+        w, s = values[i], starts[i]
+        return -w + inv * fsum(map(mul, probs[:s], map(sub, repeat(w, s), outcomes[:s])))
+
+    # With M = max |outcome| >= |t| and u = 2**-53, a computed g is within about
+    # 13 u M (1 + inv sum p) of its exact value, plus inv u_min per underflowed
+    # product; err adds room for the rounding of the stopping test.
+    err = 16 * 2.0**-53 * max(-values[0], values[-1]) * (1.0 + inv * fsum(probs))
+    err += inv * len(probs) * math.ulp(0.0)
+    c = min(_crossing(ladder, level.alpha), len(values) - 1)  # the last atom if none crosses
+    best = at_c = g(c)
+    for step in (-1, 1):
+        i, edge = c, at_c
+        while 0 <= i + step < len(values) and not edge > best + 2 * err:
+            i += step
+            edge = g(i)
+            best = min(best, edge)
     return best
 
 

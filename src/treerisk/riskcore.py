@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bimeasure import BiMeasure, increment_vector, variation, variation_norm
+from .bimeasure import BiMeasure, _path_sums, increment_vector, variation_norm
 from .convexgeom import SimplexProgram, min_cost_combination
 from .errors import ValidationError
 from .process import AdaptedProcess, StaticRV, optional_projection_static, _require_same_tree
@@ -41,11 +41,15 @@ class RiskMeasureSpec:
         elems = [(a, float(g)) for a, g in elements]
         if not elems:
             raise ValidationError("spec needs at least one generating element")
+        prob = tree.prob
+        variations = []
         for i, (a, g) in enumerate(elems):
             _require_same_tree(tree, a.tree)
             if not a.is_positive:
                 raise ValidationError(f"generating element {i} has negative increments")
-            norm = variation_norm(a, 1.0)
+            variations.append(_path_sums(a, abs))
+            # variation_norm(a, 1.0) bit for bit: fsum rounds once, the zero leaves add nothing
+            norm = fsum(prob[leaf] * v for leaf, v in variations[-1].items())
             if abs(norm - 1.0) > norm_tol:
                 raise ValidationError(
                     f"generating element {i} must have unit expected variation, got {norm!r}"
@@ -67,8 +71,7 @@ class RiskMeasureSpec:
         self.gamma_shift = shift
         self.gammas = tuple(g for _, g in self.elements)
         self.is_coherent = all(g == 0.0 for g in self.gammas)
-        # cache per element: node-weight pairs for fast pairings, and the variation density
-        prob = tree.prob
+        # cache per element: node-weight pairs for fast pairings
         self._weights = tuple(
             tuple(
                 (n, prob[n] * (a.pr_inc.get(n, 0.0) + a.op_inc.get(n, 0.0)))
@@ -76,12 +79,18 @@ class RiskMeasureSpec:
             )
             for a, _ in self.elements
         )
+        # the norm check's sparse path sums, made into variation densities on first use
+        self._leaf_variations = variations
         self._variation_cache: tuple[StaticRV, ...] | None = None
 
     @property
     def _variations(self) -> tuple[StaticRV, ...]:
         if self._variation_cache is None:
-            self._variation_cache = tuple(variation(a) for a, _ in self.elements)
+            zeros = dict.fromkeys(self.tree.leaves, 0.0)
+            self._variation_cache = tuple(
+                StaticRV(self.tree, {**zeros, **v}) for v in self._leaf_variations
+            )
+            self._leaf_variations = ()  # the densities hold the same values
         return self._variation_cache
 
     def __len__(self) -> int:

@@ -33,6 +33,199 @@ from conftest import interleaved_tree, random_static, random_tree
 
 TOL = 1e-12
 TRIPLE_TOL = 1e-10
+U = 2.0**-53  # unit roundoff
+
+
+def rounding_bound(n, magnitude):
+    """2 (n + 4) u sum|terms| for a sum of n rounded products of total magnitude ``magnitude``."""
+    return 2 * (n + 4) * U * magnitude
+
+
+def scan_avar(Y, alpha):
+    """The full O(L^2) scan: the objective at every realized loss, each a fresh sum over the leaves."""
+    inv = 1.0 / alpha
+    tree = Y.tree
+    prob = tree.prob
+    losses = {leaf: -Y.values[leaf] for leaf in tree.leaves}
+    best = math.inf
+    for t in sorted(set(losses.values())):
+        tail = math.fsum(
+            prob[leaf] * (losses[leaf] - t) for leaf in tree.leaves if losses[leaf] > t
+        )
+        g = t + inv * tail
+        if g < best:
+            best = g
+    return best
+
+
+def atom_masses(Y):
+    """Distinct outcomes in increasing order with the fsum of their leaf probabilities."""
+    grouped = {}
+    for leaf in Y.tree.leaves:
+        grouped.setdefault(Y.values[leaf], []).append(Y.tree.prob[leaf])
+    return [(v, math.fsum(ps)) for v, ps in sorted(grouped.items())]
+
+
+def flat_tree(probs):
+    """One-period tree whose leaves w00000, w00001, ... carry the given probabilities."""
+    nodes = [TreeNode("root", None, 0, 0.0, 1.0)]
+    nodes += [TreeNode(f"w{i:05d}", "root", 1, 1.0, float(p)) for i, p in enumerate(probs)]
+    return ScenarioTree(nodes)
+
+
+def skewed_probs(rng, n):
+    """Dirichlet(0.5) probabilities floored at 1e-3 and renormalized."""
+    p = np.maximum(rng.dirichlet(np.full(n, 0.5)), 1e-3)
+    return p / p.sum()
+
+
+def static_of(tree, values):
+    return StaticRV(tree, {leaf: float(v) for leaf, v in zip(tree.leaves, values)})
+
+
+class TestQuantileBoundary:
+    """Levels exactly on a cumulative mass: the strict ``>`` picks the next atom."""
+
+    def test_atom_tree_on_cumulative_masses(self, atom_y):
+        # cumulative masses 0.1, fsum(0.1, 0.6) == 0.7 and 1.0
+        assert math.fsum([0.1, 0.6]) == 0.7
+        assert var_alpha(atom_y, 0.1) == 0.0
+        assert es_tce(atom_y, 0.1) == -2.0
+        assert var_alpha(atom_y, 0.7) == -1.0
+        assert es_tce(atom_y, 0.7) == math.fsum([0.1 * -2.0, 0.6 * 0.0]) / math.fsum([0.1, 0.6])
+
+    def test_many_atoms_match_prefix_scan(self):
+        rng = np.random.default_rng(211)
+        values = rng.permutation(np.repeat(np.arange(-250, 250) * 0.37, rng.integers(1, 4, size=500)))
+        tree = flat_tree(skewed_probs(rng, len(values)))
+        Y = static_of(tree, values)
+        atoms = atom_masses(Y)
+        assert len(atoms) == 500
+        cumulative = [math.fsum(m for _, m in atoms[: k + 1]) for k in range(len(atoms))]
+        levels = [float(a) for a in rng.uniform(0.01, 0.99, size=20)]
+        levels += [c for c in cumulative[::25] if c < 1.0]
+        for alpha in levels:
+            k = next(k for k in range(len(atoms)) if math.fsum(m for _, m in atoms[: k + 1]) > alpha)
+            cutoff = atoms[k][0]
+            assert var_alpha(Y, alpha) == 0.0 - cutoff
+            event = [leaf for leaf in tree.leaves if Y.values[leaf] < cutoff]
+            if not event:
+                with pytest.raises(UndefinedQuantityError):
+                    es_tce(Y, alpha)
+                continue
+            mass = math.fsum(tree.prob[leaf] for leaf in event)
+            tail = math.fsum(tree.prob[leaf] * Y.values[leaf] for leaf in event)
+            assert es_tce(Y, alpha) == tail / mass
+
+
+class TestAvarMatchesScan:
+    """avar evaluates its objective at a few losses only; it must return the full scan's bits."""
+
+    def assert_scan(self, Y, alpha):
+        assert avar(Y, alpha).hex() == scan_avar(Y, alpha).hex()
+
+    def test_random_and_interleaved_trees(self):
+        rng = np.random.default_rng(223)
+        for i in range(60):
+            draw = random_tree if i % 2 else interleaved_tree
+            tree = draw(rng, max_depth=4, max_branch=4)
+            self.assert_scan(random_static(tree, rng), float(rng.uniform(0.01, 0.9)))
+
+    def test_integer_payoffs_with_ties(self):
+        rng = np.random.default_rng(227)
+        for _ in range(40):
+            tree = random_tree(rng, max_depth=4, max_branch=4)
+            Y = static_of(tree, rng.integers(-3, 4, size=len(tree.leaves)))
+            self.assert_scan(Y, float(rng.uniform(0.01, 0.9)))
+
+    def test_magnitudes(self):
+        rng = np.random.default_rng(229)
+        for scale in (1e-3, 1e-1, 1e2, 1e4, 1e6):
+            for _ in range(8):
+                tree = random_tree(rng, max_depth=3, max_branch=4)
+                self.assert_scan(random_static(tree, rng, scale=scale), float(rng.uniform(0.01, 0.9)))
+
+    def test_skewed_probabilities(self):
+        rng = np.random.default_rng(233)
+        for _ in range(10):
+            n = int(rng.integers(20, 300))
+            tree = flat_tree(skewed_probs(rng, n))
+            Y = static_of(tree, rng.normal(size=n) * 10.0 ** rng.uniform(-3, 6))
+            self.assert_scan(Y, float(rng.uniform(0.01, 0.9)))
+
+    def test_level_on_a_cumulative_atom_mass(self, atom_y):
+        self.assert_scan(atom_y, 0.1)
+        self.assert_scan(atom_y, 0.7)
+        rng = np.random.default_rng(239)
+        for _ in range(20):
+            tree = random_tree(rng, max_depth=3, max_branch=4)
+            Y = static_of(tree, rng.integers(-4, 5, size=len(tree.leaves)) * 0.3)
+            atoms = atom_masses(Y)
+            k = int(rng.integers(1, len(atoms) + 1))
+            alpha = math.fsum(m for _, m in atoms[:k])
+            if 0.0 < alpha < 1.0:
+                self.assert_scan(Y, alpha)
+
+    def test_nearly_flat_objective(self):
+        """Losses an ulp or so apart next to a far tail: the objective's values near
+        its minimum differ only by rounding, and a loss beyond the neighbours of the
+        value at risk can round lowest."""
+        rng = np.random.default_rng(241)
+        for _ in range(80):
+            n = int(rng.integers(20, 120))
+            c = float(rng.uniform(-1.0, 1.0))
+            step = int(rng.integers(1, 50)) * math.ulp(c)
+            far = [-(10.0 ** rng.uniform(2, 7)) for _ in range(3)]
+            q = float(rng.uniform(0.01, 0.3))
+            probs = np.concatenate(
+                [rng.dirichlet(np.full(3, 5.0)) * q, rng.dirichlet(np.full(n, 5.0)) * (1 - q)]
+            )
+            Y = static_of(flat_tree(probs), far + [c + k * step for k in range(n)])
+            self.assert_scan(Y, q + float(rng.uniform(0.05, 0.6)) * (1 - q))
+
+    def test_agrees_with_vertex_spec(self):
+        rng = np.random.default_rng(251)
+        for _ in range(8):
+            tree = random_tree(rng, max_depth=2, max_branch=4)
+            assert len(tree.leaves) <= 16
+            Y = random_static(tree, rng, scale=10.0 ** rng.uniform(-3, 6))
+            alpha = float(rng.uniform(0.1, 0.9))
+            a = avar(Y, alpha)
+            # every term of either route is at most (1/alpha) p |y| or |a| in size
+            tail = math.fsum(tree.prob[leaf] * abs(Y.values[leaf]) for leaf in tree.leaves)
+            bound = rounding_bound(len(tree.order), abs(a) + tail / alpha)
+            assert abs(a - static_rho(avar_spec(tree, alpha), Y)) <= bound
+
+
+@pytest.fixture(scope="module")
+def deep_normal():
+    tree = uniform_binomial(14)
+    rng = np.random.default_rng(14)
+    return static_of(tree, rng.normal(size=len(tree.leaves)))
+
+
+class TestDepth14:
+    """16 384 leaves, checked against a numpy sort and cumulative sum (Acerbi-Tasche)."""
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5])
+    def test_quantiles_match_sorted_reference(self, deep_normal, alpha):
+        tree = deep_normal.tree
+        y = np.array([deep_normal.values[leaf] for leaf in tree.leaves])
+        p = np.array([tree.prob[leaf] for leaf in tree.leaves])
+        order = np.argsort(y, kind="stable")
+        y, p = y[order], p[order]
+        cum = np.cumsum(p)  # exact: every leaf has probability 2**-14
+        i = int(np.searchsorted(cum, alpha, side="right"))
+        var = -y[i]
+        assert var_alpha(deep_normal, alpha) == var
+        n = len(y)
+        mass = float(p[:i].sum())
+        tce = float(p[:i] @ y[:i]) / mass
+        assert abs(es_tce(deep_normal, alpha) - tce) <= rounding_bound(n, float(p[:i] @ abs(y[:i])) / mass)
+        inv = 1.0 / alpha
+        ref = inv * (float(p[:i] @ -y[:i]) + (alpha - float(cum[i - 1])) * var)
+        magnitude = abs(var) + inv * float(p[:i] @ (abs(y[:i]) + abs(var)))
+        assert abs(avar(deep_normal, alpha) - ref) <= rounding_bound(n, magnitude)
 
 
 class TestQuantileLevel:

@@ -9,6 +9,7 @@ from treerisk import (
     AdaptedProcess,
     BiMeasure,
     RiskMeasureSpec,
+    ScenarioTree,
     StaticRV,
     ValidationError,
     axiom_report,
@@ -19,6 +20,7 @@ from treerisk import (
     static_rho,
     static_rho_coherent_direct,
     subgradient,
+    variation,
     worst_case_spec,
 )
 
@@ -125,6 +127,22 @@ class TestStaticRho:
             spec = random_spec(tree, rng, coherent=True)
             Y = random_static(tree, rng)
             assert abs(static_rho(spec, Y) - static_rho_coherent_direct(spec, Y)) <= TOL
+
+    def test_direct_route_reuses_the_norm_sweep(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        tree = random_tree(rng)
+        elements = [(random_scenario(tree, rng), 0.0) for _ in range(5)]
+        sweeps = []
+        path_sums = ScenarioTree.path_sums
+        monkeypatch.setattr(
+            ScenarioTree, "path_sums", lambda self, terms: sweeps.append(1) or path_sums(self, terms)
+        )
+        spec = RiskMeasureSpec(tree, elements)
+        static_rho_coherent_direct(spec, random_static(tree, rng))
+        assert len(sweeps) == 5
+        monkeypatch.undo()
+        for (a, _), var in zip(elements, spec._variations):
+            assert list(var.values.items()) == list(variation(a).values.items())
 
     def test_direct_requires_coherent(self, t1):
         a = BiMeasure(t1, {}, {"d": 2.0})
