@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from math import fsum
 from typing import Sequence
 
 import numpy as np
 
-from .bimeasure import pairing
 from .errors import ValidationError
 from .process import AdaptedProcess, _require_same_tree
-from .riskcore import RiskMeasureSpec, rho_eval
+from .riskcore import RiskMeasureSpec, _node_vector, _rho_result
 
 # Tolerance of the add-up check, from rounding analysis with u = 2**-53.
 # Exactly, the charges K_i sum to the portfolio risk R (rho is linear in the
@@ -60,15 +61,14 @@ def allocate(spec: RiskMeasureSpec, positions: Sequence[AdaptedProcess]) -> Allo
     positions = list(positions)
     if not positions:
         raise ValidationError("allocation needs at least one position")
-    for X in positions:
-        _require_same_tree(spec.tree, X.tree)
-    total = positions[0]
-    for X in positions[1:]:
-        total = total + X
-    res = rho_eval(spec, total)
+    P = _position_matrix(spec, positions)
+    with np.errstate(all="ignore"):
+        total = functools.reduce(np.add, P)  # the left fold X_1 + X_2 + ... of the processes
+    if not np.isfinite(total).all():
+        functools.reduce(operator.add, positions)  # raises AdaptedProcess's error for the sum
+    res = _rho_result(spec, total)
     idx = res.argmax[0]
-    a_star = spec.elements[idx][0]
-    k = tuple(-pairing(X, a_star) for X in positions)
+    k = tuple(-v for v in spec._pairings(idx, P))
     return AllocationResult(
         k=k,
         maximizer=idx,
@@ -76,6 +76,28 @@ def allocate(spec: RiskMeasureSpec, positions: Sequence[AdaptedProcess]) -> Allo
         rho_total=res.value,
         sum_k=fsum(k),
     )
+
+
+def _position_matrix(spec: RiskMeasureSpec, positions: list[AdaptedProcess]) -> np.ndarray:
+    """One row per position: its node values in canonical order."""
+    for X in positions:
+        _require_same_tree(spec.tree, X.tree)
+    return np.array([_node_vector(spec.tree, X.values) for X in positions])
+
+
+def _blend(columns: list[list[float]], order: Sequence[str]) -> np.ndarray:
+    """Per node, the correctly rounded sum of its blend terms."""
+    try:
+        return np.fromiter(map(fsum, columns), float, len(columns))
+    except OverflowError:
+        for nid, col in zip(order, columns):
+            try:
+                fsum(col)
+            except OverflowError:
+                raise ValidationError(
+                    f"non-finite value in the blended position at node '{nid}'"
+                ) from None
+        raise
 
 
 @dataclass(frozen=True)
@@ -112,8 +134,7 @@ def fairness_check(
         raise ValidationError(f"samples must be nonnegative, got {samples}")
     if seed is None:
         raise ValidationError("fairness sampling needs an explicit seed")
-    for X in positions:
-        _require_same_tree(spec.tree, X.tree)
+    P = _position_matrix(spec, positions)
 
     n = len(positions)
     rng = np.random.default_rng(seed)
@@ -126,26 +147,20 @@ def fairness_check(
     for _ in range(samples):
         alphas.append(tuple(float(x) for x in rng.uniform(0.0, 1.0, size=n)))
 
-    a_star = spec.elements[result.maximizer][0]
-    tree = spec.tree
-    order = tree.order
+    order = spec.tree.order
     worst_slack = float("inf")
     worst_alpha = alphas[0]
     witness_dev = 0.0
     for alpha in alphas:
-        blended = AdaptedProcess(
-            tree,
-            {
-                nid: fsum(alpha[j] * positions[j].values[nid] for j in range(n))
-                for nid in order
-            },
-        )
+        # per node, fsum of alpha_j X_j(n); alpha <= 1 keeps every product finite
+        blended = _blend((np.array(alpha)[:, None] * P).T.tolist(), order)
         charged = fsum(alpha[j] * result.k[j] for j in range(n))
-        slack = rho_eval(spec, blended).value - charged
+        slack = max(spec._penalized_losses(blended)) - charged
         if slack < worst_slack:
             worst_slack = slack
             worst_alpha = alpha
-        witness_dev = max(witness_dev, abs(charged - (-pairing(blended, a_star))))
+        witness = -spec._pairings(result.maximizer, blended[None, :])[0]
+        witness_dev = max(witness_dev, abs(charged - witness))
 
     return FairnessCertificate(
         samples=samples,

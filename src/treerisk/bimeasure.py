@@ -66,8 +66,9 @@ class BiMeasure:
 
     @property
     def is_positive(self) -> bool:
-        return all(v >= 0.0 for v in self.pr_inc.values()) and all(
-            v >= 0.0 for v in self.op_inc.values()
+        return (
+            min(self.pr_inc.values(), default=0.0) >= 0.0
+            and min(self.op_inc.values(), default=0.0) >= 0.0
         )
 
     def scale(self, c: float) -> "BiMeasure":
@@ -93,9 +94,6 @@ class BiMeasure:
 
     def __sub__(self, other: "BiMeasure") -> "BiMeasure":
         return self + (-other)
-
-    def _stored_nodes(self) -> list[str]:
-        return sorted(set(self.pr_inc) | set(self.op_inc), key=self.tree.index.__getitem__)
 
 
 @dataclass(frozen=True)
@@ -133,11 +131,10 @@ def pairing(X: AdaptedProcess, a: BiMeasure) -> float:
     P(n) * X(n) * (pr(n) + op(n)).
     """
     _require_same_tree(X.tree, a.tree)
-    tree = X.tree
-    prob = tree.prob
+    prob = X.tree.prob
+    pr, op = a.pr_inc, a.op_inc
     return fsum(
-        prob[n] * X.values[n] * (a.pr_inc.get(n, 0.0) + a.op_inc.get(n, 0.0))
-        for n in a._stored_nodes()
+        prob[n] * X.values[n] * (pr.get(n, 0.0) + op.get(n, 0.0)) for n in pr.keys() | op.keys()
     )
 
 

@@ -15,10 +15,11 @@ def _require_same_tree(a: ScenarioTree, b: ScenarioTree) -> None:
         raise ValidationError("tree mismatch: operands were built on different scenario trees")
 
 
-def _check_finite(label: str, value: float) -> float:
+def _check_finite(value: float, label: str, *args: object) -> float:
+    """``value`` as a finite float; the place, ``label.format(*args)``, is built on failure only."""
     v = float(value)
     if not isfinite(v):
-        raise ValidationError(f"non-finite value {value!r} at {label}")
+        raise ValidationError(f"non-finite value {value!r} at {label.format(*args)}")
     return v
 
 
@@ -33,7 +34,7 @@ def _check_grid(
             raise ValidationError(f"{label} keyed on unknown leaf '{leaf}'")
         if not lo <= k <= K:
             raise ValidationError(f"{label} at ({leaf}, {k}) out of range {lo}..{K}")
-        vals[(leaf, int(k))] = _check_finite(f"{label} ({leaf}, {k})", v)
+        vals[(leaf, int(k))] = _check_finite(v, "{} ({}, {})", label, leaf, k)
     for leaf in tree.leaves:
         for k in range(lo, K + 1):
             if (leaf, k) not in vals:
@@ -57,7 +58,7 @@ class AdaptedProcess:
         for nid, v in self.values.items():
             if nid not in self.tree.nodes:
                 raise ValidationError(f"process value given for unknown node '{nid}'")
-            vals[nid] = _check_finite(f"node '{nid}'", v)
+            vals[nid] = _check_finite(v, "node '{}'", nid)
         for nid in self.tree.order:
             if nid not in vals:
                 raise ValidationError(f"process is missing a value at node '{nid}'")
@@ -110,7 +111,7 @@ class StaticRV:
                 raise ValidationError(f"value given for unknown leaf '{leaf}'")
             if self.tree.nodes[leaf].depth != self.tree.K:
                 raise ValidationError(f"'{leaf}' is not a leaf; static values live on leaves only")
-            vals[leaf] = _check_finite(f"leaf '{leaf}'", v)
+            vals[leaf] = _check_finite(v, "leaf '{}'", leaf)
         for leaf in self.tree.leaves:
             if leaf not in vals:
                 raise ValidationError(f"missing value at leaf '{leaf}'")

@@ -12,24 +12,90 @@ smallest penalty is zero, which pins rho(0) = 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
 from math import fsum
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .bimeasure import BiMeasure, _path_sums, increment_vector, variation_norm
+from .bimeasure import BiMeasure, increment_vector, variation, variation_norm
 from .convexgeom import SimplexProgram, min_cost_combination
 from .errors import ValidationError
 from .process import AdaptedProcess, StaticRV, optional_projection_static, _require_same_tree
-from .scenario import ScenarioTree
+from .scenario import SUM_TOL, ScenarioTree
 
 TIE_TOL = 1e-12
 
+# Certified unit-variation check. For a nonnegative element with c = pr + op,
+# exactly E[Var(a)] = sum_l P(l) sum_{n on path(l)} c(n) = sum_n c(n) M(n),
+# M(n) the mass of the leaves under n, and the estimate est = fsum_n
+# fl(P(n) fl(c(n))) takes M(n) = P(n). variation_norm(a, 1.0) computes
+# V = fsum_l fl(P(l) fsum(path terms)). With u = 2**-53, every product normal:
+#  - est and V each carry three roundings (the sum c or the path fsum, the
+#    product, the outer fsum): each lies within (1 + u)**3 - 1 of its exact
+#    form, sum_n P(n) c(n) and sum_n c(n) M(n) respectively;
+#  - P(child) = fl(P(n) b(child)), and the children's branch probabilities sum
+#    to 1 within SUM_TOL + u (the tree checks their correctly rounded fsum),
+#    so each of the at most K levels below n scales M(n) / P(n) by a factor
+#    within x = SUM_TOL + 3u of 1, and |M(n) - P(n)| <= ((1 + x)**K - 1) P(n)
+#    <= 1.72 K x P(n) while K x <= 1 (any K below 1e11).
+# Summed, |V - est| <= 1.75 (K SUM_TOL + (3K + 6) u) est. The bound below
+# doubles the first-order factor, which leaves room for the roundings of the
+# acceptance test itself once 4 u norm_tol is added, so |est - 1| <= norm_tol
+# - B implies |V - 1| <= norm_tol, and the exact check would accept too.
+# Products stay normal when the family's smallest weight (capped at 1) times
+# the smallest leaf probability is at least 2**-1000: every P(n), weight, c(n)
+# and leaf term P(l) S(l) is then at least 2**-1001. est < 2 keeps each c(n)
+# below 2**1002 and the path sums finite (K < 2**20).
+_UNIT_ROUNDOFF = 2.0**-53
+_NORMAL_FLOOR = 2.0**-1000
+
+
+def _unit_norm_certified(weights: Iterable[float], K: int, norm_tol: float) -> bool:
+    """True when fsum(weights) shows |E[Var(a)] - 1| <= norm_tol, products all normal."""
+    try:
+        est = fsum(weights)
+    except OverflowError:
+        return False
+    u = _UNIT_ROUNDOFF
+    bound = 2 * (K * (SUM_TOL + u) + (2 * K + 6) * u) * est + 4 * u * norm_tol
+    return est < 2.0 and abs(est - 1.0) <= norm_tol - bound
+
+
+def _node_vector(tree: ScenarioTree, values: Mapping[str, float]) -> np.ndarray:
+    """Node values as an array in the tree's canonical order."""
+    return np.fromiter(map(values.__getitem__, tree.order), float, len(tree.order))
+
+
+def _gather(fields: list[Mapping[str, float]], nodes: list[Iterable[str]], size: int) -> np.ndarray:
+    """Element after element, each field's value at each of its nodes (0.0 where absent)."""
+    gets = (map(f.get, ns, repeat(0.0)) for f, ns in zip(fields, nodes))
+    return np.fromiter(chain.from_iterable(gets), float, size)
+
 
 class RiskMeasureSpec:
-    """Validated generating family for one convex (possibly coherent) risk measure."""
+    """Validated generating family for one convex (possibly coherent) risk measure.
+
+    The family is stored as one sparse node-weight array set, element after
+    element: ``_node`` holds canonical node indices, ``_inc`` the combined
+    increment pr(n) + op(n) and ``_weight`` P(n) (pr(n) + op(n)) at each
+    stored node of each element, and element i owns the entries in
+    ``_bounds[i]`` = (lo, hi). Each element's nodes come in dict order, not
+    sorted; every reduction over them is an fsum, whose value does not
+    depend on the order of its terms. Building the arrays is O(nnz).
+
+    Each element must have unit expected variation within ``norm_tol``. For
+    a nonnegative element that variation is the sum of its weights in exact
+    arithmetic, so the build decides from the fsum of the weights whenever a
+    rounding bound (derived above ``_unit_norm_certified``) puts the verdict
+    beyond doubt. Otherwise it computes ``variation_norm(a, 1.0)`` exactly
+    and applies the test to that value, so the verdict and a rejection's
+    message are those of the exact check. The per-leaf variation densities
+    behind :func:`static_rho_coherent_direct` are built on first use.
+    """
 
     def __init__(
         self,
@@ -41,21 +107,40 @@ class RiskMeasureSpec:
         elems = [(a, float(g)) for a, g in elements]
         if not elems:
             raise ValidationError("spec needs at least one generating element")
-        prob = tree.prob
-        variations = []
-        for i, (a, g) in enumerate(elems):
-            _require_same_tree(tree, a.tree)
-            if not a.is_positive:
-                raise ValidationError(f"generating element {i} has negative increments")
-            variations.append(_path_sums(a, abs))
-            # variation_norm(a, 1.0) bit for bit: fsum rounds once, the zero leaves add nothing
-            norm = fsum(prob[leaf] * v for leaf, v in variations[-1].items())
-            if abs(norm - 1.0) > norm_tol:
-                raise ValidationError(
-                    f"generating element {i} must have unit expected variation, got {norm!r}"
-                )
+        # A sequential check meets an element's tree or sign fault only after
+        # the norm and penalty checks of the elements before it.
+        bad = next(
+            (i for i, (a, _) in enumerate(elems) if a.tree is not tree or not a.is_positive),
+            len(elems),
+        )
+        good = [a for a, _ in elems[:bad]]
+        stored = [{**a.pr_inc, **a.op_inc} for a in good]  # each element's nodes, once each
+        offsets = [0, *accumulate(map(len, stored))]
+        size = offsets[-1]
+        prob = _node_vector(tree, tree.prob)
+        node = np.fromiter(map(tree.index.__getitem__, chain.from_iterable(stored)), np.intp, size)
+        inc = _gather([a.pr_inc for a in good], stored, size)
+        with np.errstate(over="ignore"):  # overflow gives inf, as Python floats do
+            inc += _gather([a.op_inc for a in good], stored, size)
+            del stored
+            weight = prob[node]
+            weight *= inc
+        bounds = tuple(zip(offsets, offsets[1:]))
+        terms = memoryview(weight)
+        min_leaf_prob = min(map(tree.prob.__getitem__, tree.leaves))
+        normal = weight.min(initial=1.0) * min_leaf_prob >= _NORMAL_FLOOR
+        for i, ((a, g), (lo, hi)) in enumerate(zip(elems, bounds)):
+            if not (normal and _unit_norm_certified(terms[lo:hi], tree.K, norm_tol)):
+                norm = variation_norm(a, 1.0)
+                if abs(norm - 1.0) > norm_tol:
+                    raise ValidationError(
+                        f"generating element {i} must have unit expected variation, got {norm!r}"
+                    )
             if not math.isfinite(g):
                 raise ValidationError(f"penalty of element {i} must be finite, got {g!r}")
+        if bad < len(elems):
+            _require_same_tree(tree, elems[bad][0].tree)
+            raise ValidationError(f"generating element {bad} has negative increments")
 
         shift = min(g for _, g in elems)
         if labels is None:
@@ -71,27 +156,15 @@ class RiskMeasureSpec:
         self.gamma_shift = shift
         self.gammas = tuple(g for _, g in self.elements)
         self.is_coherent = all(g == 0.0 for g in self.gammas)
-        # cache per element: node-weight pairs for fast pairings
-        self._weights = tuple(
-            tuple(
-                (n, prob[n] * (a.pr_inc.get(n, 0.0) + a.op_inc.get(n, 0.0)))
-                for n in a._stored_nodes()
-            )
-            for a, _ in self.elements
-        )
-        # the norm check's sparse path sums, made into variation densities on first use
-        self._leaf_variations = variations
-        self._variation_cache: tuple[StaticRV, ...] | None = None
+        self._bounds = bounds
+        self._prob = prob
+        self._node = node
+        self._inc = inc
+        self._weight = weight
 
-    @property
+    @functools.cached_property
     def _variations(self) -> tuple[StaticRV, ...]:
-        if self._variation_cache is None:
-            zeros = dict.fromkeys(self.tree.leaves, 0.0)
-            self._variation_cache = tuple(
-                StaticRV(self.tree, {**zeros, **v}) for v in self._leaf_variations
-            )
-            self._leaf_variations = ()  # the densities hold the same values
-        return self._variation_cache
+        return tuple(variation(a) for a in self.measures())
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -108,9 +181,19 @@ class RiskMeasureSpec:
             labels=self.labels,
         )
 
-    def _element_pairing(self, i: int, X: AdaptedProcess) -> float:
-        vals = X.values
-        return fsum(w * vals[n] for n, w in self._weights[i])
+    def _penalized_losses(self, x: np.ndarray) -> tuple[float, ...]:
+        """-<X, a_i> - gamma_i for every element, X given as a canonical node vector."""
+        with np.errstate(all="ignore"):
+            terms = memoryview(self._weight * x[self._node])  # yields Python floats
+        return tuple(-fsum(terms[lo:hi]) - g for (lo, hi), g in zip(self._bounds, self.gammas))
+
+    def _pairings(self, i: int, xs: np.ndarray) -> list[float]:
+        """<X, a_i> for each row X of ``xs``, term for term as :func:`pairing` forms it."""
+        lo, hi = self._bounds[i]
+        node = self._node[lo:hi]
+        with np.errstate(all="ignore"):
+            terms = self._prob[node] * xs[:, node] * self._inc[lo:hi]
+        return [fsum(row) for row in terms.tolist()]
 
 
 @dataclass(frozen=True)
@@ -120,15 +203,21 @@ class RhoResult:
     values: tuple[float, ...]
 
 
-def rho_eval(spec: RiskMeasureSpec, X: AdaptedProcess) -> RhoResult:
-    """Penalized worst scenario loss, with all maximizers within an absolute 1e-12 tie band."""
-    _require_same_tree(spec.tree, X.tree)
-    vals = tuple(
-        -spec._element_pairing(i, X) - spec.gammas[i] for i in range(len(spec.elements))
-    )
+def _rho_result(spec: RiskMeasureSpec, x: np.ndarray) -> RhoResult:
+    vals = spec._penalized_losses(x)
     best = max(vals)
     argmax = tuple(i for i, v in enumerate(vals) if v >= best - TIE_TOL)
     return RhoResult(value=best, argmax=argmax, values=vals)
+
+
+def rho_eval(spec: RiskMeasureSpec, X: AdaptedProcess) -> RhoResult:
+    """Penalized worst scenario loss, with all maximizers within an absolute 1e-12 tie band.
+
+    One gather of X's node values against the spec's weight array and one
+    fsum per element: O(nnz).
+    """
+    _require_same_tree(spec.tree, X.tree)
+    return _rho_result(spec, _node_vector(spec.tree, X.values))
 
 
 def static_rho(spec: RiskMeasureSpec, Y: StaticRV) -> float:

@@ -1,5 +1,6 @@
 """Capital allocation against a maximizing scenario and its fairness audit."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,17 +9,79 @@ import pytest
 from treerisk import (
     AdaptedProcess,
     AllocationResult,
+    FairnessCertificate,
     ValidationError,
     allocate,
     fairness_check,
+    pairing,
     rho_eval,
     uniform_binomial,
     worst_case_spec,
 )
+from treerisk.riskcore import TIE_TOL
 
-from conftest import random_process, random_spec, random_tree
+from conftest import interleaved_tree, random_process, random_spec, random_tree
 
 TOL = 1e-12
+
+
+def walk_value(spec, values, i):
+    """-<X, a_i> - gamma_i by a walk over the element's increment dicts."""
+    a, g = spec.elements[i]
+    prob = spec.tree.prob
+    nodes = set(a.pr_inc) | set(a.op_inc)
+    terms = (prob[n] * (a.pr_inc.get(n, 0.0) + a.op_inc.get(n, 0.0)) * values[n] for n in nodes)
+    return -math.fsum(terms) - g
+
+
+def walk_pairing(spec, values, i):
+    a = spec.elements[i][0]
+    prob = spec.tree.prob
+    nodes = set(a.pr_inc) | set(a.op_inc)
+    return math.fsum(
+        prob[n] * values[n] * (a.pr_inc.get(n, 0.0) + a.op_inc.get(n, 0.0)) for n in nodes
+    )
+
+
+def walk_allocate(spec, positions):
+    """Allocation by dict walks: the portfolio as a left fold, charges by pairing terms."""
+    total = dict(positions[0].values)
+    for X in positions[1:]:
+        total = {n: total[n] + X.values[n] for n in total}
+    values = [walk_value(spec, total, i) for i in range(len(spec))]
+    best = max(values)
+    idx = next(i for i, v in enumerate(values) if v >= best - TIE_TOL)
+    k = tuple(-walk_pairing(spec, X.values, idx) for X in positions)
+    return AllocationResult(k, idx, spec.labels[idx], best, math.fsum(k))
+
+
+def walk_fairness(result, spec, positions, samples, seed):
+    n = len(positions)
+    rng = np.random.default_rng(seed)
+    alphas = [tuple(1.0 if i == j else 0.0 for i in range(n)) for j in range(n)]
+    alphas.append((1.0,) * n)
+    alphas += [tuple(float(x) for x in rng.uniform(0.0, 1.0, size=n)) for _ in range(samples)]
+    worst, worst_alpha, dev = math.inf, alphas[0], 0.0
+    for alpha in alphas:
+        blend = {
+            nid: math.fsum(alpha[j] * positions[j].values[nid] for j in range(n))
+            for nid in spec.tree.order
+        }
+        charged = math.fsum(alpha[j] * result.k[j] for j in range(n))
+        slack = max(walk_value(spec, blend, i) for i in range(len(spec))) - charged
+        if slack < worst:
+            worst, worst_alpha = slack, alpha
+        dev = max(dev, abs(charged + walk_pairing(spec, blend, result.maximizer)))
+    return FairnessCertificate(samples, seed, len(alphas), worst, worst_alpha, dev, worst >= -1e-12)
+
+
+def hexed(obj):
+    """Floats as float.hex, recursively through tuples and dataclasses."""
+    if dataclasses.is_dataclass(obj):
+        return tuple(hexed(getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    if isinstance(obj, tuple):
+        return tuple(hexed(v) for v in obj)
+    return float.hex(obj) if isinstance(obj, float) else obj
 
 
 def two_position_fixture(t1):
@@ -96,6 +159,45 @@ class TestAllocate:
             )
 
 
+class TestMatchesDictWalk:
+    def check(self, spec, positions, samples, seed):
+        result = allocate(spec, positions)
+        assert hexed(result) == hexed(walk_allocate(spec, positions))
+        cert = fairness_check(result, spec, positions, samples=samples, seed=seed)
+        assert hexed(cert) == hexed(walk_fairness(result, spec, positions, samples, seed))
+
+    def test_random_and_interleaved_trees(self):
+        rng = np.random.default_rng(131)
+        for trial in range(16):
+            tree = (random_tree if trial % 2 else interleaved_tree)(rng, max_depth=4)
+            spec = random_spec(tree, rng, n_elements=int(rng.integers(1, 6)), coherent=True)
+            positions = [random_process(tree, rng) for _ in range(int(rng.integers(1, 5)))]
+            self.check(spec, positions, samples=20, seed=trial)
+
+    def test_worst_case_spec(self):
+        rng = np.random.default_rng(137)
+        for tree in (interleaved_tree(rng, max_depth=3), uniform_binomial(6)):
+            positions = [random_process(tree, rng) for _ in range(3)]
+            self.check(worst_case_spec(tree), positions, samples=10, seed=5)
+
+    def test_million_scale(self):
+        rng = np.random.default_rng(139)
+        for trial in range(6):
+            tree = interleaved_tree(rng, max_depth=4)
+            spec = random_spec(tree, rng, n_elements=4, coherent=True)
+            positions = [random_process(tree, rng, scale=1e6) for _ in range(5)]
+            self.check(spec, positions, samples=10, seed=trial)
+
+    def test_charges_are_pairings(self):
+        rng = np.random.default_rng(149)
+        tree = interleaved_tree(rng, max_depth=4)
+        spec = random_spec(tree, rng, n_elements=3, coherent=True)
+        positions = [random_process(tree, rng) for _ in range(4)]
+        result = allocate(spec, positions)
+        a_star = spec.elements[result.maximizer][0]
+        assert hexed(result.k) == hexed(tuple(-pairing(X, a_star) for X in positions))
+
+
 class TestFairness:
     def test_fixture_certificate(self, t1):
         spec, positions = two_position_fixture(t1)
@@ -137,6 +239,19 @@ class TestFairness:
         result = allocate(spec, positions)
         with pytest.raises(ValidationError):
             fairness_check(result, spec, positions, samples=10)
+
+    def test_overflowing_blend_rejected(self, t1):
+        spec, positions = two_position_fixture(t1)
+        result = allocate(spec, positions)
+        huge = AdaptedProcess(t1, {"root": 1e308, "u": 1e308, "d": -1e308})
+        with pytest.raises(ValidationError, match="non-finite value"):
+            fairness_check(result, spec, [huge, huge], samples=0, seed=1)
+
+    def test_overflowing_portfolio_rejected(self, t1):
+        spec = worst_case_spec(t1)
+        huge = AdaptedProcess(t1, {"root": 1e308, "u": 1e308, "d": -1e308})
+        with pytest.raises(ValidationError, match="non-finite value inf at node 'root'"):
+            allocate(spec, [huge, huge])
 
     def test_position_count_must_match(self, t1):
         spec, positions = two_position_fixture(t1)

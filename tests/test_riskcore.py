@@ -11,6 +11,7 @@ from treerisk import (
     RiskMeasureSpec,
     ScenarioTree,
     StaticRV,
+    TreeNode,
     ValidationError,
     axiom_report,
     conjugate_combination,
@@ -20,13 +21,51 @@ from treerisk import (
     static_rho,
     static_rho_coherent_direct,
     subgradient,
+    uniform_binomial,
     variation,
+    variation_norm,
     worst_case_spec,
 )
+from treerisk.riskcore import TIE_TOL
 
-from conftest import random_process, random_scenario, random_spec, random_static, random_tree
+from conftest import (
+    interleaved_tree,
+    random_process,
+    random_scenario,
+    random_spec,
+    random_static,
+    random_tree,
+)
 
 TOL = 1e-12
+
+
+def walk_rho(spec, X):
+    """rho_eval by a walk over each element's increment dicts: -sum_n P(n) (pr + op)(n) X(n) - gamma."""
+    prob = spec.tree.prob
+    values = tuple(
+        -math.fsum(
+            prob[n] * (a.pr_inc.get(n, 0.0) + a.op_inc.get(n, 0.0)) * X.values[n]
+            for n in set(a.pr_inc) | set(a.op_inc)
+        )
+        - g
+        for a, g in spec.elements
+    )
+    best = max(values)
+    return best, tuple(i for i, v in enumerate(values) if v >= best - TIE_TOL), values
+
+
+def hexed(values):
+    return tuple(float.hex(v) for v in values)
+
+
+def count_sweeps(monkeypatch):
+    sweeps = []
+    path_sums = ScenarioTree.path_sums
+    monkeypatch.setattr(
+        ScenarioTree, "path_sums", lambda self, terms: sweeps.append(1) or path_sums(self, terms)
+    )
+    return sweeps
 
 
 def mart_x(t1):
@@ -65,6 +104,131 @@ class TestRhoEval:
         rng = np.random.default_rng(7)
         with pytest.raises(ValidationError):
             rho_eval(spec, random_process(t2, rng))
+
+
+class TestRhoEvalMatchesDictWalk:
+    def check(self, spec, X):
+        res = rho_eval(spec, X)
+        best, argmax, values = walk_rho(spec, X)
+        assert float.hex(res.value) == float.hex(best)
+        assert res.argmax == argmax
+        assert hexed(res.values) == hexed(values)
+
+    def test_random_and_interleaved_trees(self):
+        rng = np.random.default_rng(101)
+        for trial in range(30):
+            tree = (random_tree if trial % 2 else interleaved_tree)(rng, max_depth=4)
+            spec = random_spec(tree, rng, n_elements=int(rng.integers(1, 6)), coherent=trial % 3 == 0)
+            for _ in range(3):
+                self.check(spec, random_process(tree, rng))
+
+    def test_worst_case_spec(self):
+        rng = np.random.default_rng(103)
+        for tree in (interleaved_tree(rng, max_depth=3), uniform_binomial(7)):
+            spec = worst_case_spec(tree)
+            for _ in range(3):
+                self.check(spec, random_process(tree, rng))
+
+    def test_million_scale(self):
+        rng = np.random.default_rng(107)
+        for _ in range(10):
+            tree = interleaved_tree(rng, max_depth=4)
+            spec = random_spec(tree, rng, n_elements=4)
+            self.check(spec, random_process(tree, rng, scale=1e6))
+
+
+class TestUnitNormCheck:
+    def verdict(self, tree, a, norm_tol):
+        try:
+            RiskMeasureSpec(tree, [(a, 0.0)], norm_tol=norm_tol)
+        except ValidationError as exc:
+            return str(exc)
+        return "accepted"
+
+    def exact_verdict(self, a, norm_tol):
+        norm = variation_norm(a, 1.0)
+        if abs(norm - 1.0) > norm_tol:
+            return f"generating element 0 must have unit expected variation, got {norm!r}"
+        return "accepted"
+
+    def test_norms_within_ulps_of_the_tolerance(self):
+        rng = np.random.default_rng(109)
+        for trial in range(12):
+            tree = (random_tree if trial % 2 else interleaved_tree)(rng, max_depth=4)
+            a = random_scenario(tree, rng)
+            base = variation_norm(a, 1.0)
+            for norm_tol in (1e-9, 1e-12, 3e-16):
+                for edge in (1.0 + norm_tol, 1.0 - norm_tol):
+                    factor = edge / base
+                    for _ in range(6):  # walk down through the edge
+                        factor = math.nextafter(factor, -math.inf)
+                    for _ in range(12):
+                        b = a.scale(factor)
+                        assert self.verdict(tree, b, norm_tol) == self.exact_verdict(b, norm_tol)
+                        factor = math.nextafter(factor, math.inf)
+
+    def test_zero_tolerance_takes_the_exact_route(self, t2, monkeypatch):
+        exact = BiMeasure(t2, {"root": 0.25}, {"d": 1.0, "ud": 1.0})  # E[Var] = 1/4 + 1/2 + 1/4
+        rng = np.random.default_rng(113)
+        a = random_scenario(t2, rng)
+        sweeps = count_sweeps(monkeypatch)
+        RiskMeasureSpec(t2, [(exact, 0.0)], norm_tol=0.0)
+        assert len(sweeps) == 1
+        if variation_norm(a, 1.0) != 1.0:
+            with pytest.raises(ValidationError) as err:
+                RiskMeasureSpec(t2, [(a, 0.0)], norm_tol=0.0)
+            assert str(err.value) == (
+                "generating element 0 must have unit expected variation, "
+                f"got {variation_norm(a, 1.0)!r}"
+            )
+
+    def test_build_makes_no_variation_sweep(self, monkeypatch):
+        rng = np.random.default_rng(127)
+        tree = interleaved_tree(rng, max_depth=4)
+        elements = [(random_scenario(tree, rng), 0.0) for _ in range(6)]
+        sweeps = count_sweeps(monkeypatch)
+        RiskMeasureSpec(tree, elements)
+        worst_case_spec(tree)
+        assert sweeps == []
+
+    def test_out_of_range_estimates_take_the_exact_route(self, t1, monkeypatch):
+        # an estimate of 2 or more, or a weight times the smallest leaf
+        # probability below 2**-1000, falls outside the rounding analysis
+        sweeps = count_sweeps(monkeypatch)
+        RiskMeasureSpec(t1, [(BiMeasure(t1, {}, {"d": 6.0}), 0.0)], norm_tol=10.0)
+        assert len(sweeps) == 1
+        tiny = ScenarioTree(
+            [
+                TreeNode("root", None, 0, 0.0, 1.0),
+                TreeNode("a", "root", 1, 1.0, 1.0),
+                TreeNode("b", "root", 1, 1.0, 1e-310),
+            ]
+        )
+        RiskMeasureSpec(tiny, [(BiMeasure(tiny, {}, {"a": 1.0}), 0.0)])
+        assert len(sweeps) == 2
+        RiskMeasureSpec(t1, [(BiMeasure(t1, {}, {"d": 1.0, "u": 1.0}), 0.0)])
+        assert len(sweeps) == 2
+
+    def test_rejection_reports_the_exact_norm(self, t2):
+        a = BiMeasure(t2, {}, {"d": 1.0, "u": 1.0, "ud": 0.1})
+        with pytest.raises(ValidationError, match=repr(variation_norm(a, 1.0))):
+            RiskMeasureSpec(t2, [(a, 0.0)])
+
+    def test_faults_reported_in_element_order(self, t1, t2):
+        good = BiMeasure(t1, {}, {"d": 2.0})
+        heavy = BiMeasure(t1, {}, {"d": 4.0})
+        signed = BiMeasure(t1, {}, {"d": 2.0, "u": -0.5})
+        foreign = BiMeasure(t2, {}, {"dd": 4.0})
+        cases = [
+            ([(heavy, 0.0), (signed, 0.0)], "element 0 must have unit expected variation, got 2.0"),
+            ([(good, math.inf), (signed, 0.0)], "penalty of element 0 must be finite"),
+            ([(good, 0.0), (signed, 0.0), (heavy, 0.0)], "element 1 has negative increments"),
+            ([(good, 0.0), (foreign, 0.0), (heavy, 0.0)], "tree mismatch"),
+            ([(good, 0.0), (heavy, 0.0), (foreign, 0.0)], "element 1 must have unit expected"),
+        ]
+        for elements, message in cases:
+            with pytest.raises(ValidationError, match=message):
+                RiskMeasureSpec(t1, elements)
 
 
 class TestSpecValidation:
