@@ -16,7 +16,14 @@ from dataclasses import dataclass
 from math import fsum, isfinite
 
 from .errors import ValidationError
-from .process import AdaptedProcess, RawProcess, StaticRV, _check_grid, _require_same_tree
+from .process import (
+    AdaptedProcess,
+    RawProcess,
+    StaticRV,
+    _check_grid,
+    _require_same_tree,
+    _unchecked,
+)
 from .scenario import ScenarioTree
 
 
@@ -119,7 +126,7 @@ def as_raw(a: BiMeasure) -> RawBiMeasure:
     """Resolve a bi-measure along each path into its raw counterpart."""
     tree = a.tree
     left = {(leaf, k + 1): v for (leaf, k), v in tree.along_paths(a.pr_inc).items() if k < tree.K}
-    return RawBiMeasure(tree, left, tree.along_paths(a.op_inc))
+    return _unchecked(RawBiMeasure, tree=tree, left_inc=left, right_inc=tree.along_paths(a.op_inc))
 
 
 def pairing(X: AdaptedProcess, a: BiMeasure) -> float:

@@ -59,6 +59,11 @@ from .riskcore import (
 )
 
 
+# Deepest refinement diagnose-lebesgue builds: a depth-d binomial tree has
+# 2**(d + 1) - 1 nodes, 32 767 at 14.
+MAX_LEBESGUE_DEPTH = 14
+
+
 @dataclass
 class RunConfig:
     command: str
@@ -161,6 +166,13 @@ def _need(config: RunConfig, **flags: object) -> None:
             raise ValidationError(f"command '{config.command}' requires --{name}")
 
 
+def _seed(config: RunConfig) -> int:
+    _need(config, seed=config.seed)
+    if config.seed < 0:
+        raise ValidationError(f"--seed must be nonnegative, got {config.seed}")
+    return config.seed
+
+
 def _load_tree(config: RunConfig):
     _need(config, tree=config.tree)
     return fileio.load_tree(config.tree)
@@ -246,13 +258,14 @@ def _cmd_conjugate(config: RunConfig) -> int:
 
 def _cmd_allocate(config: RunConfig) -> int:
     tree = _load_tree(config)
-    _need(config, spec=config.spec, process=config.processes, seed=config.seed)
+    _need(config, spec=config.spec, process=config.processes)
+    seed = _seed(config)
     spec = fileio.load_spec(config.spec, tree)
     positions = [fileio.load_process(p, tree) for p in config.processes]
     result = allocate(spec, positions)
     samples = 1000 if config.samples is None else config.samples
     cert = fairness_check(
-        result, spec, positions, samples=samples, seed=config.seed
+        result, spec, positions, samples=samples, seed=seed
     )
     doc = ReportDoc(command="allocate", columns=["position", "charge"])
     for path, k in zip(config.processes, result.k):
@@ -305,6 +318,10 @@ def _cmd_diagnose_ui(config: RunConfig) -> int:
 
 def _cmd_diagnose_lebesgue(config: RunConfig) -> int:
     _need(config, depths=config.depths)
+    if max(config.depths) > MAX_LEBESGUE_DEPTH:
+        raise ValidationError(
+            f"--depths may not exceed {MAX_LEBESGUE_DEPTH}, got {max(config.depths)}"
+        )
     if config.family == "worst-case":
         schedule = worst_case_crash_schedule(config.depths)
     elif config.family == "avar":
@@ -358,11 +375,11 @@ def _random_raw_pair(tree, rng) -> tuple[RawProcess, RawBiMeasure]:
 
 def _cmd_diagnose_identities(config: RunConfig) -> int:
     tree = _load_tree(config)
-    _need(config, seed=config.seed)
+    seed = _seed(config)
     samples = 100 if config.samples is None else config.samples
     if samples < 1:
         raise ValidationError(f"--samples must be positive, got {samples}")
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
 
     duality_dev = 0.0
     adjoint_dev = 0.0

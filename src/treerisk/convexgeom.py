@@ -162,6 +162,8 @@ def min_cost_combination(prog: SimplexProgram, tol: float = 1e-9) -> SimplexSolu
     """
     if not tol >= 0.0:
         raise ValidationError(f"tolerance must be nonnegative, got {tol!r}")
+    if not isfinite(tol):
+        raise ValidationError(f"tolerance must be finite, got {tol!r}")
     n = len(prog.columns)
     dim = len(prog.target)
     A = [[Fraction(prog.columns[j][i]) for j in range(n)] for i in range(dim)]

@@ -23,6 +23,17 @@ def _check_finite(value: float, label: str, *args: object) -> float:
     return v
 
 
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as given, without its checks.
+
+    For values the caller built from already validated ones.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def _check_grid(
     tree: ScenarioTree, entries: Mapping[tuple[str, int], float], lo: int, label: str
 ) -> dict[tuple[str, int], float]:
@@ -164,7 +175,7 @@ class RawProcess:
     @classmethod
     def from_adapted(cls, X: AdaptedProcess) -> "RawProcess":
         """Resolve an adapted process along each path: value at (leaf, k) is X at the depth-k ancestor."""
-        return cls(X.tree, X.tree.along_paths(X.values))
+        return _unchecked(cls, tree=X.tree, values=X.tree.along_paths(X.values))
 
 
 def terminal_values(X: AdaptedProcess) -> StaticRV:

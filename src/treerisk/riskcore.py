@@ -12,16 +12,17 @@ smallest penalty is zero, which pins rho(0) = 0.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from math import fsum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .bimeasure import BiMeasure, increment_vector, variation, variation_norm
+from .bimeasure import BiMeasure, increment_vector, variation_norm
 from .convexgeom import SimplexProgram, min_cost_combination
 from .errors import ValidationError
 from .process import AdaptedProcess, StaticRV, optional_projection_static, _require_same_tree
@@ -76,16 +77,66 @@ def _gather(fields: list[Mapping[str, float]], nodes: list[Iterable[str]], size:
     return np.fromiter(chain.from_iterable(gets), float, size)
 
 
+def _covered_leaves(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The DFS leaf positions in the union of the nested-or-disjoint ranges [lo, hi), ascending.
+
+    Sorting by (lo, -hi) puts each range after the ones enclosing it, so a
+    range starting before the furthest end seen so far is nested and adds
+    nothing: O(m log m) in the ranges plus the size of the union. The test
+    is arithmetic, not an integer comparison (see ``fileio._merge_fields``).
+    """
+    by_start = np.lexsort((-hi, lo))
+    lo, hi = lo[by_start], hi[by_start]
+    top = np.ones(len(lo), bool)
+    top[1:] = ~np.maximum(np.maximum.accumulate(hi)[:-1] - lo[1:], 0).astype(bool)
+    lo, hi = lo[top], hi[top]
+    sizes = hi - lo
+    return np.repeat(lo - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
+
+
+def _path_variations(
+    tree: ScenarioTree, node, pr, op, bounds
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per element, the DFS positions of the leaves its nodes cover and, at each,
+    the fsum of the element's pr and op terms on the leaf's path.
+
+    These are :func:`variation`'s values bit for bit: the increments are
+    nonnegative, pr(n) and op(n) enter as separate terms as there, and the
+    zeros read off the element's nodes change no fsum. One element at a time,
+    the path terms are read through a node-sized scatter buffer into at most
+    L x 2(K + 1) floats.
+    """
+    paths = tree.leaf_paths()
+    span_lo, span_hi = tree.node_spans()
+    width = 2 * (tree.K + 1)
+    scatter = np.zeros((len(tree.order), 2))
+    for lo, hi in bounds:
+        nodes = node[lo:hi]
+        leaves = _covered_leaves(span_lo[nodes], span_hi[nodes])
+        scatter[nodes, 0] = pr[lo:hi]
+        scatter[nodes, 1] = op[lo:hi]
+        terms = memoryview(scatter[paths[leaves]].reshape(-1))  # leaf after leaf, as Python floats
+        scatter[nodes] = 0.0
+        rows = range(0, len(terms), width)
+        yield leaves, np.fromiter((fsum(terms[j : j + width]) for j in rows), float, len(leaves))
+
+
 class RiskMeasureSpec:
     """Validated generating family for one convex (possibly coherent) risk measure.
 
-    The family is stored as one sparse node-weight array set, element after
-    element: ``_node`` holds canonical node indices, ``_inc`` the combined
-    increment pr(n) + op(n) and ``_weight`` P(n) (pr(n) + op(n)) at each
-    stored node of each element, and element i owns the entries in
-    ``_bounds[i]`` = (lo, hi). Each element's nodes come in dict order, not
-    sorted; every reduction over them is an fsum, whose value does not
-    depend on the order of its terms. Building the arrays is O(nnz).
+    The family is stored as one sparse node array set, element after element:
+    ``_node`` holds canonical node indices, ``_pr`` and ``_op`` the
+    predictable and optional increments there (either may be 0.0 where the
+    other is not), ``_inc`` their sum pr(n) + op(n) and ``_weight``
+    P(n) (pr(n) + op(n)); element i owns the entries in ``_bounds[i]`` =
+    (lo, hi). ``_pr`` and ``_op`` stay apart because a path variation adds
+    them as separate terms, and fsum([p, o]) can differ from fsum([p + o]).
+    Each element's nodes come in input order (its predictable nodes, then the
+    optional-only ones), not sorted; every reduction over them is an fsum,
+    whose value does not depend on the order of its terms. Building the
+    arrays is O(nnz). A spec built from arrays (as ``fileio.load_spec``
+    does) makes the elements' :class:`BiMeasure` objects only when
+    ``measures()`` or ``elements`` is first read.
 
     Each element must have unit expected variation within ``norm_tol``. For
     a nonnegative element that variation is the sum of its weights in exact
@@ -93,8 +144,9 @@ class RiskMeasureSpec:
     rounding bound (derived above ``_unit_norm_certified``) puts the verdict
     beyond doubt. Otherwise it computes ``variation_norm(a, 1.0)`` exactly
     and applies the test to that value, so the verdict and a rejection's
-    message are those of the exact check. The per-leaf variation densities
-    behind :func:`static_rho_coherent_direct` are built on first use.
+    message are those of the exact check. The per-leaf variations behind
+    :func:`static_rho_coherent_direct` are gathered from the arrays on first
+    use.
     """
 
     def __init__(
@@ -117,69 +169,120 @@ class RiskMeasureSpec:
         stored = [{**a.pr_inc, **a.op_inc} for a in good]  # each element's nodes, once each
         offsets = [0, *accumulate(map(len, stored))]
         size = offsets[-1]
-        prob = _node_vector(tree, tree.prob)
         node = np.fromiter(map(tree.index.__getitem__, chain.from_iterable(stored)), np.intp, size)
-        inc = _gather([a.pr_inc for a in good], stored, size)
+        pr = _gather([a.pr_inc for a in good], stored, size)
+        op = _gather([a.op_inc for a in good], stored, size)
+        del stored
+        measures = tuple(a for a, _ in elems)
+        bounds = tuple(zip(offsets, offsets[1:]))
+        gammas = [g for _, g in elems]
+        self._load(tree, node, pr, op, bounds, gammas[:bad], norm_tol, measures.__getitem__)
+        if bad < len(elems):
+            _require_same_tree(tree, elems[bad][0].tree)
+            raise ValidationError(f"generating element {bad} has negative increments")
+        self._measures = measures
+        self._set_penalties(gammas, labels)
+
+    @classmethod
+    def _from_arrays(
+        cls,
+        tree: ScenarioTree,
+        node: np.ndarray,
+        pr: np.ndarray,
+        op: np.ndarray,
+        bounds: tuple[tuple[int, int], ...],
+        gammas: Sequence[float],
+        labels: Sequence[str],
+        norm_tol: float = 1e-9,
+    ) -> "RiskMeasureSpec":
+        """A spec over arrays laid out as the class docstring says, already checked:
+        canonical indices distinct within each element, finite nonnegative
+        increments, ``pr`` zero at depth K. Norms and penalties are checked here."""
+        spec = cls.__new__(cls)
+        spec._load(tree, node, pr, op, bounds, gammas, norm_tol, spec._build_measure)
+        spec._set_penalties(gammas, labels)
+        return spec
+
+    def _load(self, tree, node, pr, op, bounds, gammas, norm_tol, measure) -> None:
+        """Take the arrays as the family; check each element's unit variation, then its
+        penalty, element after element. ``measure(i)`` gives element i for the exact check."""
+        prob = _node_vector(tree, tree.prob)
         with np.errstate(over="ignore"):  # overflow gives inf, as Python floats do
-            inc += _gather([a.op_inc for a in good], stored, size)
-            del stored
+            inc = pr + op
             weight = prob[node]
             weight *= inc
-        bounds = tuple(zip(offsets, offsets[1:]))
+        self.tree = tree
+        self.norm_tol = norm_tol
+        self._bounds = bounds
+        self._prob = prob
+        self._node = node
+        self._pr = pr
+        self._op = op
+        self._inc = inc
+        self._weight = weight
         terms = memoryview(weight)
         min_leaf_prob = min(map(tree.prob.__getitem__, tree.leaves))
         normal = weight.min(initial=1.0) * min_leaf_prob >= _NORMAL_FLOOR
-        for i, ((a, g), (lo, hi)) in enumerate(zip(elems, bounds)):
+        for i, ((lo, hi), g) in enumerate(zip(bounds, gammas)):
             if not (normal and _unit_norm_certified(terms[lo:hi], tree.K, norm_tol)):
-                norm = variation_norm(a, 1.0)
+                norm = variation_norm(measure(i), 1.0)
                 if abs(norm - 1.0) > norm_tol:
                     raise ValidationError(
                         f"generating element {i} must have unit expected variation, got {norm!r}"
                     )
             if not math.isfinite(g):
                 raise ValidationError(f"penalty of element {i} must be finite, got {g!r}")
-        if bad < len(elems):
-            _require_same_tree(tree, elems[bad][0].tree)
-            raise ValidationError(f"generating element {bad} has negative increments")
 
-        shift = min(g for _, g in elems)
+    def _set_penalties(self, gammas: Sequence[float], labels: Sequence[str] | None) -> None:
+        shift = min(gammas)
         if labels is None:
-            labels = tuple(f"e{i}" for i in range(len(elems)))
+            labels = tuple(f"e{i}" for i in range(len(gammas)))
         else:
             labels = tuple(str(s) for s in labels)
-            if len(labels) != len(elems):
-                raise ValidationError(f"got {len(labels)} labels for {len(elems)} elements")
-
-        self.tree = tree
-        self.elements = tuple((a, g - shift) for a, g in elems)
+            if len(labels) != len(gammas):
+                raise ValidationError(f"got {len(labels)} labels for {len(gammas)} elements")
         self.labels = labels
         self.gamma_shift = shift
-        self.gammas = tuple(g for _, g in self.elements)
+        self.gammas = tuple(g - shift for g in gammas)
         self.is_coherent = all(g == 0.0 for g in self.gammas)
-        self._bounds = bounds
-        self._prob = prob
-        self._node = node
-        self._inc = inc
-        self._weight = weight
+
+    def _build_measure(self, i: int) -> BiMeasure:
+        lo, hi = self._bounds[i]
+        ids = [self.tree.order[n] for n in self._node[lo:hi].tolist()]
+        pr = {n: v for n, v in zip(ids, self._pr[lo:hi].tolist()) if v}
+        op = {n: v for n, v in zip(ids, self._op[lo:hi].tolist()) if v}
+        return BiMeasure(self.tree, pr, op)
 
     @functools.cached_property
-    def _variations(self) -> tuple[StaticRV, ...]:
-        return tuple(variation(a) for a in self.measures())
+    def _measures(self) -> tuple[BiMeasure, ...]:
+        return tuple(map(self._build_measure, range(len(self._bounds))))
+
+    @functools.cached_property
+    def _variations(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per element, (DFS positions of the covered leaves, variation at each)."""
+        return tuple(_path_variations(self.tree, self._node, self._pr, self._op, self._bounds))
+
+    @property
+    def elements(self) -> tuple[tuple[BiMeasure, float], ...]:
+        return tuple(zip(self._measures, self.gammas))
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._bounds)
 
     def measures(self) -> tuple[BiMeasure, ...]:
-        return tuple(a for a, _ in self.elements)
+        return self._measures
 
     def replace_gammas(self, gammas: Sequence[float]) -> "RiskMeasureSpec":
-        if len(gammas) != len(self.elements):
-            raise ValidationError(f"got {len(gammas)} penalties for {len(self.elements)} elements")
-        return RiskMeasureSpec(
-            self.tree,
-            [(a, g) for (a, _), g in zip(self.elements, gammas)],
-            labels=self.labels,
-        )
+        """The same family with new penalties; the validated arrays are shared."""
+        if len(gammas) != len(self):
+            raise ValidationError(f"got {len(gammas)} penalties for {len(self)} elements")
+        gammas = [float(g) for g in gammas]
+        for i, g in enumerate(gammas):
+            if not math.isfinite(g):
+                raise ValidationError(f"penalty of element {i} must be finite, got {g!r}")
+        spec = copy.copy(self)
+        spec._set_penalties(gammas, self.labels)
+        return spec
 
     def _penalized_losses(self, x: np.ndarray) -> tuple[float, ...]:
         """-<X, a_i> - gamma_i for every element, X given as a canonical node vector."""
@@ -227,14 +330,23 @@ def static_rho(spec: RiskMeasureSpec, Y: StaticRV) -> float:
 
 
 def static_rho_coherent_direct(spec: RiskMeasureSpec, Y: StaticRV) -> float:
-    """Coherent shortcut: max_i E[-Var(a_i) Y], skipping the projection step."""
+    """Coherent shortcut: max_i E[-Var(a_i) Y], skipping the projection step.
+
+    One fsum per element of P(l) Var(a_i)(l) Y(l) over the leaves its nodes
+    cover: O(nnz + sum of covered leaves x K) on the first call per spec,
+    O(sum of covered leaves) after.
+    """
     _require_same_tree(spec.tree, Y.tree)
     if not spec.is_coherent:
         raise ValidationError("direct static evaluation requires a coherent spec")
-    prob = spec.tree.prob
+    tree = spec.tree
+    leaf_prob = spec._prob[tree.leaf_paths()[:, -1]]
+    y = np.fromiter(map(Y.values.__getitem__, tree.leaves_under(tree.root)), float, len(tree.leaves))
     best = -math.inf
-    for var in spec._variations:
-        v = -fsum(prob[leaf] * var.values[leaf] * Y.values[leaf] for leaf in spec.tree.leaves)
+    for leaves, var in spec._variations:
+        with np.errstate(all="ignore"):
+            terms = memoryview(leaf_prob[leaves] * var * y[leaves])  # yields Python floats
+        v = -fsum(terms)
         if v > best:
             best = v
     return best
@@ -275,7 +387,7 @@ def subgradient(spec: RiskMeasureSpec, X: AdaptedProcess) -> list[BiMeasure]:
     if not spec.is_coherent:
         raise ValidationError("subgradients via maximizers are only exposed for coherent specs")
     res = rho_eval(spec, X)
-    return [-spec.elements[i][0] for i in res.argmax]
+    return [-spec.measures()[i] for i in res.argmax]
 
 
 @dataclass(frozen=True)

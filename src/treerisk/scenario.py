@@ -7,6 +7,8 @@ from math import fsum, isfinite
 from operator import mul
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .errors import ValidationError
 
 SUM_TOL = 1e-12
@@ -44,6 +46,9 @@ class ScenarioTree:
     ``slice_means`` takes, at each node in ``order``, the conditional mean of
     one depth's slice of a (leaf, k)-keyed grid.
 
+    Array columns, built on first use: ``leaf_paths`` holds each DFS leaf's
+    path as canonical indices and ``node_spans`` each node's DFS leaf range.
+
     Instances are immutable after construction and meant to be shared by the
     processes and bi-measures built on them (those types compare trees by
     object identity). Construct via :func:`build_tree` or
@@ -64,6 +69,8 @@ class ScenarioTree:
         "_dfs_leaves",
         "_dfs_prob",
         "_span",
+        "_leaf_paths",
+        "_node_spans",
     )
 
     def __init__(self, node_list: Iterable[TreeNode]):
@@ -193,6 +200,8 @@ class ScenarioTree:
         self._dfs_leaves = tuple(dfs_leaves)
         self._dfs_prob = tuple(prob[leaf] for leaf in dfs_leaves)
         self._span = span
+        self._leaf_paths = None
+        self._node_spans = None
 
     def require_node(self, node_id: str) -> TreeNode:
         try:
@@ -220,6 +229,27 @@ class ScenarioTree:
         self.require_node(node_id)
         lo, hi = self._span[node_id]
         return self._dfs_leaves[lo:hi]
+
+    def leaf_paths(self) -> np.ndarray:
+        """Shape (L, K + 1): row d holds the d-th DFS leaf's path as canonical indices, root first."""
+        if self._leaf_paths is None:
+            index = self.index
+            parent = np.fromiter(  # the root, index 0, stands in for its own parent
+                (index.get(self.nodes[nid].parent, 0) for nid in self.order), np.intp, len(self.order)
+            )
+            paths = np.empty((len(self._dfs_leaves), self.K + 1), np.intp)
+            paths[:, self.K] = [index[leaf] for leaf in self._dfs_leaves]
+            for k in range(self.K, 0, -1):
+                paths[:, k - 1] = parent[paths[:, k]]
+            self._leaf_paths = paths
+        return self._leaf_paths
+
+    def node_spans(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per canonical index, the node's half-open range [lo, hi) of the DFS leaf order."""
+        if self._node_spans is None:
+            lo, hi = np.array([self._span[nid] for nid in self.order], np.intp).T
+            self._node_spans = (lo, hi)
+        return self._node_spans
 
     def conditional_mean(self, leaf_values: Mapping[str, float], node_id: str) -> float:
         """E[V | node] over the leaves under ``node_id``; a constant subtree gives its value exactly."""

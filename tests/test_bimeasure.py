@@ -297,6 +297,29 @@ class TestInterleavedIds:
             assert list(raw.right_inc.items()) == list(right.items())
 
 
+    def test_as_raw_and_from_adapted_skip_the_grid_check(self, monkeypatch):
+        import treerisk.bimeasure
+        import treerisk.process
+
+        rng = np.random.default_rng(66)
+        tree = interleaved_tree(rng)
+        a = random_bimeasure(tree, rng)
+        X = random_process(tree, rng)
+        checks = []
+        grid = treerisk.process._check_grid
+        counted = lambda *args: checks.append(1) or grid(*args)
+        monkeypatch.setattr(treerisk.bimeasure, "_check_grid", counted)
+        monkeypatch.setattr(treerisk.process, "_check_grid", counted)
+        raw = as_raw(a)
+        Z = RawProcess.from_adapted(X)
+        assert checks == []
+        checked = RawBiMeasure(tree, raw.left_inc, raw.right_inc)
+        assert list(checked.left_inc.items()) == list(raw.left_inc.items())
+        assert list(checked.right_inc.items()) == list(raw.right_inc.items())
+        assert list(RawProcess(tree, Z.values).values.items()) == list(Z.values.items())
+        assert len(checks) == 3  # the public constructors still check
+
+
 class TestNormalize:
     def test_unit_norm_fixed_point(self, t1):
         a = dirac_d(t1)

@@ -2,21 +2,30 @@
 
 import json
 import math
+import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from treerisk import (
     AdaptedProcess,
     BiMeasure,
     RawProcess,
+    RiskMeasureSpec,
     StaticRV,
+    ValidationError,
+    allocate,
+    rho_eval,
+    static_rho,
+    static_rho_coherent_direct,
     uniform_binomial,
     worst_case_spec,
 )
+from treerisk import cli
 from treerisk.cli import fmt_real, main
 from treerisk.fileio import (
     FileFormatError,
@@ -33,6 +42,8 @@ from treerisk.fileio import (
     load_static,
     load_tree,
 )
+
+from conftest import interleaved_tree, random_process, random_spec, random_static, random_tree
 
 
 @pytest.fixture
@@ -159,6 +170,289 @@ class TestMalformedFiles:
         p.write_text(json.dumps(doc))
         with pytest.raises(FileFormatError):
             load_bimeasure(p, t1)
+
+
+def _element(op='[{"node": "du", "inc": 4.0}]', pr="[]", extra=""):
+    return '{"measure": {"pr": %s, "op": %s}%s}' % (pr, op, extra)
+
+
+_GOOD = _element('[{"node": "dd", "inc": 4.0}]')
+_BIG = "1" + "0" * 400
+
+# Spec documents on uniform_binomial(2), each rejected with the message a
+# row-by-row read gives ({path} is the document, {dir} its directory).
+HOSTILE_SPECS = {
+    "bool-inc": (
+        [_GOOD, _element('[{"node": "du", "inc": true}]')],
+        "{path}: field 'elements[1].measure.op[0].inc' must be a number, got True",
+    ),
+    "string-inc": (
+        [_GOOD, _element('[{"node": "du", "inc": "4.0"}]')],
+        "{path}: field 'elements[1].measure.op[0].inc' must be a number, got '4.0'",
+    ),
+    "nan-inc": (
+        [_GOOD, _element('[{"node": "du", "inc": NaN}]')],
+        "{path}: field 'elements[1].measure.op[0].inc' must be finite, got nan",
+    ),
+    "infinity-inc": (
+        [_GOOD, _element('[{"node": "du", "inc": Infinity}]')],
+        "{path}: field 'elements[1].measure.op[0].inc' must be finite, got inf",
+    ),
+    "float-overflow-inc": (
+        [_GOOD, _element('[{"node": "du", "inc": 1e400}]')],
+        "{path}: field 'elements[1].measure.op[0].inc' must be finite, got inf",
+    ),
+    "int-overflow-inc": (
+        [_GOOD, _element('[{"node": "du", "inc": %s}]' % _BIG)],
+        "{path}: field 'elements[1].measure.op[0].inc' is an integer beyond the float range",
+    ),
+    "unknown-node": (
+        [_GOOD, _element('[{"node": "zz", "inc": 4.0}]')],
+        "unknown node id 'zz'",
+    ),
+    "unknown-node-zero-inc": (
+        [_GOOD, _element('[{"node": "du", "inc": 4.0}, {"node": "zz", "inc": 0.0}]')],
+        "unknown node id 'zz'",
+    ),
+    "non-string-node": (
+        [_GOOD, _element('[{"node": 5, "inc": 4.0}]')],
+        "{path}: elements[1].measure.op[0].node must be a string",
+    ),
+    "list-node": (
+        [_GOOD, _element('[{"node": ["du"], "inc": 4.0}]')],
+        "{path}: elements[1].measure.op[0].node must be a string",
+    ),
+    "duplicate-pr": (
+        [_GOOD, _element(pr='[{"node": "d", "inc": 1.0}, {"node": "d", "inc": 1.0}]', op="[]")],
+        "{path}: duplicate pr increment at node 'd'",
+    ),
+    "duplicate-op-zero": (
+        [_GOOD, _element('[{"node": "du", "inc": 4.0}, {"node": "du", "inc": 0.0}]')],
+        "{path}: duplicate op increment at node 'du'",
+    ),
+    "pr-at-depth-K": (
+        [_GOOD, _element(pr='[{"node": "dd", "inc": 4.0}]', op="[]")],
+        "predictable increment stored at node 'dd' (depth 2); entries are only allowed up to depth 1",
+    ),
+    "pr-at-depth-K-zero": (
+        [_GOOD, _element(pr='[{"node": "dd", "inc": 0.0}]')],
+        "predictable increment stored at node 'dd' (depth 2); entries are only allowed up to depth 1",
+    ),
+    "negative-inc": (
+        [_GOOD, _element('[{"node": "du", "inc": -4.0}]')],
+        "generating element 1 has negative increments",
+    ),
+    "missing-node-key": (
+        [_GOOD, _element('[{"inc": 4.0}]')],
+        "{path}: elements[1].measure.op[0] must be an object with 'node' and 'inc'",
+    ),
+    "missing-inc-key": (
+        [_GOOD, _element('[{"node": "du"}]')],
+        "{path}: elements[1].measure.op[0] must be an object with 'node' and 'inc'",
+    ),
+    "non-object-row": (
+        [_GOOD, _element('["du"]')],
+        "{path}: elements[1].measure.op[0] must be an object with 'node' and 'inc'",
+    ),
+    "non-array-field": (
+        [_GOOD, _element('{"du": 4.0}')],
+        "{path}: elements[1].measure.op must be an array",
+    ),
+    "non-object-measure": (
+        [_GOOD, '{"measure": [1]}'],
+        "{path}: elements[1].measure must be an object",
+    ),
+    "all-zero-measure": (
+        [_GOOD, _element('[{"node": "du", "inc": 0.0}]')],
+        "generating element 1 must have unit expected variation, got 0.0",
+    ),
+    "non-unit-measure": (
+        [_GOOD, _element('[{"node": "du", "inc": 2.0}]')],
+        "generating element 1 must have unit expected variation, got 0.5",
+    ),
+    "non-string-label": (
+        [_GOOD, _element(extra=', "label": 5')],
+        "{path}: elements[1].label must be a string",
+    ),
+    "bool-gamma": (
+        [_GOOD, _element(extra=', "gamma": true')],
+        "{path}: field 'elements[1].gamma' must be a number, got True",
+    ),
+    "nan-gamma": (
+        [_GOOD, _element(extra=', "gamma": NaN')],
+        "{path}: field 'elements[1].gamma' must be finite, got nan",
+    ),
+    "int-overflow-gamma": (
+        [_GOOD, _element(extra=', "gamma": %s' % _BIG)],
+        "{path}: field 'elements[1].gamma' is an integer beyond the float range",
+    ),
+    "non-object-element": ([_GOOD, "3"], "{path}: elements[1] must be an object"),
+    "no-measure-or-file": (
+        [_GOOD, '{"gamma": 0.0}'],
+        "{path}: elements[1] needs either an inline 'measure' or a 'file' reference",
+    ),
+    "non-string-file": ([_GOOD, '{"file": 3}'], "{path}: elements[1].file must be a string"),
+    "missing-file": (
+        [_GOOD, '{"file": "absent.json"}'],
+        "{dir}/absent.json: cannot read file ([Errno 2] No such file or directory: '{dir}/absent.json')",
+    ),
+    # a document's parse faults come before any element's spec checks, and
+    # those run element after element, each norm before the next sign
+    "order-norm-then-parse": (
+        [_element('[{"node": "du", "inc": 2.0}]'), _element('[{"node": "zz", "inc": 4.0}]')],
+        "unknown node id 'zz'",
+    ),
+    "order-sign-then-label": (
+        [_element('[{"node": "du", "inc": -4.0}]'), _element(extra=', "label": 5')],
+        "{path}: elements[1].label must be a string",
+    ),
+    "order-norm-then-sign": (
+        [_element('[{"node": "du", "inc": 2.0}]'), _element('[{"node": "du", "inc": -4.0}]')],
+        "generating element 0 must have unit expected variation, got 0.5",
+    ),
+    "order-sign-then-norm": (
+        [_element('[{"node": "du", "inc": -4.0}]'), _element('[{"node": "du", "inc": 2.0}]')],
+        "generating element 0 has negative increments",
+    ),
+}
+
+
+class TestSpecDocuments:
+    @pytest.mark.parametrize("case", sorted(HOSTILE_SPECS))
+    def test_hostile_spec_message(self, tmp_path, t2, case):
+        elements, message = HOSTILE_SPECS[case]
+        p = tmp_path / "spec.json"
+        p.write_text('{"format": "spec", "elements": [%s]}' % ", ".join(elements))
+        with pytest.raises(ValidationError) as err:
+            load_spec(p, t2)
+        assert str(err.value) == message.format(path=p, dir=tmp_path)
+
+    def test_duplicate_node_in_a_referenced_measure(self, tmp_path, t2):
+        (tmp_path / "m.json").write_text(
+            '{"format": "bimeasure", "op": [{"node": "du", "inc": 4.0}, {"node": "du", "inc": 4.0}]}'
+        )
+        p = tmp_path / "spec.json"
+        p.write_text('{"format": "spec", "elements": [%s, {"file": "m.json"}]}' % _GOOD)
+        with pytest.raises(ValidationError) as err:
+            load_spec(p, t2)
+        assert str(err.value) == f"{tmp_path / 'm.json'}: duplicate op increment at node 'du'"
+
+    @staticmethod
+    def node_increments(spec):
+        """Per element, node id -> (pr, op) as float.hex strings."""
+        return [
+            {
+                n: (float.hex(a.pr_inc.get(n, 0.0)), float.hex(a.op_inc.get(n, 0.0)))
+                for n in {**a.pr_inc, **a.op_inc}
+            }
+            for a in spec.measures()
+        ]
+
+    @staticmethod
+    def array_increments(spec):
+        """The same, read off the spec's arrays."""
+        order = spec.tree.order
+        return [
+            {
+                order[n]: (float.hex(p), float.hex(o))
+                for n, p, o in zip(
+                    spec._node[lo:hi].tolist(), spec._pr[lo:hi].tolist(), spec._op[lo:hi].tolist()
+                )
+            }
+            for lo, hi in spec._bounds
+        ]
+
+    @staticmethod
+    def results(spec, rng):
+        tree = spec.tree
+        X = random_process(tree, rng, scale=1e6)
+        Y = random_static(tree, rng)
+        res = rho_eval(spec, X)
+        out = [res.value, *res.values, static_rho(spec, Y)]
+        if spec.is_coherent:
+            out.append(static_rho_coherent_direct(spec, Y))
+            alloc = allocate(spec, [random_process(tree, rng) for _ in range(3)])
+            out += [*alloc.k, alloc.rho_total, alloc.sum_k]
+        return [float.hex(v) for v in out] + [res.argmax]
+
+    def test_loaded_spec_matches_its_measures(self, tmp_path):
+        rng = np.random.default_rng(211)
+        for trial in range(12):
+            tree = (random_tree if trial % 2 else interleaved_tree)(rng, max_depth=4)
+            spec = random_spec(tree, rng, n_elements=4, coherent=trial % 3 != 0)
+            p = tmp_path / "spec.json"
+            dump_spec(spec, p)
+            doc = json.loads(p.read_text())
+            # element 1 by file reference
+            m = doc["elements"][1].pop("measure")
+            (tmp_path / "m.json").write_text(json.dumps({"format": "bimeasure", **m}))
+            doc["elements"][1]["file"] = "m.json"
+            p.write_text(json.dumps(doc))
+            loaded = load_spec(p, tree)
+            assert loaded.labels == spec.labels
+            assert loaded.gammas == spec.gammas
+            assert self.array_increments(loaded) == self.node_increments(spec)
+            assert self.node_increments(loaded) == self.node_increments(spec)
+            assert hexed(loaded._weight) == hexed(RiskMeasureSpec(tree, spec.elements)._weight)
+            seed = int(rng.integers(1 << 30))
+            expected = self.results(spec, np.random.default_rng(seed))
+            assert self.results(loaded, np.random.default_rng(seed)) == expected
+
+    def test_shuffled_and_zero_rows(self, tmp_path):
+        rng = np.random.default_rng(217)
+        for trial in range(8):
+            tree = interleaved_tree(rng, max_depth=4)
+            spec = random_spec(tree, rng, n_elements=4, coherent=True)
+            p = tmp_path / "spec.json"
+            dump_spec(spec, p)
+            doc = json.loads(p.read_text())
+            for row in doc["elements"]:
+                m = row["measure"]
+                # zero rows: an op row at a pr node, a pr row at an op-only node, a lone zero
+                pr_nodes = {r["node"] for r in m["pr"]}
+                interior = [n for n in tree.order if tree.nodes[n].depth < tree.K]
+                if m["pr"] and not any(r["node"] == m["pr"][0]["node"] for r in m["op"]):
+                    m["op"].append({"node": m["pr"][0]["node"], "inc": 0.0})
+                only = [r["node"] for r in m["op"] if r["node"] not in pr_nodes]
+                if only and tree.nodes[only[0]].depth < tree.K:
+                    m["pr"].append({"node": only[0], "inc": 0})
+                idle = [n for n in interior if n not in pr_nodes and n not in only]
+                if idle:
+                    m["pr"].append({"node": idle[0], "inc": -0.0})
+                for field in ("pr", "op"):
+                    m[field] = [m[field][j] for j in rng.permutation(len(m[field]))]
+            p.write_text(json.dumps(doc))
+            loaded = load_spec(p, tree)
+            assert self.array_increments(loaded) == self.node_increments(spec)
+            seed = int(rng.integers(1 << 30))
+            expected = self.results(spec, np.random.default_rng(seed))
+            assert self.results(loaded, np.random.default_rng(seed)) == expected
+
+    def test_dump_load_round_trip(self, tmp_path):
+        rng = np.random.default_rng(223)
+        tree = interleaved_tree(rng, max_depth=4)
+        for spec in (random_spec(tree, rng, n_elements=5), worst_case_spec(tree)):
+            first, second = tmp_path / "a.json", tmp_path / "b.json"
+            dump_spec(spec, first)
+            dump_spec(load_spec(first, tree), second)
+            assert first.read_bytes() == second.read_bytes()
+
+    def test_measures_are_built_on_demand(self, tmp_path, t2, monkeypatch):
+        p = tmp_path / "spec.json"
+        dump_spec(worst_case_spec(t2), p)
+        built = []
+        init = BiMeasure.__post_init__
+        monkeypatch.setattr(BiMeasure, "__post_init__", lambda a: built.append(1) or init(a))
+        spec = load_spec(p, t2)
+        rho_eval(spec, AdaptedProcess.zero(t2))
+        static_rho_coherent_direct(spec, StaticRV.constant(t2, 1.0))
+        assert built == []
+        assert spec.measures()[0].op_inc == {"dd": 4.0}
+        assert len(built) == len(spec)
+
+
+def hexed(values):
+    return [float.hex(v) for v in values.tolist()]
 
 
 def test_readme_tree_example_loads(tmp_path):
@@ -569,6 +863,41 @@ class TestDeterminismAndErrors:
         assert err.startswith(f"error: {bad}: ")
         assert message in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["allocate", "--spec", "{spec}", "--process", "{x}", "--seed", "-1"], "--seed must be nonnegative, got -1"),
+            (["diagnose-identities", "--seed", "-1"], "--seed must be nonnegative, got -1"),
+            (["conjugate", "--spec", "{spec}", "--measure", "{m}", "--tol", "inf"], "tolerance must be finite, got inf"),
+            (["conjugate", "--spec", "{spec}", "--measure", "{m}", "--tol", "nan"], "tolerance must be nonnegative, got nan"),
+        ],
+        ids=["allocate-seed", "identities-seed", "tol-inf", "tol-nan"],
+    )
+    def test_bad_flag_values_exit_1(self, workdir, capsys, t1, tmp_path, argv, message):
+        _, p = workdir
+        dump_bimeasure(BiMeasure(t1, {}, {"d": 2.0}), tmp_path / "m.json")
+        paths = {**p, "m": str(tmp_path / "m.json")}
+        args = [argv[0], "--tree", p["tree"], *(a.format(**paths) for a in argv[1:])]
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+        assert "Traceback" not in err
+
+    def test_lebesgue_depth_cap_refuses_before_building(self, capsys, monkeypatch):
+        def build(*args):
+            raise AssertionError("a refused depth must not reach the schedule builders")
+
+        monkeypatch.setattr(cli, "worst_case_crash_schedule", build)
+        monkeypatch.setattr(cli, "avar_crash_schedule", build)
+        for family in ("worst-case", "avar"):
+            code, out, err = run_cli(
+                capsys, "diagnose-lebesgue", "--family", family, "--depths", "1,2,40"
+            )
+            assert (code, out) == (1, "")
+            assert err == f"error: --depths may not exceed {cli.MAX_LEBESGUE_DEPTH}, got 40\n"
+            assert "Traceback" not in err
+        assert cli.MAX_LEBESGUE_DEPTH == 14  # the bench and the tests probe depths up to 12
+
     def test_project_parses_its_input_once(self, workdir, capsys, monkeypatch):
         _, p = workdir
         parsed = []
@@ -610,3 +939,28 @@ class TestDeterminismAndErrors:
         )
         assert result.returncode == 0
         assert "value = 1.000000000000" in result.stdout
+
+
+def test_spec_route_imports_no_numpy_ma(tmp_path):
+    """Loading and evaluating a spec must not pull in numpy.ma (about 1.7 MB resident)."""
+    script = """
+import sys
+from treerisk import AdaptedProcess, StaticRV, rho_eval, static_rho_coherent_direct
+from treerisk import uniform_binomial, worst_case_spec
+from treerisk.fileio import dump_spec, load_spec
+tree = uniform_binomial(2)
+dump_spec(worst_case_spec(tree), sys.argv[1])
+spec = load_spec(sys.argv[1], tree)
+rho_eval(spec, AdaptedProcess.constant(tree, 1.0))
+static_rho_coherent_direct(spec, StaticRV.constant(tree, 1.0))
+print("numpy.ma" in sys.modules)
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "spec.json")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"

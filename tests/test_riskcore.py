@@ -16,6 +16,7 @@ from treerisk import (
     axiom_report,
     conjugate_combination,
     conjugate_value,
+    normalize_scenario,
     pairing,
     rho_eval,
     static_rho,
@@ -66,6 +67,58 @@ def count_sweeps(monkeypatch):
         ScenarioTree, "path_sums", lambda self, terms: sweeps.append(1) or path_sums(self, terms)
     )
     return sweeps
+
+
+def hexed_variation(a):
+    """variation(a) as float.hex strings in DFS leaf order."""
+    var = variation(a).values
+    return [float.hex(var[leaf]) for leaf in a.tree.leaves_under(a.tree.root)]
+
+
+def dense_variations(spec):
+    """The spec's gathered variations, 0.0 off the covered leaves, as hexed_variation gives them."""
+    out = []
+    for leaves, var in spec._variations:
+        dense = [0.0] * len(spec.tree.leaves)
+        for d, v in zip(leaves.tolist(), var.tolist()):
+            dense[d] = v
+        out.append([float.hex(v) for v in dense])
+    return out
+
+
+def walk_direct(spec, Y):
+    """static_rho_coherent_direct by a walk over every leaf of every element's variation."""
+    prob = spec.tree.prob
+    best = -math.inf
+    for a in spec.measures():
+        var = variation(a).values
+        best = max(best, -math.fsum(prob[l] * var[l] * Y.values[l] for l in spec.tree.leaves))
+    return best
+
+
+def skewed_tree(rng, depth=4):
+    """A binary tree whose branch probabilities span many orders of magnitude."""
+    nodes = [TreeNode("root", None, 0, 0.0, 1.0)]
+    frontier = ["root"]
+    for k in range(1, depth + 1):
+        nxt = []
+        for parent in frontier:
+            p = float(10.0 ** -rng.uniform(1, 6))
+            for suffix, q in (("a", p), ("b", 1.0 - p)):
+                nid = f"{parent}.{suffix}" if parent != "root" else suffix
+                nodes.append(TreeNode(nid, parent, k, float(k), q))
+                nxt.append(nid)
+        frontier = nxt
+    return ScenarioTree(nodes)
+
+
+def wide_scale_scenario(tree, rng):
+    """A positive unit-variation element whose increments span 1e-6 to 1e6."""
+    draw = lambda: float(rng.uniform(0.5, 1.0) * 10.0 ** rng.uniform(-6, 6))
+    pr = {n: draw() for n in tree.order if tree.nodes[n].depth < tree.K and rng.uniform() < 0.7}
+    op = {n: draw() for n in tree.order if rng.uniform() < 0.7}
+    op.setdefault(tree.leaves[0], 1.0)
+    return normalize_scenario(BiMeasure(tree, pr, op))
 
 
 def mart_x(t1):
@@ -292,21 +345,24 @@ class TestStaticRho:
             Y = random_static(tree, rng)
             assert abs(static_rho(spec, Y) - static_rho_coherent_direct(spec, Y)) <= TOL
 
-    def test_direct_route_reuses_the_norm_sweep(self, monkeypatch):
+    def test_direct_route_makes_no_path_sweep(self, monkeypatch):
         rng = np.random.default_rng(29)
         tree = random_tree(rng)
         elements = [(random_scenario(tree, rng), 0.0) for _ in range(5)]
-        sweeps = []
-        path_sums = ScenarioTree.path_sums
-        monkeypatch.setattr(
-            ScenarioTree, "path_sums", lambda self, terms: sweeps.append(1) or path_sums(self, terms)
-        )
+        sweeps = count_sweeps(monkeypatch)
         spec = RiskMeasureSpec(tree, elements)
         static_rho_coherent_direct(spec, random_static(tree, rng))
-        assert len(sweeps) == 5
+        assert sweeps == []
         monkeypatch.undo()
-        for (a, _), var in zip(elements, spec._variations):
-            assert list(var.values.items()) == list(variation(a).values.items())
+        assert dense_variations(spec) == [hexed_variation(a) for a, _ in elements]
+
+    def test_direct_route_matches_the_leaf_walk(self):
+        rng = np.random.default_rng(31)
+        for trial in range(20):
+            tree = (random_tree if trial % 2 else interleaved_tree)(rng, max_depth=4)
+            spec = random_spec(tree, rng, n_elements=4, coherent=True)
+            Y = random_static(tree, rng, scale=1e6 if trial % 3 == 0 else 1.0)
+            assert float.hex(static_rho_coherent_direct(spec, Y)) == float.hex(walk_direct(spec, Y))
 
     def test_direct_requires_coherent(self, t1):
         a = BiMeasure(t1, {}, {"d": 2.0})
@@ -314,6 +370,58 @@ class TestStaticRho:
         spec = RiskMeasureSpec(t1, [(a, 0.0), (b, 1.0)])
         with pytest.raises(ValidationError):
             static_rho_coherent_direct(spec, StaticRV.constant(t1, 0.0))
+
+
+class TestPathVariations:
+    """The spec's gathered per-leaf variations equal variation(a) bit for bit."""
+
+    def check(self, spec):
+        assert dense_variations(spec) == [hexed_variation(a) for a in spec.measures()]
+
+    def test_random_and_interleaved_trees(self):
+        rng = np.random.default_rng(131)
+        for trial in range(30):
+            tree = (random_tree if trial % 2 else interleaved_tree)(rng, max_depth=4)
+            self.check(random_spec(tree, rng, n_elements=int(rng.integers(1, 6))))
+
+    def test_skewed_probabilities(self):
+        rng = np.random.default_rng(137)
+        for _ in range(10):
+            tree = skewed_tree(rng)
+            self.check(random_spec(tree, rng, n_elements=4))
+            self.check(worst_case_spec(tree))
+
+    def test_wide_scale_increments(self):
+        rng = np.random.default_rng(139)
+        for trial in range(10):
+            tree = (random_tree if trial % 2 else interleaved_tree)(rng, max_depth=4)
+            elements = [(wide_scale_scenario(tree, rng), 0.0) for _ in range(4)]
+            self.check(RiskMeasureSpec(tree, elements))
+
+    def test_worst_case_spec_covers_one_leaf_each(self):
+        spec = worst_case_spec(uniform_binomial(8))
+        assert [len(leaves) for leaves, _ in spec._variations] == [1] * 256
+        self.check(spec)
+
+
+class TestReplaceGammas:
+    def test_keeps_the_norm_tolerance(self, t1):
+        a = BiMeasure(t1, {}, {"d": 2.000002})  # E[Var(a)] = 1.000001
+        spec = RiskMeasureSpec(t1, [(a, 0.0)], norm_tol=1e-3)
+        closed = spec.replace_gammas([0.5])
+        assert closed.norm_tol == 1e-3
+        assert closed.gammas == (0.0,)
+        assert closed.gamma_shift == 0.5
+
+    def test_shares_the_arrays_and_checks_penalties(self, t1):
+        spec = worst_case_spec(t1)
+        closed = spec.replace_gammas([0.0, 2.0])
+        assert closed._weight is spec._weight
+        assert closed.gammas == (0.0, 2.0) and not closed.is_coherent
+        assert spec.gammas == (0.0, 0.0) and spec.is_coherent
+        assert closed.labels == spec.labels
+        with pytest.raises(ValidationError, match="penalty of element 1 must be finite, got nan"):
+            spec.replace_gammas([0.0, math.nan])
 
 
 class TestAxioms:

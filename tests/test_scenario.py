@@ -265,3 +265,17 @@ def test_slice_means_match_path_walks(shift):
             if j <= tree.K:
                 expected[nid] = brute_mean(tree, {leaf: grid[(leaf, j)] for leaf in tree.leaves}, nid)
         assert list(tree.slice_means(grid, shift).items()) == list(expected.items())
+
+
+def test_leaf_paths_and_node_spans_match_path_walks():
+    rng = np.random.default_rng(53)
+    for tree in [interleaved_tree(rng) for _ in range(10)] + [uniform_binomial(5)]:
+        dfs = tree.leaves_under(tree.root)
+        paths = tree.leaf_paths()
+        assert paths.shape == (len(tree.leaves), tree.K + 1)
+        for d, leaf in enumerate(dfs):
+            assert tuple(tree.order[i] for i in paths[d]) == brute_path(tree, leaf)
+        lo, hi = tree.node_spans()
+        for nid, i in tree.index.items():
+            assert dfs[lo[i] : hi[i]] == tree.leaves_under(nid)
+        assert tree.leaf_paths() is paths  # built once
