@@ -10,10 +10,12 @@ allowed. Increments are stored sparsely; a missing entry means zero.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from math import fsum, isfinite
+
+import numpy as np
 
 from .errors import ValidationError
 from .process import (
@@ -160,10 +162,16 @@ def raw_pairing(Z: RawProcess, a: RawBiMeasure) -> float:
     return fsum(terms)
 
 
-def _path_sums(a: BiMeasure, term=lambda inc: inc) -> dict[str, float]:
-    """Per leaf, the sum of term(increment) over both fields along its path (sparse)."""
-    incs = itertools.chain(a.pr_inc.items(), a.op_inc.items())
-    return a.tree.path_sums((n, term(v)) for n, v in incs)
+def _path_sums(a: BiMeasure, term=float) -> dict[str, float]:
+    """Per leaf whose path holds an increment, the fsum of term(increment) over both
+    fields along it: one segment of the tree's kernel, pr and op in two columns."""
+    tree = a.tree
+    nodes = {**a.pr_inc, **a.op_inc}  # each stored node once
+    columns = [map(term, map(f.get, nodes, repeat(0.0))) for f in (a.pr_inc, a.op_inc)]
+    terms = np.column_stack([np.fromiter(c, float, len(nodes)) for c in columns])
+    index = np.fromiter(map(tree.index.__getitem__, nodes), np.intp, len(nodes))
+    [(leaves, sums)] = tree.path_sums(index, terms, [(0, len(nodes))])
+    return dict(zip(map(tree.leaves_under(tree.root).__getitem__, leaves.tolist()), sums.tolist()))
 
 
 def variation(a: BiMeasure) -> StaticRV:

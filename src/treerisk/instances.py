@@ -14,7 +14,8 @@ from math import fsum
 from operator import mul, ne, sub
 from typing import NamedTuple
 
-from .bimeasure import BiMeasure, terminal_density_measure
+import numpy as np
+
 from .errors import UndefinedQuantityError, ValidationError
 from .process import AdaptedProcess, StaticRV
 from .riskcore import RiskMeasureSpec
@@ -79,8 +80,11 @@ def _quantile_atom(Y: StaticRV, alpha: float) -> tuple[_Ladder, int]:
     level = QuantileLevel(alpha)
     ladder = _ladder(Y)
     i = _crossing(ladder, level.alpha)
-    if i == len(ladder.values):  # the probabilities add up to alpha or less
-        raise RuntimeError("tail scan failed to cross the level")
+    if i == len(ladder.values):  # the mass check lets the leaves add up to alpha or less
+        raise UndefinedQuantityError(
+            f"quantile undefined: the leaf probabilities add up to {fsum(ladder.masses)!r}, "
+            f"not above alpha = {level.alpha!r}"
+        )
     return ladder, i
 
 
@@ -213,7 +217,8 @@ def avar_spec(tree: ScenarioTree, alpha: float, max_leaves: int = 20) -> RiskMea
 
     Vertex enumeration is exponential in the leaf count and refuses trees
     beyond ``max_leaves``; past the cap use :func:`avar` or
-    :func:`avar_max_density` directly.
+    :func:`avar_max_density` directly. The vertex densities go straight into
+    the spec's node arrays as terminal optional mass.
     """
     level = QuantileLevel(alpha)
     if len(tree.leaves) > max_leaves:
@@ -221,25 +226,29 @@ def avar_spec(tree: ScenarioTree, alpha: float, max_leaves: int = 20) -> RiskMea
             f"vertex enumeration capped at {max_leaves} leaves, tree has {len(tree.leaves)}"
         )
     probs = [tree.prob[leaf] for leaf in tree.leaves]
-    vertices = _density_vertices(probs, level.alpha)
-    elements = []
-    labels = []
-    for i, f in enumerate(vertices):
-        rv = StaticRV(tree, {leaf: f[j] for j, leaf in enumerate(tree.leaves)})
-        elements.append((terminal_density_measure(rv), 0.0))
-        labels.append(f"v{i}")
-    return RiskMeasureSpec(tree, elements, labels=labels)
+    density = np.array(_density_vertices(probs, level.alpha)).reshape(-1, len(probs))
+    negative = np.flatnonzero(density < 0.0) % len(probs)
+    if len(negative):
+        raise ValidationError(f"density is negative at leaf '{tree.leaves[negative[0]]}'")
+    # the nonzero densities, vertex after vertex, each in canonical leaf order
+    vertex, leaf = np.nonzero(density)
+    ends = np.cumsum(np.count_nonzero(density, axis=1)).tolist()
+    bounds, labels = tuple(zip([0, *ends], ends)), [f"v{i}" for i in range(len(ends))]
+    node, op = _leaf_indices(tree)[leaf], density[vertex, leaf]
+    return RiskMeasureSpec._from_arrays(tree, node, np.zeros_like(op), op, bounds, [0.0] * len(ends), labels)
 
 
 def worst_case_spec(tree: ScenarioTree) -> RiskMeasureSpec:
     """One renormalized point mass per leaf; the risk is the worst terminal loss."""
-    elements = []
-    labels = []
-    for leaf in tree.leaves:
-        a = BiMeasure(tree, {}, {leaf: 1.0 / tree.prob[leaf]})
-        elements.append((a, 0.0))
-        labels.append(f"leaf:{leaf}")
-    return RiskMeasureSpec(tree, elements, labels=labels)
+    L = len(tree.leaves)
+    op = 1.0 / np.fromiter(map(tree.prob.__getitem__, tree.leaves), float, L)
+    bounds, labels = tuple((i, i + 1) for i in range(L)), [f"leaf:{leaf}" for leaf in tree.leaves]
+    node = _leaf_indices(tree)
+    return RiskMeasureSpec._from_arrays(tree, node, np.zeros_like(op), op, bounds, [0.0] * L, labels)
+
+
+def _leaf_indices(tree: ScenarioTree) -> np.ndarray:
+    return np.fromiter(map(tree.index.__getitem__, tree.leaves), np.intp, len(tree.leaves))
 
 
 def entropic(Y: StaticRV, beta: float) -> float:

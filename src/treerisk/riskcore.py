@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from math import fsum
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -77,50 +77,6 @@ def _gather(fields: list[Mapping[str, float]], nodes: list[Iterable[str]], size:
     return np.fromiter(chain.from_iterable(gets), float, size)
 
 
-def _covered_leaves(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The DFS leaf positions in the union of the nested-or-disjoint ranges [lo, hi), ascending.
-
-    Sorting by (lo, -hi) puts each range after the ones enclosing it, so a
-    range starting before the furthest end seen so far is nested and adds
-    nothing: O(m log m) in the ranges plus the size of the union. The test
-    is arithmetic, not an integer comparison (see ``fileio._merge_fields``).
-    """
-    by_start = np.lexsort((-hi, lo))
-    lo, hi = lo[by_start], hi[by_start]
-    top = np.ones(len(lo), bool)
-    top[1:] = ~np.maximum(np.maximum.accumulate(hi)[:-1] - lo[1:], 0).astype(bool)
-    lo, hi = lo[top], hi[top]
-    sizes = hi - lo
-    return np.repeat(lo - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
-
-
-def _path_variations(
-    tree: ScenarioTree, node, pr, op, bounds
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Per element, the DFS positions of the leaves its nodes cover and, at each,
-    the fsum of the element's pr and op terms on the leaf's path.
-
-    These are :func:`variation`'s values bit for bit: the increments are
-    nonnegative, pr(n) and op(n) enter as separate terms as there, and the
-    zeros read off the element's nodes change no fsum. One element at a time,
-    the path terms are read through a node-sized scatter buffer into at most
-    L x 2(K + 1) floats.
-    """
-    paths = tree.leaf_paths()
-    span_lo, span_hi = tree.node_spans()
-    width = 2 * (tree.K + 1)
-    scatter = np.zeros((len(tree.order), 2))
-    for lo, hi in bounds:
-        nodes = node[lo:hi]
-        leaves = _covered_leaves(span_lo[nodes], span_hi[nodes])
-        scatter[nodes, 0] = pr[lo:hi]
-        scatter[nodes, 1] = op[lo:hi]
-        terms = memoryview(scatter[paths[leaves]].reshape(-1))  # leaf after leaf, as Python floats
-        scatter[nodes] = 0.0
-        rows = range(0, len(terms), width)
-        yield leaves, np.fromiter((fsum(terms[j : j + width]) for j in rows), float, len(leaves))
-
-
 class RiskMeasureSpec:
     """Validated generating family for one convex (possibly coherent) risk measure.
 
@@ -134,9 +90,10 @@ class RiskMeasureSpec:
     Each element's nodes come in input order (its predictable nodes, then the
     optional-only ones), not sorted; every reduction over them is an fsum,
     whose value does not depend on the order of its terms. Building the
-    arrays is O(nnz). A spec built from arrays (as ``fileio.load_spec``
-    does) makes the elements' :class:`BiMeasure` objects only when
-    ``measures()`` or ``elements`` is first read.
+    arrays is O(nnz). A spec built from arrays (as ``fileio.load_spec``,
+    ``worst_case_spec`` and ``avar_spec`` do) makes the elements'
+    :class:`BiMeasure` objects only when ``measures()`` or ``elements`` is
+    first read.
 
     Each element must have unit expected variation within ``norm_tol``. For
     a nonnegative element that variation is the sum of its weights in exact
@@ -145,8 +102,8 @@ class RiskMeasureSpec:
     beyond doubt. Otherwise it computes ``variation_norm(a, 1.0)`` exactly
     and applies the test to that value, so the verdict and a rejection's
     message are those of the exact check. The per-leaf variations behind
-    :func:`static_rho_coherent_direct` are gathered from the arrays on first
-    use.
+    :func:`static_rho_coherent_direct` come from one pass of the tree's
+    ``path_sums`` kernel over the arrays, on first use.
     """
 
     def __init__(
@@ -260,7 +217,8 @@ class RiskMeasureSpec:
     @functools.cached_property
     def _variations(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per element, (DFS positions of the covered leaves, variation at each)."""
-        return tuple(_path_variations(self.tree, self._node, self._pr, self._op, self._bounds))
+        terms = np.column_stack((self._pr, self._op))  # pr(n) and op(n) as separate terms
+        return tuple(self.tree.path_sums(self._node, terms, self._bounds))
 
     @property
     def elements(self) -> tuple[tuple[BiMeasure, float], ...]:
@@ -333,8 +291,9 @@ def static_rho_coherent_direct(spec: RiskMeasureSpec, Y: StaticRV) -> float:
     """Coherent shortcut: max_i E[-Var(a_i) Y], skipping the projection step.
 
     One fsum per element of P(l) Var(a_i)(l) Y(l) over the leaves its nodes
-    cover: O(nnz + sum of covered leaves x K) on the first call per spec,
-    O(sum of covered leaves) after.
+    cover. The first call per spec costs O(nnz), plus per element the DFS
+    leaf range from its first to its last covered leaf and O(K) per covered
+    leaf; later calls cost O(sum of covered leaves).
     """
     _require_same_tree(spec.tree, Y.tree)
     if not spec.is_coherent:

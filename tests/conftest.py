@@ -16,6 +16,9 @@ from treerisk import (
     normalize_scenario,
     uniform_binomial,
 )
+# signed sparse bi-measure, increments uniform in [-1, 1] at about 70 % of the
+# slots, drawn exactly as diagnose-identities draws its samples
+from treerisk.cli import _random_signed_bimeasure as random_bimeasure
 
 
 @pytest.fixture
@@ -129,18 +132,6 @@ def random_process(tree, rng, scale=1.0):
     )
 
 
-def random_bimeasure(tree, rng, density=0.7):
-    """Signed sparse bi-measure with uniform increments in [-1, 1]."""
-    pr = {}
-    op = {}
-    for nid in tree.order:
-        if tree.nodes[nid].depth < tree.K and rng.uniform() < density:
-            pr[nid] = float(rng.uniform(-1.0, 1.0))
-        if rng.uniform() < density:
-            op[nid] = float(rng.uniform(-1.0, 1.0))
-    return BiMeasure(tree, pr, op)
-
-
 def random_dyadic_bimeasure(tree, rng, density=0.7):
     """Signed bi-measure with increments on the 1/1024 grid, so sums stay exact."""
     def draw():
@@ -159,9 +150,9 @@ def random_dyadic_bimeasure(tree, rng, density=0.7):
     return BiMeasure(tree, pr, op)
 
 
-def random_scenario(tree, rng, density=0.7):
+def random_scenario(tree, rng):
     """Positive unit-variation bi-measure (a generalized scenario)."""
-    a = random_bimeasure(tree, rng, density=density)
+    a = random_bimeasure(tree, rng)
     plus = BiMeasure(
         tree,
         {n: abs(v) for n, v in a.pr_inc.items()},

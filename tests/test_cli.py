@@ -16,7 +16,9 @@ from treerisk import (
     BiMeasure,
     RawProcess,
     RiskMeasureSpec,
+    ScenarioTree,
     StaticRV,
+    TreeNode,
     ValidationError,
     allocate,
     rho_eval,
@@ -44,6 +46,8 @@ from treerisk.fileio import (
 )
 
 from conftest import interleaved_tree, random_process, random_spec, random_static, random_tree
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")  # subprocesses import this checkout
 
 
 @pytest.fixture
@@ -883,6 +887,34 @@ class TestDeterminismAndErrors:
         assert err == f"error: {message}\n"
         assert "Traceback" not in err
 
+    def test_instances_level_above_the_leaf_mass_exits_2(self, capsys, tmp_path):
+        # the leaves add up to 1 - 4e-13, which the tree's 1e-12 mass check accepts
+        tree = ScenarioTree(
+            [
+                TreeNode("root", None, 0, 0.0, 1.0),
+                TreeNode("a", "root", 1, 1.0, 0.5),
+                TreeNode("b", "root", 1, 1.0, 0.4999999999996),
+            ]
+        )
+        dump_tree(tree, tmp_path / "tree.json")
+        dump_static(StaticRV(tree, {"a": 1.0, "b": 2.0}), tmp_path / "y.json")
+        code, out, err = run_cli(
+            capsys,
+            "instances",
+            "--tree",
+            str(tmp_path / "tree.json"),
+            "--process",
+            str(tmp_path / "y.json"),
+            "--alpha",
+            "0.9999999999999",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: quantile undefined: the leaf probabilities add up to 0.9999999999996, "
+            "not above alpha = 0.9999999999999\n"
+        )
+        assert "Traceback" not in err
+
     def test_lebesgue_depth_cap_refuses_before_building(self, capsys, monkeypatch):
         def build(*args):
             raise AssertionError("a refused depth must not reach the schedule builders")
@@ -936,6 +968,7 @@ class TestDeterminismAndErrors:
             ],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
         )
         assert result.returncode == 0
         assert "value = 1.000000000000" in result.stdout
@@ -955,12 +988,11 @@ rho_eval(spec, AdaptedProcess.constant(tree, 1.0))
 static_rho_coherent_direct(spec, StaticRV.constant(tree, 1.0))
 print("numpy.ma" in sys.modules)
 """
-    src = Path(__file__).resolve().parents[1] / "src"
     result = subprocess.run(
         [sys.executable, "-c", script, str(tmp_path / "spec.json")],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env={**os.environ, "PYTHONPATH": SRC},
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"

@@ -8,7 +8,9 @@ import pytest
 
 from treerisk import (
     AdaptedProcess,
+    BiMeasure,
     QuantileLevel,
+    RiskMeasureSpec,
     ScenarioTree,
     StaticRV,
     TreeNode,
@@ -21,6 +23,7 @@ from treerisk import (
     es_tce,
     optional_projection_static,
     pairing,
+    rho_eval,
     static_rho,
     stopped_worst_case,
     stopping_time_measure,
@@ -29,7 +32,10 @@ from treerisk import (
     worst_case_spec,
 )
 
-from conftest import interleaved_tree, random_static, random_tree
+from treerisk.bimeasure import terminal_density_measure
+from treerisk.instances import _density_vertices
+
+from conftest import interleaved_tree, random_process, random_static, random_tree
 
 TOL = 1e-12
 TRIPLE_TOL = 1e-10
@@ -81,6 +87,19 @@ def skewed_probs(rng, n):
 
 def static_of(tree, values):
     return StaticRV(tree, {leaf: float(v) for leaf, v in zip(tree.leaves, values)})
+
+
+def assert_same_spec(spec, expected, rng):
+    """Same labels, measures and, under float.hex, static_rho and rho_eval values."""
+    assert spec.labels == expected.labels
+    assert spec.measures() == expected.measures()
+    for _ in range(3):
+        Y = random_static(spec.tree, rng, scale=float(10.0 ** rng.uniform(-6, 6)))
+        X = random_process(spec.tree, rng)
+        assert float.hex(static_rho(spec, Y)) == float.hex(static_rho(expected, Y))
+        got, want = rho_eval(spec, X), rho_eval(expected, X)
+        assert got.argmax == want.argmax
+        assert [float.hex(v) for v in got.values] == [float.hex(v) for v in want.values]
 
 
 class TestQuantileBoundary:
@@ -254,6 +273,20 @@ class TestVar:
         Y = StaticRV.constant(t1, 0.0)
         assert math.copysign(1.0, var_alpha(Y, 0.5)) == 1.0
 
+    def test_level_above_the_leaf_mass_is_undefined(self):
+        # the leaves add up to 1 - 4e-13, which the tree's 1e-12 mass check accepts
+        tree = flat_tree([0.5, 0.4999999999996])
+        Y = static_of(tree, [1.0, 2.0])
+        message = (
+            "quantile undefined: the leaf probabilities add up to 0.9999999999996, "
+            "not above alpha = 0.9999999999999"
+        )
+        for f in (var_alpha, es_tce):
+            with pytest.raises(UndefinedQuantityError) as err:
+                f(Y, 0.9999999999999)
+            assert str(err.value) == message
+        assert var_alpha(Y, 0.9999999999995) == -2.0
+
 
 class TestTce:
     def test_fixture(self, atom_y):
@@ -371,6 +404,19 @@ class TestAvarSpec:
         rngY = StaticRV(chain_tree, {"b": -0.75})
         assert abs(static_rho(spec, rngY) - 0.75) <= TOL
 
+    def test_arrays_match_the_measure_built_spec(self):
+        rng = np.random.default_rng(89)
+        for trial in range(12):
+            tree = (random_tree if trial % 2 else interleaved_tree)(rng, max_depth=2)
+            alpha = float(rng.uniform(0.05, 0.95))
+            vertices = _density_vertices([tree.prob[leaf] for leaf in tree.leaves], alpha)
+            elements = [
+                (terminal_density_measure(StaticRV(tree, dict(zip(tree.leaves, f)))), 0.0)
+                for f in vertices
+            ]
+            labels = [f"v{i}" for i in range(len(vertices))]
+            assert_same_spec(avar_spec(tree, alpha), RiskMeasureSpec(tree, elements, labels), rng)
+
     def test_leaf_cap(self):
         with pytest.raises(ValidationError):
             avar_spec(uniform_binomial(5), 0.5)
@@ -382,6 +428,14 @@ class TestWorstCaseSpec:
         assert len(spec) == len(t2.leaves)
         assert spec.is_coherent
         assert spec.labels == tuple(f"leaf:{leaf}" for leaf in t2.leaves)
+
+    def test_arrays_match_the_measure_built_spec(self):
+        rng = np.random.default_rng(97)
+        for trial in range(12):
+            tree = (random_tree if trial % 2 else interleaved_tree)(rng)
+            elements = [(BiMeasure(tree, {}, {leaf: 1.0 / tree.prob[leaf]}), 0.0) for leaf in tree.leaves]
+            labels = [f"leaf:{leaf}" for leaf in tree.leaves]
+            assert_same_spec(worst_case_spec(tree), RiskMeasureSpec(tree, elements, labels), rng)
 
     def test_static_rho_is_worst_loss(self):
         rng = np.random.default_rng(83)

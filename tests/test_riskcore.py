@@ -61,10 +61,11 @@ def hexed(values):
 
 
 def count_sweeps(monkeypatch):
+    """Record one entry per pass of the tree's path-sum kernel."""
     sweeps = []
     path_sums = ScenarioTree.path_sums
     monkeypatch.setattr(
-        ScenarioTree, "path_sums", lambda self, terms: sweeps.append(1) or path_sums(self, terms)
+        ScenarioTree, "path_sums", lambda self, *args: sweeps.append(1) or path_sums(self, *args)
     )
     return sweeps
 
@@ -345,14 +346,17 @@ class TestStaticRho:
             Y = random_static(tree, rng)
             assert abs(static_rho(spec, Y) - static_rho_coherent_direct(spec, Y)) <= TOL
 
-    def test_direct_route_makes_no_path_sweep(self, monkeypatch):
+    def test_direct_route_makes_one_kernel_pass(self, monkeypatch):
         rng = np.random.default_rng(29)
         tree = random_tree(rng)
         elements = [(random_scenario(tree, rng), 0.0) for _ in range(5)]
         sweeps = count_sweeps(monkeypatch)
         spec = RiskMeasureSpec(tree, elements)
-        static_rho_coherent_direct(spec, random_static(tree, rng))
         assert sweeps == []
+        static_rho_coherent_direct(spec, random_static(tree, rng))
+        assert len(sweeps) == 1
+        static_rho_coherent_direct(spec, random_static(tree, rng))
+        assert len(sweeps) == 1
         monkeypatch.undo()
         assert dense_variations(spec) == [hexed_variation(a) for a, _ in elements]
 

@@ -226,16 +226,33 @@ def test_path_sums_match_brute_force():
     rng = np.random.default_rng(23)
     for _ in range(20):
         tree = interleaved_tree(rng)
-        terms = [(nid, float(rng.uniform(-1.0, 1.0))) for nid in tree.order if rng.uniform() < 0.7]
-        terms += terms[: len(terms) // 2]
-        sums = tree.path_sums(terms)
-        for leaf in tree.leaves:
-            path = brute_path(tree, leaf)
-            on_path = [t for nid, t in terms if nid in path]
-            if on_path:
-                assert sums[leaf] == math.fsum(on_path)
-            else:
-                assert leaf not in sums
+        dfs = tree.leaves_under(tree.root)
+        segments = [[nid for nid in tree.order if rng.uniform() < 0.7] for _ in range(3)] + [[]]
+        node, rows, bounds = [], [], []
+        for seg in segments:
+            rng.shuffle(seg)
+            bounds.append((len(node), len(node) + len(seg)))
+            for nid in seg:
+                # a term in the first column, in the second, or one in each
+                kind = int(rng.integers(3))
+                pr, op = rng.uniform(-1.0, 1.0, size=2).tolist()
+                node.append(tree.index[nid])
+                rows.append((0.0 if kind == 1 else pr, 0.0 if kind == 0 else op))
+        assert any(pr and op for pr, op in rows)
+        node = np.array(node, np.intp)
+        terms = np.array(rows, float).reshape(-1, 2)
+        out = tree.path_sums(node, terms, bounds)
+        assert len(out) == len(segments)
+        for (lo, hi), (leaves, sums) in zip(bounds, out):
+            seg = [tree.order[i] for i in node[lo:hi]]
+            expected = {}
+            for d, leaf in enumerate(dfs):
+                path = brute_path(tree, leaf)
+                on_path = [t for nid, row in zip(seg, terms[lo:hi].tolist()) if nid in path for t in row if t]
+                if any(nid in path for nid in seg):
+                    expected[d] = math.fsum(on_path)
+            assert leaves.tolist() == list(expected)
+            assert [float.hex(v) for v in sums.tolist()] == [float.hex(v) for v in expected.values()]
 
 
 def test_along_paths_matches_path_walks():
