@@ -5,6 +5,16 @@ combination of given columns, and if so, what is the cheapest combination
 under per-column costs. Arithmetic is exact rational internally (floats
 convert to fractions without rounding), pivoting follows Bland's smallest
 index rule, so runs are deterministic and cycling is impossible.
+
+The tableau is dense, the arithmetic is not. A pivot divides the pivot row
+once, then updates only that row's nonzero columns, and only in the rows with
+a nonzero entry in the entering column. Every skipped update would subtract
+an exact zero. The reduced costs are summed once per phase over the basic
+rows with a nonzero cost, and from then on each pivot updates them as one
+more row. A reduced cost depends only on the basis, and the arithmetic is
+exact, so every reduced cost, ratio and tie is the same rational number that
+re-summing all m rows on each iteration would give. Bland's rule therefore
+makes the same pivots, and the weights, cost and residual are the same.
 """
 
 from __future__ import annotations
@@ -58,41 +68,62 @@ class SimplexSolution:
     residual: float
 
 
-def _pivot(rows, rhs, basis, i, j):
-    piv = rows[i][j]
-    rows[i] = [x / piv for x in rows[i]]
-    rhs[i] = rhs[i] / piv
-    for k in range(len(rows)):
-        if k != i and rows[k][j] != 0:
-            f = rows[k][j]
-            rows[k] = [a - f * b for a, b in zip(rows[k], rows[i])]
-            rhs[k] = rhs[k] - f * rhs[i]
+def _pivot(rows, rhs, basis, i, j, red=None):
+    """Make column j basic in row i, and update the reduced costs ``red`` when given.
+
+    Only row i's nonzero columns change, and only in rows with a nonzero in column j.
+    """
+    row = rows[i]
+    piv = row[j]
+    terms = [(c, x / piv) for c, x in enumerate(row) if x]
+    for c, x in terms:
+        row[c] = x
+    rhs[i] /= piv
+    for k, other in enumerate(rows):
+        f = other[j]
+        if f and k != i:
+            for c, x in terms:
+                other[c] -= f * x
+            rhs[k] -= f * rhs[i]
+    if red is not None and red[j]:
+        f = red[j]
+        for c, x in terms:
+            red[c] -= f * x
     basis[i] = j
 
 
-def _run_simplex(rows, rhs, basis, costs, nvars):
-    """Minimize over the canonical tableau; Bland's rule on both choices."""
-    m = len(rows)
+def _run_simplex(rows, rhs, basis, costs):
+    """Minimize over the canonical tableau; Bland's rule on both choices.
+
+    ``costs`` has one entry per tableau column. The reduced costs
+    c_j - sum_i c_basis(i) rows[i][j] are summed once, then kept by the pivots.
+    """
+    red = list(costs)
+    for row, bi in zip(rows, basis):
+        cb = costs[bi]
+        if cb:
+            for j, x in enumerate(row):
+                if x:
+                    red[j] -= cb * x
     while True:
-        enter = -1
-        for j in range(nvars):
-            red = costs[j] - sum(costs[basis[i]] * rows[i][j] for i in range(m))
-            if red < 0:
-                enter = j
-                break
+        enter = next((j for j, r in enumerate(red) if r < 0), -1)
         if enter < 0:
             return
         leave = -1
         best = None
-        for i in range(m):
-            if rows[i][enter] > 0:
-                ratio = rhs[i] / rows[i][enter]
+        for i, row in enumerate(rows):
+            if row[enter] > 0:
+                ratio = rhs[i] / row[enter]
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     best = ratio
                     leave = i
         if leave < 0:
+            # Not reachable from min_cost_combination: the phase-1 objective is a
+            # sum of nonnegative artificials, so bounded below by 0, and in phase 2
+            # the convexity row (sum of weights = 1, weights >= 0) bounds every
+            # feasible point. Only a hand-made tableau gets here.
             raise RuntimeError("simplex step found an unbounded ray; the model excludes this")
-        _pivot(rows, rhs, basis, leave, enter)
+        _pivot(rows, rhs, basis, leave, enter, red)
 
 
 def _solve_exact(A, b, costs, ftol, depth=0):
@@ -112,7 +143,7 @@ def _solve_exact(A, b, costs, ftol, depth=0):
         rows[i][n + i] = Fraction(1)
     basis = [n + i for i in range(m)]
     phase1_costs = [Fraction(0)] * n + [Fraction(1)] * m
-    _run_simplex(rows, rhs, basis, phase1_costs, n + m)
+    _run_simplex(rows, rhs, basis, phase1_costs)
     infeas = sum(phase1_costs[basis[i]] * rhs[i] for i in range(m))
     if infeas > ftol:
         return None
@@ -126,7 +157,8 @@ def _solve_exact(A, b, costs, ftol, depth=0):
         for i, bi in enumerate(basis):
             if bi < n:
                 lam0[bi] = rhs[i]
-        b2 = [sum(A[i][j] * lam0[j] for j in range(n)) for i in range(m)]
+        support = [(j, w) for j, w in enumerate(lam0) if w]
+        b2 = [sum((row[j] * w for j, w in support), Fraction(0)) for row in A]
         return _solve_exact(A, b2, costs, ftol, depth=1)
 
     # drive leftover artificials out of the basis, dropping redundant rows
@@ -141,12 +173,12 @@ def _solve_exact(A, b, costs, ftol, depth=0):
         i += 1
 
     rows = [r[:n] for r in rows]
-    _run_simplex(rows, rhs, basis, costs, n)
+    _run_simplex(rows, rhs, basis, costs)
     lam = [Fraction(0)] * n
     for i, bi in enumerate(basis):
         if bi < n:
             lam[bi] = rhs[i]
-    cost = sum(costs[j] * lam[j] for j in range(n))
+    cost = sum(costs[j] * w for j, w in enumerate(lam) if w)
     return lam, cost
 
 
@@ -175,8 +207,9 @@ def min_cost_combination(prog: SimplexProgram, tol: float = 1e-9) -> SimplexSolu
     if res is None:
         return None
     lam, cost = res
+    support = [(j, w) for j, w in enumerate(lam) if w]
     residual = max(
-        (abs(sum(A[i][j] * lam[j] for j in range(n)) - b[i]) for i in range(dim)),
+        (abs(sum(A[i][j] * w for j, w in support) - b[i]) for i in range(dim)),
         default=Fraction(0),
     )
     return SimplexSolution(

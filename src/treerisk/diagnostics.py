@@ -7,7 +7,9 @@ from dataclasses import dataclass
 from math import fsum
 from typing import Callable, Protocol, Sequence
 
-from .bimeasure import BiMeasure, jordan, terminal_increment, variation
+import numpy as np
+
+from .bimeasure import BiMeasure, variation
 from .errors import ValidationError
 from .instances import avar, avar_max_density, worst_case_spec
 from .process import AdaptedProcess, StaticRV, prob_sup_exceedance, terminal_values
@@ -297,61 +299,47 @@ def decomposition_battery(measures: Sequence[BiMeasure]) -> DecompositionReport:
         if a.tree is not tree:
             raise ValidationError("tree mismatch inside the battery input")
 
-    var_by_elem = []
-    term_by_elem = []
-    rows = []
-    for a in measures:
-        var = variation(a)
-        term = terminal_increment(a)
-        plus, minus = jordan(a)
-        var_p = variation(plus)
-        var_m = variation(minus)
-        bound_slack = max(
-            abs(term.values[leaf]) - var.values[leaf] for leaf in tree.leaves
+    sums = np.array([_battery_sums(a) for a in measures])
+    var, var_p, var_m, term = sums.transpose(1, 0, 2)  # each (element, leaf)
+    bound_slack = np.max(np.abs(term) - var, axis=1)
+    addv = np.max(np.abs(var - (var_p + var_m)), axis=1)
+    jord = np.max(np.abs(term - (var_p - var_m)), axis=1)
+    term_envelope = np.max(np.abs(term), axis=0)
+    var_envelope = np.max(var, axis=0)
+    rows = tuple(
+        DecompositionRow(
+            terminal_bound_slack=float(bound_slack[e]),
+            additivity_deviation=float(addv[e]),
+            jordan_deviation=float(jord[e]),
+            var_within_2_terminal_envelope=bool(np.all(var[e] <= 2.0 * term_envelope)),
+            terminal_within_2_var_envelope=bool(np.all(np.abs(term[e]) <= 2.0 * var_envelope)),
         )
-        addv = max(
-            abs(var.values[leaf] - (var_p.values[leaf] + var_m.values[leaf]))
-            for leaf in tree.leaves
-        )
-        jord = max(
-            abs(term.values[leaf] - (var_p.values[leaf] - var_m.values[leaf]))
-            for leaf in tree.leaves
-        )
-        var_by_elem.append(var)
-        term_by_elem.append(term)
-        rows.append((bound_slack, addv, jord))
-
-    term_envelope = {
-        leaf: max(abs(t.values[leaf]) for t in term_by_elem) for leaf in tree.leaves
-    }
-    var_envelope = {
-        leaf: max(v.values[leaf] for v in var_by_elem) for leaf in tree.leaves
-    }
-    out_rows = []
-    for (bound_slack, addv, jord), var, term in zip(rows, var_by_elem, term_by_elem):
-        out_rows.append(
-            DecompositionRow(
-                terminal_bound_slack=bound_slack,
-                additivity_deviation=addv,
-                jordan_deviation=jord,
-                var_within_2_terminal_envelope=all(
-                    var.values[leaf] <= 2.0 * term_envelope[leaf] for leaf in tree.leaves
-                ),
-                terminal_within_2_var_envelope=all(
-                    abs(term.values[leaf]) <= 2.0 * var_envelope[leaf]
-                    for leaf in tree.leaves
-                ),
-            )
-        )
-    return DecompositionReport(
-        rows=tuple(out_rows),
-        sup_variation=max(
-            max(v.values[leaf] for leaf in tree.leaves) for v in var_by_elem
-        ),
-        sup_terminal=max(
-            max(abs(t.values[leaf]) for leaf in tree.leaves) for t in term_by_elem
-        ),
+        for e in range(len(measures))
     )
+    return DecompositionReport(
+        rows=rows,
+        sup_variation=float(var_envelope.max()),
+        sup_terminal=float(term_envelope.max()),
+    )
+
+
+def _battery_sums(a: BiMeasure) -> np.ndarray:
+    """Shape (4, L) over the DFS leaves: Var(a), Var(a+), Var(a-) and a_T - a_0.
+
+    One path_sums call with four segments over a's stored nodes (pr and op in
+    two columns) gives all four; a leaf no stored node covers reads 0.0.
+    """
+    tree = a.tree
+    nodes = {**a.pr_inc, **a.op_inc}  # each stored node once
+    k = len(nodes)
+    signed = np.array([(a.pr_inc.get(n, 0.0), a.op_inc.get(n, 0.0)) for n in nodes]).reshape(k, 2)
+    plus, minus = np.where(signed > 0.0, signed, 0.0), np.where(signed < 0.0, -signed, 0.0)
+    terms = np.concatenate([np.abs(signed), plus, minus, signed])
+    index = np.tile(np.fromiter(map(tree.index.__getitem__, nodes), np.intp, k), 4)
+    out = np.zeros((4, len(tree.leaves)))
+    for row, (leaves, sums) in zip(out, tree.path_sums(index, terms, [(s * k, (s + 1) * k) for s in range(4)])):
+        row[leaves] = sums
+    return out
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import UndefinedQuantityError, ValidationError
 from .process import AdaptedProcess, StaticRV
-from .riskcore import RiskMeasureSpec
+from .riskcore import _UNIT_ROUNDOFF, RiskMeasureSpec
 from .scenario import ScenarioTree
 
 
@@ -176,6 +176,16 @@ def avar_max_density(Y: StaticRV, alpha: float) -> StaticRV:
     return StaticRV(tree, f)
 
 
+def _mass_tol(count: int, mass: float, alpha: float) -> float:
+    """Rounding bound for a float sum of ``count`` probabilities compared with alpha.
+
+    The running sum is off the exact one by at most (count - 1) u mass to
+    first order; allocation._sum_tol's form 2 (count + 8) u (sum|terms| + |result|)
+    covers it with room, and shrinks with alpha where an absolute bound would not.
+    """
+    return 2 * (count + 8) * _UNIT_ROUNDOFF * (mass + alpha)
+
+
 def _density_vertices(probs: list[float], alpha: float) -> list[list[float]]:
     """Vertices of { 0 <= f <= 1/alpha, sum p_i f_i = 1 } on an atomic space.
 
@@ -184,11 +194,10 @@ def _density_vertices(probs: list[float], alpha: float) -> list[list[float]]:
     """
     n = len(probs)
     inv = 1.0 / alpha
-    tol = 1e-12
     out: list[list[float]] = []
 
     def rec(start: int, chosen: list[int], mass: float) -> None:
-        if abs(mass - alpha) <= tol:
+        if abs(mass - alpha) <= _mass_tol(len(chosen), mass, alpha):
             f = [0.0] * n
             for i in chosen:
                 f[i] = inv
@@ -198,15 +207,17 @@ def _density_vertices(probs: list[float], alpha: float) -> list[list[float]]:
         for j in range(n):
             if j in in_chosen:
                 continue
-            if mass + probs[j] > alpha + tol:
+            grown = mass + probs[j]
+            if grown > alpha + _mass_tol(len(chosen) + 1, grown, alpha):
                 f = [0.0] * n
                 for i in chosen:
                     f[i] = inv
                 f[j] = (1.0 - mass * inv) / probs[j]
                 out.append(f)
         for nxt in range(start, n):
-            if mass + probs[nxt] <= alpha + tol:
-                rec(nxt + 1, chosen + [nxt], mass + probs[nxt])
+            grown = mass + probs[nxt]
+            if grown <= alpha + _mass_tol(len(chosen) + 1, grown, alpha):
+                rec(nxt + 1, chosen + [nxt], grown)
 
     rec(0, [], 0.0)
     return out

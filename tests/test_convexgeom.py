@@ -1,11 +1,13 @@
 """Exact-rational simplex for minimum-cost convex combinations."""
 
 import itertools
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from treerisk import SimplexProgram, ValidationError, min_cost_combination
+from treerisk import SimplexProgram, ValidationError, convexgeom, min_cost_combination
 
 GRID_TOL = 1e-2
 
@@ -181,3 +183,220 @@ def test_nonfinite_entries_rejected():
         SimplexProgram(
             columns=[(float("nan"), 0.0)], target=(1.0, 0.0), costs=(0.0,)
         )
+
+
+def test_unbounded_ray_raises():
+    # min -x1 subject to x0 - x1 = 1: x1 grows without bound along the ray
+    rows, rhs, basis = [[Fraction(1), Fraction(-1)]], [Fraction(1)], [0]
+    with pytest.raises(RuntimeError, match="unbounded ray"):
+        convexgeom._run_simplex(rows, rhs, basis, [Fraction(0), Fraction(-1)])
+
+
+# The dense solver the sparse one replaced, kept verbatim as a twin: every
+# entry of every row is updated on each pivot, and every reduced cost is summed
+# over all rows on each iteration. Exact arithmetic makes both solvers see the
+# same rationals, so their pivots and results must agree to the bit.
+
+
+def _pivot(rows, rhs, basis, i, j):
+    piv = rows[i][j]
+    rows[i] = [x / piv for x in rows[i]]
+    rhs[i] = rhs[i] / piv
+    for k in range(len(rows)):
+        if k != i and rows[k][j] != 0:
+            f = rows[k][j]
+            rows[k] = [a - f * b for a, b in zip(rows[k], rows[i])]
+            rhs[k] = rhs[k] - f * rhs[i]
+    basis[i] = j
+
+
+def _run_simplex(rows, rhs, basis, costs, nvars):
+    """Minimize over the canonical tableau; Bland's rule on both choices."""
+    m = len(rows)
+    while True:
+        enter = -1
+        for j in range(nvars):
+            red = costs[j] - sum(costs[basis[i]] * rows[i][j] for i in range(m))
+            if red < 0:
+                enter = j
+                break
+        if enter < 0:
+            return
+        leave = -1
+        best = None
+        for i in range(m):
+            if rows[i][enter] > 0:
+                ratio = rhs[i] / rows[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            raise RuntimeError("simplex step found an unbounded ray; the model excludes this")
+        _pivot(rows, rhs, basis, leave, enter)
+
+
+def _solve_exact(A, b, costs, ftol, depth=0):
+    """A: (m rows) x (n cols) Fractions, b: m Fractions. Returns (lam, cost) or None."""
+    m = len(A)
+    n = len(costs)
+
+    rows = []
+    rhs = []
+    for i in range(m):
+        if b[i] < 0:
+            rows.append([-x for x in A[i]] + [Fraction(0)] * m)
+            rhs.append(-b[i])
+        else:
+            rows.append(list(A[i]) + [Fraction(0)] * m)
+            rhs.append(b[i])
+        rows[i][n + i] = Fraction(1)
+    basis = [n + i for i in range(m)]
+    phase1_costs = [Fraction(0)] * n + [Fraction(1)] * m
+    _run_simplex(rows, rhs, basis, phase1_costs, n + m)
+    infeas = sum(phase1_costs[basis[i]] * rhs[i] for i in range(m))
+    if infeas > ftol:
+        return None
+
+    if infeas != 0:
+        # The target misses the reachable set by no more than the tolerance.
+        # Optimize over the nearest exactly reachable target instead.
+        if depth > 0:
+            return None
+        lam0 = [Fraction(0)] * n
+        for i, bi in enumerate(basis):
+            if bi < n:
+                lam0[bi] = rhs[i]
+        b2 = [sum(A[i][j] * lam0[j] for j in range(n)) for i in range(m)]
+        return _solve_exact(A, b2, costs, ftol, depth=1)
+
+    # drive leftover artificials out of the basis, dropping redundant rows
+    i = 0
+    while i < len(rows):
+        if basis[i] >= n:
+            piv_col = next((j for j in range(n) if rows[i][j] != 0), None)
+            if piv_col is None:
+                del rows[i], rhs[i], basis[i]
+                continue
+            _pivot(rows, rhs, basis, i, piv_col)
+        i += 1
+
+    rows = [r[:n] for r in rows]
+    _run_simplex(rows, rhs, basis, costs, n)
+    lam = [Fraction(0)] * n
+    for i, bi in enumerate(basis):
+        if bi < n:
+            lam[bi] = rhs[i]
+    cost = sum(costs[j] * lam[j] for j in range(n))
+    return lam, cost
+
+
+def dense_min_cost_combination(prog, tol):
+    """min_cost_combination's body around the dense twin."""
+    n = len(prog.columns)
+    dim = len(prog.target)
+    A = [[Fraction(prog.columns[j][i]) for j in range(n)] for i in range(dim)]
+    A.append([Fraction(1)] * n)
+    b = [Fraction(x) for x in prog.target] + [Fraction(1)]
+    costs = [Fraction(c) for c in prog.costs]
+    res = _solve_exact(A, b, costs, Fraction(tol))
+    if res is None:
+        return None
+    lam, cost = res
+    residual = max(
+        (abs(sum(A[i][j] * lam[j] for j in range(n)) - b[i]) for i in range(dim)),
+        default=Fraction(0),
+    )
+    return convexgeom.SimplexSolution(
+        weights=tuple(float(x) for x in lam),
+        cost=float(cost),
+        residual=float(residual),
+    )
+
+
+def twin_corpus(count=240, seed=2027):
+    """Seeded programs over every path of the solver.
+
+    Columns come from a coarse grid (degenerate pivots and ratio ties) or are
+    uniform in [-1, 1] (negative targets flip rows). Duplicate and zero
+    columns, repeated and all-zero coordinates (redundant rows), tied costs and
+    both n > m and m > n occur. Targets are vertices, exact grid mixtures,
+    float mixtures (reachable only within tol, so re-targeted), perturbed
+    mixtures and infeasible points; every fifth program runs at tol 0.
+    """
+    rng = np.random.default_rng(seed)
+    grid = np.array([0.0, 0.25, 0.5, 1.0])
+    corpus = []
+    for case in range(count):
+        n, d = int(rng.integers(1, 9)), int(rng.integers(1, 8))
+        cols = rng.choice(grid, size=(n, d)) if case % 2 else rng.uniform(-1.0, 1.0, size=(n, d))
+        if n > 1 and rng.random() < 0.5:
+            cols[rng.integers(n)] = cols[rng.integers(n)]
+        if rng.random() < 0.3:
+            cols[rng.integers(n)] = 0.0
+        if d > 1 and rng.random() < 0.3:
+            cols[:, rng.integers(d)] = cols[:, rng.integers(d)]
+        if rng.random() < 0.3:
+            cols[:, rng.integers(d)] = 0.0
+        costs = rng.choice([0.0, 0.5, 1.0], size=n) if rng.random() < 0.5 else rng.uniform(0.0, 1.0, size=n)
+        kind = case % 6
+        if kind == 0:
+            target = cols[rng.integers(n)].copy()
+        elif kind == 1:
+            quarters = rng.multinomial(4, np.ones(n) / n) / 4.0
+            target = quarters @ cols
+        elif kind in (2, 3):
+            target = rng.dirichlet(np.ones(n)) @ cols
+            if kind == 3:
+                target = target + rng.uniform(-1e-11, 1e-11, size=d)
+        elif kind == 4:
+            target = rng.dirichlet(np.ones(n)) @ cols
+            target[rng.integers(d)] += rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 1.0)
+        else:
+            target = rng.uniform(-1.5, 1.5, size=d)
+        tol = 0.0 if case % 5 == 0 else 1e-9
+        corpus.append(
+            (SimplexProgram(columns=[tuple(c) for c in cols], target=tuple(target), costs=tuple(costs)), tol)
+        )
+    return corpus
+
+
+def _hexed(sol):
+    if sol is None:
+        return None
+    return [w.hex() for w in sol.weights], sol.cost.hex(), sol.residual.hex()
+
+
+def test_sparse_pivots_match_dense_twin(monkeypatch):
+    """Same pivots, same weights, cost and residual to the bit, on every path."""
+    dense_seq, sparse_seq = [], []
+
+    def dense_spy(rows, rhs, basis, i, j):
+        dense_seq.append((i, basis[i], j))
+        _dense_pivot(rows, rhs, basis, i, j)
+
+    def sparse_spy(rows, rhs, basis, i, j, red=None):
+        sparse_seq.append((i, basis[i], j))
+        # a pivot the twin never made fails here, before a wrong tableau can cycle
+        assert sparse_seq == dense_seq[: len(sparse_seq)]
+        sparse_pivot(rows, rhs, basis, i, j, red)
+
+    _dense_pivot, sparse_pivot = _pivot, convexgeom._pivot
+    monkeypatch.setattr(sys.modules[__name__], "_pivot", dense_spy)
+    monkeypatch.setattr(convexgeom, "_pivot", sparse_spy)
+    outcomes = {"none": 0, "exact": 0, "retarget": 0, "tol0": 0}
+    for prog, tol in twin_corpus():
+        dense_seq.clear()
+        sparse_seq.clear()
+        dense = dense_min_cost_combination(prog, tol)
+        try:
+            sparse = min_cost_combination(prog, tol=tol)
+        except RuntimeError as exc:  # the unbounded-ray raise
+            pytest.fail(f"public call reached {exc!r}")
+        assert sparse_seq == dense_seq
+        assert _hexed(sparse) == _hexed(dense)
+        if sparse is None:
+            outcomes["none"] += 1
+        else:
+            outcomes["retarget" if sparse.residual > 0.0 else "exact"] += 1
+            outcomes["tol0"] += tol == 0.0
+    assert min(outcomes.values()) >= 10, outcomes

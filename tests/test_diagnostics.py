@@ -17,6 +17,7 @@ from treerisk import (
     avar_crash_schedule,
     crash_sequence,
     decomposition_battery,
+    jordan,
     lebesgue_probe,
     rho_eval,
     terminal_increment,
@@ -217,6 +218,34 @@ class TestDecompositionBattery:
         assert row.var_within_2_terminal_envelope
         assert row.terminal_within_2_var_envelope
         assert row.terminal_bound_slack == 0.0
+
+    def test_matches_per_measure_passes(self):
+        """The one-call battery equals, to the bit, four separate kernel passes per measure."""
+        rng = np.random.default_rng(41)
+        for _ in range(15):
+            tree = random_tree(rng)
+            leaves = tree.leaves
+            measures = [
+                random_bimeasure(tree, rng).scale(10.0 ** rng.uniform(-6, 6)) for _ in range(3)
+            ] + [BiMeasure(tree, {}, {})]
+            var = [variation(a).values for a in measures]
+            term = [terminal_increment(a).values for a in measures]
+            parts = [[variation(p).values for p in jordan(a)] for a in measures]
+            term_env = {leaf: max(abs(t[leaf]) for t in term) for leaf in leaves}
+            var_env = {leaf: max(v[leaf] for v in var) for leaf in leaves}
+            report = decomposition_battery(measures)
+            for row, v, t, (vp, vm) in zip(report.rows, var, term, parts):
+                assert row.terminal_bound_slack == max(abs(t[x]) - v[x] for x in leaves)
+                assert row.additivity_deviation == max(abs(v[x] - (vp[x] + vm[x])) for x in leaves)
+                assert row.jordan_deviation == max(abs(t[x] - (vp[x] - vm[x])) for x in leaves)
+                assert row.var_within_2_terminal_envelope == all(
+                    v[x] <= 2.0 * term_env[x] for x in leaves
+                )
+                assert row.terminal_within_2_var_envelope == all(
+                    abs(t[x]) <= 2.0 * var_env[x] for x in leaves
+                )
+            assert report.sup_variation == max(var_env.values())
+            assert report.sup_terminal == max(term_env.values())
 
     def test_validation(self, t1, t2):
         with pytest.raises(ValidationError):

@@ -395,6 +395,14 @@ class TestAvarSpec:
     def test_four_leaf_pair_count(self, t2):
         assert len(avar_spec(t2, 0.5)) == 6
 
+    def test_tiny_level_gives_point_masses(self, t1):
+        # alpha below an absolute 1e-12 would count the empty set as a full tail
+        spec = avar_spec(t1, 1e-13)
+        densities = sorted(tuple(sorted(a.op_inc.items())) for a, _ in spec.elements)
+        assert densities == [(("d", 2.0),), (("u", 2.0),)]
+        Y = StaticRV(t1, {"d": -2.0, "u": 3.0})
+        assert static_rho(spec, Y) == avar(Y, 1e-13) == 2.0
+
     def test_chain_single_unit_density(self, chain_tree):
         spec = avar_spec(chain_tree, 0.35)
         assert len(spec) == 1
