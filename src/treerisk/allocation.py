@@ -12,7 +12,10 @@ import numpy as np
 
 from .errors import ValidationError
 from .process import AdaptedProcess, _require_same_tree
-from .riskcore import RiskMeasureSpec, _node_vector, _rho_result
+from .riskcore import _UNIT_ROUNDOFF, RiskMeasureSpec, _node_vector, _rho_result
+
+FAIRNESS_SLACK_TOL = 1e-12  # the audit passes when no blend undercuts by more
+
 
 # Tolerance of the add-up check, from rounding analysis with u = 2**-53.
 # Exactly, the charges K_i sum to the portfolio risk R (rho is linear in the
@@ -24,9 +27,6 @@ from .riskcore import RiskMeasureSpec, _node_vector, _rho_result
 # adds u |sum_k|. With S estimated by sum_i |k_i| + |rho| (an upper bound
 # unless a charge's own terms cancel), |sum_k - rho| <= (n + 8)u (sum_i |k_i|
 # + |rho|) to first order; the factor 2 covers the second-order terms.
-_UNIT_ROUNDOFF = 2.0**-53
-
-
 def _sum_tol(k: tuple[float, ...], rho: float) -> float:
     return 2 * (len(k) + 8) * _UNIT_ROUNDOFF * (fsum(abs(x) for x in k) + abs(rho))
 
@@ -117,7 +117,6 @@ def fairness_check(
     positions: Sequence[AdaptedProcess],
     samples: int = 1000,
     seed: int | None = None,
-    slack_tol: float = 1e-12,
 ) -> FairnessCertificate:
     """Audit no-undercut fairness: sum_j alpha_j k_j <= rho(sum_j alpha_j X_j).
 
@@ -169,5 +168,5 @@ def fairness_check(
         worst_slack=worst_slack,
         worst_alpha=worst_alpha,
         max_witness_deviation=witness_dev,
-        passed=worst_slack >= -slack_tol,
+        passed=worst_slack >= -FAIRNESS_SLACK_TOL,
     )

@@ -28,6 +28,8 @@ from .process import (
 )
 from .scenario import ScenarioTree
 
+DENSITY_NORM_TOL = 1e-9  # how far from 1 a terminal density's mean may be
+
 
 def _clean_increments(
     tree: ScenarioTree, entries: dict[str, float], *, field: str, max_depth: int
@@ -268,14 +270,14 @@ def stopping_time_measure(tree: ScenarioTree, tau: dict[str, int]) -> BiMeasure:
     return BiMeasure(tree, {}, op)
 
 
-def terminal_density_measure(f: StaticRV, *, norm_tol: float = 1e-9) -> BiMeasure:
+def terminal_density_measure(f: StaticRV) -> BiMeasure:
     """Terminal optional mass weighted by a probability density on the leaves."""
     tree = f.tree
     for leaf in tree.leaves:
         if f.values[leaf] < 0.0:
             raise ValidationError(f"density is negative at leaf '{leaf}'")
     mean = f.expectation()
-    if abs(mean - 1.0) > norm_tol:
+    if abs(mean - 1.0) > DENSITY_NORM_TOL:
         raise ValidationError(f"density must integrate to 1, got {mean!r}")
     op = {leaf: f.values[leaf] for leaf in tree.leaves if f.values[leaf] != 0.0}
     return BiMeasure(tree, {}, op)

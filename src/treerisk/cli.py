@@ -65,25 +65,6 @@ MAX_LEBESGUE_DEPTH = 14
 
 
 @dataclass
-class RunConfig:
-    command: str
-    tree: str | None = None
-    processes: tuple[str, ...] = ()
-    measure: str | None = None
-    spec: str | None = None
-    alpha: float | None = None
-    beta: float = 1.0
-    depths: tuple[int, ...] = ()
-    tol: float = 1e-9
-    seed: int | None = None
-    samples: int | None = None
-    kgrid: tuple[float, ...] = DEFAULT_K_GRID
-    family: str = "worst-case"
-    out: str | None = None
-    format: str = "table"
-
-
-@dataclass
 class ReportDoc:
     command: str
     columns: list[str]
@@ -129,94 +110,92 @@ def render(doc: ReportDoc, fmt: str) -> str:
         for k, v in doc.summary.items():
             buf.write(f"# {k} = {_cell(v)}\n")
         return buf.getvalue()
-    if fmt == "table":
-        header = list(doc.columns)
-        body = [[_cell(c) for c in row] for row in doc.rows]
-        widths = [len(h) for h in header]
+    # "table": --format's choices admit nothing else
+    header = list(doc.columns)
+    body = [[_cell(c) for c in row] for row in doc.rows]
+    widths = [len(h) for h in header]
+    for row in body:
+        for j, c in enumerate(row):
+            widths[j] = max(widths[j], len(c))
+    lines = [f"{doc.command}"]
+    if body or header:
+        lines.append("  ".join(h.ljust(widths[j]) for j, h in enumerate(header)).rstrip())
+        lines.append("  ".join("-" * widths[j] for j in range(len(header))))
         for row in body:
-            for j, c in enumerate(row):
-                widths[j] = max(widths[j], len(c))
-        lines = [f"{doc.command}"]
-        if body or header:
-            lines.append("  ".join(h.ljust(widths[j]) for j, h in enumerate(header)).rstrip())
-            lines.append("  ".join("-" * widths[j] for j in range(len(header))))
-            for row in body:
-                lines.append("  ".join(c.ljust(widths[j]) for j, c in enumerate(row)).rstrip())
-        for k, v in doc.summary.items():
-            lines.append(f"{k} = {_cell(v)}")
-        return "\n".join(lines) + "\n"
-    raise ValidationError(f"unknown output format '{fmt}'")
+            lines.append("  ".join(c.ljust(widths[j]) for j, c in enumerate(row)).rstrip())
+    for k, v in doc.summary.items():
+        lines.append(f"{k} = {_cell(v)}")
+    return "\n".join(lines) + "\n"
 
 
-def _emit(doc: ReportDoc, config: RunConfig) -> None:
-    text = render(doc, config.format)
-    if config.out:
+def _emit(doc: ReportDoc, ns: argparse.Namespace) -> None:
+    text = render(doc, ns.format)
+    if ns.out:
         try:
-            Path(config.out).write_text(text)
+            Path(ns.out).write_text(text)
         except OSError as exc:
-            raise ValidationError(f"cannot write report to {config.out}: {exc.strerror}") from exc
+            raise ValidationError(f"cannot write report to {ns.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
 
-def _need(config: RunConfig, **flags: object) -> None:
+def _need(ns: argparse.Namespace, **flags: object) -> None:
     for name, value in flags.items():
-        missing = value is None or (isinstance(value, tuple) and not value)
-        if missing:
-            raise ValidationError(f"command '{config.command}' requires --{name}")
+        if value is None or (isinstance(value, (list, tuple)) and not value):
+            raise ValidationError(f"command '{ns.command}' requires --{name}")
 
 
-def _seed(config: RunConfig) -> int:
-    _need(config, seed=config.seed)
-    if config.seed < 0:
-        raise ValidationError(f"--seed must be nonnegative, got {config.seed}")
-    return config.seed
+def _seed(ns: argparse.Namespace) -> int:
+    _need(ns, seed=ns.seed)
+    if ns.seed < 0:
+        raise ValidationError(f"--seed must be nonnegative, got {ns.seed}")
+    return ns.seed
 
 
-def _load_tree(config: RunConfig):
-    _need(config, tree=config.tree)
-    return fileio.load_tree(config.tree)
+def _load_tree(ns: argparse.Namespace):
+    _need(ns, tree=ns.tree)
+    return fileio.load_tree(ns.tree)
 
 
-def _single_process_path(config: RunConfig) -> str:
-    _need(config, process=config.processes)
-    if len(config.processes) > 1:
-        raise ValidationError(f"command '{config.command}' takes exactly one --process")
-    return config.processes[0]
+def _single_process_path(ns: argparse.Namespace) -> str:
+    _need(ns, process=ns.process)
+    if len(ns.process) > 1:
+        raise ValidationError(f"command '{ns.command}' takes exactly one --process")
+    return ns.process[0]
 
 
-def _cmd_eval(config: RunConfig) -> int:
-    tree = _load_tree(config)
-    _need(config, spec=config.spec)
-    spec = fileio.load_spec(config.spec, tree)
-    X = fileio.load_process(_single_process_path(config), tree)
+def _cmd_eval(ns: argparse.Namespace) -> int:
+    tree = _load_tree(ns)
+    _need(ns, spec=ns.spec)
+    spec = fileio.load_spec(ns.spec, tree)
+    X = fileio.load_process(_single_process_path(ns), tree)
     res = rho_eval(spec, X)
     doc = ReportDoc(command="eval", columns=["element", "penalized_loss", "maximizer"])
     for i, label in enumerate(spec.labels):
         doc.rows.append([label, res.values[i], "*" if i in res.argmax else ""])
     doc.summary["value"] = res.value
     doc.summary["maximizers"] = ",".join(spec.labels[i] for i in res.argmax)
-    _emit(doc, config)
+    _emit(doc, ns)
     return 0
 
 
-def _cmd_static_eval(config: RunConfig) -> int:
-    tree = _load_tree(config)
-    _need(config, spec=config.spec)
-    spec = fileio.load_spec(config.spec, tree)
-    Y = fileio.load_static(_single_process_path(config), tree)
+def _cmd_static_eval(ns: argparse.Namespace) -> int:
+    tree = _load_tree(ns)
+    _need(ns, spec=ns.spec)
+    spec = fileio.load_spec(ns.spec, tree)
+    Y = fileio.load_static(_single_process_path(ns), tree)
     doc = ReportDoc(command="static-eval", columns=["metric", "value"])
     value = static_rho(spec, Y)
     doc.rows.append(["value", value])
     if spec.is_coherent:
         doc.rows.append(["coherent_direct", static_rho_coherent_direct(spec, Y)])
-    _emit(doc, config)
+    _emit(doc, ns)
     return 0
 
 
-def _cmd_project(config: RunConfig) -> int:
-    tree = _load_tree(config)
-    source = fileio.load_projectable(_single_process_path(config), tree)
+def _cmd_project(ns: argparse.Namespace) -> int:
+    tree = _load_tree(ns)
+    source = fileio.load_projectable(_single_process_path(ns), tree)
     if isinstance(source, StaticRV):
         M = optional_projection_static(source)
         doc = ReportDoc(command="project", columns=["node", "optional"])
@@ -230,45 +209,45 @@ def _cmd_project(config: RunConfig) -> int:
         for nid in tree.order:
             doc.rows.append([nid, opt.values[nid], pred.values[nid]])
         doc.summary["input"] = "raw_process"
-    _emit(doc, config)
+    _emit(doc, ns)
     return 0
 
 
-def _cmd_conjugate(config: RunConfig) -> int:
-    tree = _load_tree(config)
-    _need(config, spec=config.spec, measure=config.measure)
-    spec = fileio.load_spec(config.spec, tree)
-    a = fileio.load_bimeasure(config.measure, tree)
-    sol = conjugate_combination(spec, a, tol=config.tol)
+def _cmd_conjugate(ns: argparse.Namespace) -> int:
+    tree = _load_tree(ns)
+    _need(ns, spec=ns.spec, measure=ns.measure)
+    spec = fileio.load_spec(ns.spec, tree)
+    a = fileio.load_bimeasure(ns.measure, tree)
+    sol = conjugate_combination(spec, a, tol=ns.tol)
     doc = ReportDoc(command="conjugate", columns=["element", "gamma", "weight"])
     if sol is None:
         for label, g in zip(spec.labels, spec.gammas):
             doc.rows.append([label, g, ""])
         doc.summary["value"] = "inf"
         doc.summary["status"] = "infeasible"
-        _emit(doc, config)
+        _emit(doc, ns)
         return 2
     for label, g, w in zip(spec.labels, spec.gammas, sol.weights):
         doc.rows.append([label, g, w])
     doc.summary["value"] = sol.cost
     doc.summary["status"] = "feasible"
-    _emit(doc, config)
+    _emit(doc, ns)
     return 0
 
 
-def _cmd_allocate(config: RunConfig) -> int:
-    tree = _load_tree(config)
-    _need(config, spec=config.spec, process=config.processes)
-    seed = _seed(config)
-    spec = fileio.load_spec(config.spec, tree)
-    positions = [fileio.load_process(p, tree) for p in config.processes]
+def _cmd_allocate(ns: argparse.Namespace) -> int:
+    tree = _load_tree(ns)
+    _need(ns, spec=ns.spec, process=ns.process)
+    seed = _seed(ns)
+    spec = fileio.load_spec(ns.spec, tree)
+    positions = [fileio.load_process(p, tree) for p in ns.process]
     result = allocate(spec, positions)
-    samples = 1000 if config.samples is None else config.samples
+    samples = 1000 if ns.samples is None else ns.samples
     cert = fairness_check(
         result, spec, positions, samples=samples, seed=seed
     )
     doc = ReportDoc(command="allocate", columns=["position", "charge"])
-    for path, k in zip(config.processes, result.k):
+    for path, k in zip(ns.process, result.k):
         doc.rows.append([path, k])
     doc.summary["rho_total"] = result.rho_total
     doc.summary["sum_k"] = result.sum_k
@@ -278,58 +257,56 @@ def _cmd_allocate(config: RunConfig) -> int:
     doc.summary["fairness_witness_dev"] = cert.max_witness_deviation
     doc.summary["fairness_passed"] = cert.passed
     doc.summary["seed"] = cert.seed
-    _emit(doc, config)
+    _emit(doc, ns)
     return 0
 
 
-def _cmd_instances(config: RunConfig) -> int:
-    tree = _load_tree(config)
-    _need(config, alpha=config.alpha)
-    Y = fileio.load_static(_single_process_path(config), tree)
+def _cmd_instances(ns: argparse.Namespace) -> int:
+    tree = _load_tree(ns)
+    _need(ns, alpha=ns.alpha)
+    Y = fileio.load_static(_single_process_path(ns), tree)
     doc = ReportDoc(command="instances", columns=["measure", "value"])
     exit_code = 0
-    doc.rows.append([f"var[{config.alpha:g}]", var_alpha(Y, config.alpha)])
+    doc.rows.append([f"var[{ns.alpha:g}]", var_alpha(Y, ns.alpha)])
     try:
-        doc.rows.append([f"tce[{config.alpha:g}]", es_tce(Y, config.alpha)])
+        doc.rows.append([f"tce[{ns.alpha:g}]", es_tce(Y, ns.alpha)])
     except UndefinedQuantityError:
-        doc.rows.append([f"tce[{config.alpha:g}]", "undefined"])
+        doc.rows.append([f"tce[{ns.alpha:g}]", "undefined"])
         exit_code = 2
-    doc.rows.append([f"avar[{config.alpha:g}]", avar(Y, config.alpha)])
-    doc.rows.append([f"entropic[{config.beta:g}]", entropic(Y, config.beta)])
+    doc.rows.append([f"avar[{ns.alpha:g}]", avar(Y, ns.alpha)])
+    doc.rows.append([f"entropic[{ns.beta:g}]", entropic(Y, ns.beta)])
     doc.rows.append(["worst_case", max(-Y.values[leaf] for leaf in tree.leaves)])
     doc.summary["status"] = "ok" if exit_code == 0 else "undefined-quantity"
-    _emit(doc, config)
+    _emit(doc, ns)
     return exit_code
 
 
-def _cmd_diagnose_ui(config: RunConfig) -> int:
-    tree = _load_tree(config)
-    _need(config, process=config.processes)
-    family = [fileio.load_static(p, tree) for p in config.processes]
-    report = ui_modulus(family, config.kgrid)
+def _cmd_diagnose_ui(ns: argparse.Namespace) -> int:
+    tree = _load_tree(ns)
+    _need(ns, process=ns.process)
+    family = [fileio.load_static(p, tree) for p in ns.process]
+    report = ui_modulus(family, ns.kgrid)
     doc = ReportDoc(command="diagnose-ui", columns=["threshold", "eta"])
     for k, eta in zip(report.thresholds, report.modulus):
         doc.rows.append([k, eta])
     doc.summary["verdict"] = report.verdict
     doc.summary["family_size"] = len(family)
-    _emit(doc, config)
+    _emit(doc, ns)
     return 0
 
 
-def _cmd_diagnose_lebesgue(config: RunConfig) -> int:
-    _need(config, depths=config.depths)
-    if max(config.depths) > MAX_LEBESGUE_DEPTH:
+def _cmd_diagnose_lebesgue(ns: argparse.Namespace) -> int:
+    _need(ns, depths=ns.depths)
+    if max(ns.depths) > MAX_LEBESGUE_DEPTH:
         raise ValidationError(
-            f"--depths may not exceed {MAX_LEBESGUE_DEPTH}, got {max(config.depths)}"
+            f"--depths may not exceed {MAX_LEBESGUE_DEPTH}, got {max(ns.depths)}"
         )
-    if config.family == "worst-case":
-        schedule = worst_case_crash_schedule(config.depths)
-    elif config.family == "avar":
-        alpha = 0.1 if config.alpha is None else config.alpha
-        schedule = avar_crash_schedule(config.depths, alpha)
+    if ns.family == "worst-case":
+        schedule = worst_case_crash_schedule(ns.depths)
     else:
-        raise ValidationError(f"unknown family '{config.family}'")
-    report = lebesgue_probe(schedule, k_grid=config.kgrid)
+        alpha = 0.1 if ns.alpha is None else ns.alpha
+        schedule = avar_crash_schedule(ns.depths, alpha)
+    report = lebesgue_probe(schedule, k_grid=ns.kgrid)
     eps_values = [eps for eps, _ in report.rows[0].exceedance]
     columns = ["depth", "rho_moving", "rho_limit", "gap"]
     columns += [f"exceed@{eps:g}" for eps in eps_values]
@@ -343,7 +320,7 @@ def _cmd_diagnose_lebesgue(config: RunConfig) -> int:
     doc.summary["family"] = report.family_label
     doc.summary["exceedance_vanishing"] = report.exceedance_vanishing
     doc.summary["verdict"] = report.verdict
-    _emit(doc, config)
+    _emit(doc, ns)
     return 0
 
 
@@ -373,10 +350,10 @@ def _random_raw_pair(tree, rng) -> tuple[RawProcess, RawBiMeasure]:
     return RawProcess(tree, zvals), RawBiMeasure(tree, left, right)
 
 
-def _cmd_diagnose_identities(config: RunConfig) -> int:
-    tree = _load_tree(config)
-    seed = _seed(config)
-    samples = 100 if config.samples is None else config.samples
+def _cmd_diagnose_identities(ns: argparse.Namespace) -> int:
+    tree = _load_tree(ns)
+    seed = _seed(ns)
+    samples = 100 if ns.samples is None else ns.samples
     if samples < 1:
         raise ValidationError(f"--samples must be positive, got {samples}")
     rng = np.random.default_rng(seed)
@@ -421,8 +398,8 @@ def _cmd_diagnose_identities(config: RunConfig) -> int:
         ["jordan_difference", max(r.jordan_deviation for r in battery.rows)]
     )
     doc.summary["samples"] = samples
-    doc.summary["seed"] = config.seed
-    _emit(doc, config)
+    doc.summary["seed"] = ns.seed
+    _emit(doc, ns)
     return 0
 
 
@@ -439,13 +416,9 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute one configured command, returning the process exit code."""
-    if config.command not in _COMMANDS:
-        raise ValidationError(f"unknown command '{config.command}'")
-    if config.format not in ("table", "csv", "structured"):
-        raise ValidationError(f"unknown output format '{config.format}'")
-    return _COMMANDS[config.command](config)
+def run(ns: argparse.Namespace) -> int:
+    """Execute one parsed command, returning the process exit code."""
+    return _COMMANDS[ns.command](ns)
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -467,38 +440,36 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="treerisk",
         description="Multi-period risk measures on finite scenario trees.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--tree", help="tree file")
-        p.add_argument(
-            "--process",
-            action="append",
-            default=[],
-            help="process, static or raw process file; repeatable",
-        )
-        p.add_argument("--measure", help="bi-measure file")
-        p.add_argument("--spec", help="risk measure spec file")
-        p.add_argument("--alpha", type=float, help="quantile level in (0,1)")
-        p.add_argument("--beta", type=float, default=1.0, help="entropic parameter")
-        p.add_argument("--depths", help="comma separated refinement depths")
-        p.add_argument("--tol", type=float, default=1e-9, help="feasibility tolerance")
-        p.add_argument("--seed", type=int, help="seed for randomized procedures")
-        p.add_argument("--samples", type=int, help="randomized sample count")
-        p.add_argument("--kgrid", help="comma separated tail thresholds")
-        p.add_argument(
-            "--family",
-            choices=("worst-case", "avar"),
-            default="worst-case",
-            help="canonical refinement family",
-        )
-        p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument(
-            "--format",
-            choices=("table", "csv", "structured"),
-            default="table",
-            help="report rendering",
-        )
+    parser.add_argument("command", choices=tuple(_COMMANDS))
+    parser.add_argument("--tree", help="tree file")
+    parser.add_argument(
+        "--process",
+        action="append",
+        default=[],
+        help="process, static or raw process file; repeatable",
+    )
+    parser.add_argument("--measure", help="bi-measure file")
+    parser.add_argument("--spec", help="risk measure spec file")
+    parser.add_argument("--alpha", type=float, help="quantile level in (0,1)")
+    parser.add_argument("--beta", type=float, default=1.0, help="entropic parameter")
+    parser.add_argument("--depths", help="comma separated refinement depths")
+    parser.add_argument("--tol", type=float, default=1e-9, help="feasibility tolerance")
+    parser.add_argument("--seed", type=int, help="seed for randomized procedures")
+    parser.add_argument("--samples", type=int, help="randomized sample count")
+    parser.add_argument("--kgrid", help="comma separated tail thresholds")
+    parser.add_argument(
+        "--family",
+        choices=("worst-case", "avar"),
+        default="worst-case",
+        help="canonical refinement family",
+    )
+    parser.add_argument("--out", help="write the report here instead of stdout")
+    parser.add_argument(
+        "--format",
+        choices=("table", "csv", "structured"),
+        default="table",
+        help="report rendering",
+    )
     return parser
 
 
@@ -509,24 +480,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        config = RunConfig(
-            command=ns.command,
-            tree=ns.tree,
-            processes=tuple(ns.process),
-            measure=ns.measure,
-            spec=ns.spec,
-            alpha=ns.alpha,
-            beta=ns.beta,
-            depths=_parse_int_list(ns.depths) if ns.depths else (),
-            tol=ns.tol,
-            seed=ns.seed,
-            samples=ns.samples,
-            kgrid=_parse_float_list(ns.kgrid) if ns.kgrid else DEFAULT_K_GRID,
-            family=ns.family,
-            out=ns.out,
-            format=ns.format,
-        )
-        return run(config)
+        ns.depths = _parse_int_list(ns.depths) if ns.depths else ()
+        ns.kgrid = _parse_float_list(ns.kgrid) if ns.kgrid else DEFAULT_K_GRID
+        return run(ns)
     except UndefinedQuantityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -44,7 +44,8 @@ def ui_modulus(family: Sequence[StaticRV], thresholds: Sequence[float]) -> UIRep
     ks = [float(k) for k in thresholds]
     if not ks:
         raise ValidationError("need at least one threshold")
-    if any(k < 0 for k in ks) or any(b <= a for a, b in zip(ks, ks[1:])):
+    # written so that a NaN threshold fails both tests
+    if any(not k >= 0 for k in ks) or any(not b > a for a, b in zip(ks, ks[1:])):
         raise ValidationError("thresholds must be nonnegative and strictly increasing")
     tree = family[0].tree
     for f in family:
@@ -152,12 +153,11 @@ class AVaRFamily:
 
 @dataclass(frozen=True)
 class RefinementSchedule:
-    """A ladder of depths with builders for the tree, the family and the probe pair."""
+    """A ladder of uniform binomial tree depths with builders for the family and the probe pair."""
 
     depths: tuple[int, ...]
     family_builder: Callable[[ScenarioTree], GeneratingFamily]
     sequence_builder: Callable[[ScenarioTree], tuple[AdaptedProcess, AdaptedProcess]]
-    tree_builder: Callable[[int], ScenarioTree] = uniform_binomial
 
     def __post_init__(self):
         depths = tuple(int(d) for d in self.depths)
@@ -201,7 +201,7 @@ def lebesgue_probe(schedule: RefinementSchedule, k_grid: Sequence[float] = DEFAU
     rows: list[DepthProbe] = []
     label = None
     for depth in schedule.depths:
-        tree = schedule.tree_builder(depth)
+        tree = uniform_binomial(depth)
         family = schedule.family_builder(tree)
         if label is None:
             label = family.label

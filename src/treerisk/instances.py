@@ -21,6 +21,8 @@ from .process import AdaptedProcess, StaticRV
 from .riskcore import _UNIT_ROUNDOFF, RiskMeasureSpec
 from .scenario import ScenarioTree
 
+AVAR_SPEC_MAX_LEAVES = 20  # avar_spec's vertex enumeration is exponential in the leaves
+
 
 @dataclass(frozen=True)
 class QuantileLevel:
@@ -223,18 +225,18 @@ def _density_vertices(probs: list[float], alpha: float) -> list[list[float]]:
     return out
 
 
-def avar_spec(tree: ScenarioTree, alpha: float, max_leaves: int = 20) -> RiskMeasureSpec:
+def avar_spec(tree: ScenarioTree, alpha: float) -> RiskMeasureSpec:
     """Coherent generating family for avar: all extreme densities of the dual set.
 
     Vertex enumeration is exponential in the leaf count and refuses trees
-    beyond ``max_leaves``; past the cap use :func:`avar` or
+    beyond ``AVAR_SPEC_MAX_LEAVES``; past the cap use :func:`avar` or
     :func:`avar_max_density` directly. The vertex densities go straight into
     the spec's node arrays as terminal optional mass.
     """
     level = QuantileLevel(alpha)
-    if len(tree.leaves) > max_leaves:
+    if len(tree.leaves) > AVAR_SPEC_MAX_LEAVES:
         raise ValidationError(
-            f"vertex enumeration capped at {max_leaves} leaves, tree has {len(tree.leaves)}"
+            f"vertex enumeration capped at {AVAR_SPEC_MAX_LEAVES} leaves, tree has {len(tree.leaves)}"
         )
     probs = [tree.prob[leaf] for leaf in tree.leaves]
     density = np.array(_density_vertices(probs, level.alpha)).reshape(-1, len(probs))
@@ -269,7 +271,14 @@ def entropic(Y: StaticRV, beta: float) -> float:
         raise ValidationError(f"entropic parameter must be positive, got {beta!r}")
     tree = Y.tree
     prob = tree.prob
-    shift = max(-beta * Y.values[leaf] for leaf in tree.leaves)
+    m = max(-Y.values[leaf] for leaf in tree.leaves)
+    shift = beta * m  # equals max(-beta Y): rounding is monotone
+    if not math.isfinite(shift):
+        # beta * m overflows: shift by m alone, every exponent stays <= 0
+        total = fsum(
+            prob[leaf] * math.exp(beta * (-Y.values[leaf] - m)) for leaf in tree.leaves
+        )
+        return m + math.log(total) / beta
     total = fsum(
         prob[leaf] * math.exp(-beta * Y.values[leaf] - shift) for leaf in tree.leaves
     )

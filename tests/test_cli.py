@@ -700,6 +700,17 @@ class TestOtherCommands:
         assert "undefined" in out
         assert "status = undefined-quantity" in out
 
+    def test_entropic_past_the_float_range(self, workdir, capsys, t1, tmp_path):
+        _, p = workdir
+        yp = tmp_path / "huge.json"
+        dump_static(StaticRV(t1, {"u": -1e308, "d": 0.0}), yp)
+        code, out, _ = run_cli(
+            capsys, "instances", "--tree", p["tree"], "--process", str(yp),
+            "--alpha", "0.5", "--beta", "10",
+        )
+        assert code == 0
+        assert "entropic[10]  1.000000000000e+308" in out.splitlines()
+
     def test_diagnose_ui(self, workdir, capsys, t1, tmp_path):
         _, p = workdir
         fp = tmp_path / "f.json"
@@ -716,6 +727,17 @@ class TestOtherCommands:
         )
         assert code == 0
         assert "verdict = decaying" in out
+
+    @pytest.mark.parametrize("command", ["diagnose-ui", "diagnose-lebesgue"])
+    def test_nan_threshold_exits_1(self, workdir, capsys, command):
+        _, p = workdir
+        if command == "diagnose-ui":
+            args = ["--tree", p["tree"], "--process", p["y"]]
+        else:
+            args = ["--depths", "1,2"]
+        code, out, err = run_cli(capsys, command, *args, "--kgrid", "0,nan")
+        assert (code, out) == (1, "")
+        assert err == "error: thresholds must be nonnegative and strictly increasing\n"
 
     def test_diagnose_lebesgue(self, capsys):
         code, out, _ = run_cli(
@@ -817,10 +839,39 @@ class TestDeterminismAndErrors:
         assert main(["frobnicate"]) == 1
         capsys.readouterr()
 
-    def test_bad_choice_exits_1(self, workdir, capsys):
+    def test_bad_choice_exits_1(self, capsys):
+        for argv in (
+            ["eval", "--format", "yaml"],
+            ["diagnose-lebesgue", "--family", "bogus", "--depths", "1,2"],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert "invalid choice" in err
+
+    def test_help_exits_0(self, capsys):
+        for argv in (["--help"], ["eval", "--help"]):
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            assert "--process" in out and "--format" in out
+
+    def test_no_command_exits_1(self, capsys):
+        code, out, err = run_cli(capsys)
+        assert (code, out) == (1, "")
+        assert "command" in err
+
+    def test_missing_process_is_a_usage_error(self, workdir, capsys):
         _, p = workdir
-        assert main(["eval", "--format", "yaml"]) == 1
-        capsys.readouterr()
+        code, out, err = run_cli(capsys, "eval", "--tree", p["tree"], "--spec", p["spec"])
+        assert (code, out) == (1, "")
+        assert err == "error: command 'eval' requires --process\n"
+
+    def test_flags_may_precede_the_command(self, workdir, capsys):
+        _, p = workdir
+        flags = ["--tree", p["tree"], "--spec", p["spec"], "--process", p["x"], "--format", "csv"]
+        after = run_cli(capsys, "eval", *flags)
+        assert after[0] == 0
+        assert run_cli(capsys, *flags, "eval") == after
+        assert run_cli(capsys, *flags[:4], "eval", *flags[4:]) == after
 
     def test_malformed_file_exits_1(self, workdir, capsys, tmp_path):
         _, p = workdir

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from math import fsum
 
 import numpy as np
 import pytest
@@ -501,6 +502,37 @@ class TestEntropic:
         v = entropic(Y, 2.0)
         assert math.isfinite(v)
         assert 500.0 <= v <= 800.0
+
+    @pytest.mark.parametrize(
+        "values, expected",
+        [({"u": -1e308, "d": 0.0}, 1e308), ({"u": 1e308, "d": 1e308}, -1e308)],
+        ids=["huge-loss", "huge-gain"],
+    )
+    def test_shift_beyond_the_float_range(self, t1, values, expected):
+        # beta times the largest loss overflows to +inf or -inf
+        assert entropic(StaticRV(t1, values), 10.0) == expected
+
+    def test_finite_results_keep_the_max_shift(self):
+        def max_shift(Y, beta):  # the form before the overflow branch
+            leaves, prob = Y.tree.leaves, Y.tree.prob
+            shift = max(-beta * Y.values[leaf] for leaf in leaves)
+            total = fsum(prob[leaf] * math.exp(-beta * Y.values[leaf] - shift) for leaf in leaves)
+            return (shift + math.log(total)) / beta
+
+        rng = np.random.default_rng(113)
+        finite = 0
+        for trial in range(300):
+            tree = random_tree(rng)
+            # beta and beta * scale as powers of 10; every other trial near the float range
+            b, e = rng.uniform(-6, 6), rng.uniform(-300, 300) if trial % 2 else rng.uniform(300, 312)
+            beta, scale = 10.0**b, 10.0 ** min(e - b, 307.0)
+            Y = StaticRV(tree, {leaf: scale * float(rng.normal()) for leaf in tree.leaves})
+            expected, got = max_shift(Y, beta), entropic(Y, beta)
+            assert not math.isnan(got)
+            if not math.isnan(expected):
+                finite += 1
+                assert got.hex() == expected.hex()
+        assert 200 <= finite < 300  # both branches ran
 
 
 def all_stopping_times(tree):
