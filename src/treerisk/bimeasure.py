@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from math import fsum, isfinite
 
 import numpy as np
@@ -164,26 +164,32 @@ def raw_pairing(Z: RawProcess, a: RawBiMeasure) -> float:
     return fsum(terms)
 
 
-def _path_sums(a: BiMeasure, term=float) -> dict[str, float]:
+def _stored(a: BiMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """a's stored nodes, each once (the predictable ones, then the optional-only ones):
+    their canonical indices and an (n, 2) array of the pr and op increments (0.0 where absent)."""
+    nodes = {**a.pr_inc, **a.op_inc}
+    index = np.fromiter(map(a.tree.index.__getitem__, nodes), np.intp, len(nodes))
+    pairs = chain.from_iterable(zip(*(map(f.get, nodes, repeat(0.0)) for f in (a.pr_inc, a.op_inc))))
+    return index, np.fromiter(pairs, float, 2 * len(nodes)).reshape(-1, 2)
+
+
+def _path_sums(a: BiMeasure, term=None) -> dict[str, float]:
     """Per leaf whose path holds an increment, the fsum of term(increment) over both
     fields along it: one segment of the tree's kernel, pr and op in two columns."""
     tree = a.tree
-    nodes = {**a.pr_inc, **a.op_inc}  # each stored node once
-    columns = [map(term, map(f.get, nodes, repeat(0.0))) for f in (a.pr_inc, a.op_inc)]
-    terms = np.column_stack([np.fromiter(c, float, len(nodes)) for c in columns])
-    index = np.fromiter(map(tree.index.__getitem__, nodes), np.intp, len(nodes))
-    [(leaves, sums)] = tree.path_sums(index, terms, [(0, len(nodes))])
+    index, incs = _stored(a)
+    [(leaves, sums)] = tree.path_sums(index, incs if term is None else term(incs), [(0, len(index))])
     return dict(zip(map(tree.leaves_under(tree.root).__getitem__, leaves.tolist()), sums.tolist()))
 
 
 def variation(a: BiMeasure) -> StaticRV:
     """Pathwise total variation: the sum of absolute increments seen along each leaf's path."""
-    return StaticRV(a.tree, {**dict.fromkeys(a.tree.leaves, 0.0), **_path_sums(a, abs)})
+    return StaticRV(a.tree, {**dict.fromkeys(a.tree.leaves, 0.0), **_path_sums(a, np.abs)})
 
 
 def variation_norm(a: BiMeasure, p: float = 1.0) -> float:
     """L^p norm of the pathwise variation under the leaf measure (p = inf gives the max)."""
-    var = _path_sums(a, abs)
+    var = _path_sums(a, np.abs)
     if p == math.inf:
         return max(var.values(), default=0.0)
     p = float(p)
@@ -286,10 +292,5 @@ def terminal_density_measure(f: StaticRV) -> BiMeasure:
 def increment_vector(a: BiMeasure) -> list[float]:
     """Flatten to the canonical coordinate layout: predictable entries (depths 0..K-1), then optional (all depths)."""
     tree = a.tree
-    coords = []
-    for k in range(tree.K):
-        for nid in tree.depth_nodes[k]:
-            coords.append(a.pr_inc.get(nid, 0.0))
-    for nid in tree.order:
-        coords.append(a.op_inc.get(nid, 0.0))
-    return coords
+    interior = tree.order[: len(tree.order) - len(tree.leaves)]  # depths 0..K-1: canonical order is by depth
+    return [a.pr_inc.get(n, 0.0) for n in interior] + [a.op_inc.get(n, 0.0) for n in tree.order]

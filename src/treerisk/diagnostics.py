@@ -9,7 +9,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .bimeasure import BiMeasure, variation
+from .bimeasure import BiMeasure, _stored, variation
 from .errors import ValidationError
 from .instances import avar, avar_max_density, worst_case_spec
 from .process import AdaptedProcess, StaticRV, prob_sup_exceedance, terminal_values
@@ -44,8 +44,8 @@ def ui_modulus(family: Sequence[StaticRV], thresholds: Sequence[float]) -> UIRep
     ks = [float(k) for k in thresholds]
     if not ks:
         raise ValidationError("need at least one threshold")
-    # written so that a NaN threshold fails both tests
-    if any(not k >= 0 for k in ks) or any(not b > a for a, b in zip(ks, ks[1:])):
+    # written so that a NaN or infinite threshold fails
+    if any(not 0 <= k < math.inf for k in ks) or any(not b > a for a, b in zip(ks, ks[1:])):
         raise ValidationError("thresholds must be nonnegative and strictly increasing")
     tree = family[0].tree
     for f in family:
@@ -330,14 +330,13 @@ def _battery_sums(a: BiMeasure) -> np.ndarray:
     two columns) gives all four; a leaf no stored node covers reads 0.0.
     """
     tree = a.tree
-    nodes = {**a.pr_inc, **a.op_inc}  # each stored node once
-    k = len(nodes)
-    signed = np.array([(a.pr_inc.get(n, 0.0), a.op_inc.get(n, 0.0)) for n in nodes]).reshape(k, 2)
+    index, signed = _stored(a)
+    k = len(index)
     plus, minus = np.where(signed > 0.0, signed, 0.0), np.where(signed < 0.0, -signed, 0.0)
     terms = np.concatenate([np.abs(signed), plus, minus, signed])
-    index = np.tile(np.fromiter(map(tree.index.__getitem__, nodes), np.intp, k), 4)
     out = np.zeros((4, len(tree.leaves)))
-    for row, (leaves, sums) in zip(out, tree.path_sums(index, terms, [(s * k, (s + 1) * k) for s in range(4)])):
+    bounds = [(s * k, (s + 1) * k) for s in range(4)]
+    for row, (leaves, sums) in zip(out, tree.path_sums(np.tile(index, 4), terms, bounds)):
         row[leaves] = sums
     return out
 

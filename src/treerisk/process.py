@@ -207,13 +207,8 @@ def optional_projection_static(Y: StaticRV) -> AdaptedProcess:
     one-step martingale identity up to rounding.
     """
     tree = Y.tree
-    out: dict[str, float] = {}
-    for nid in tree.order:
-        if tree.nodes[nid].depth == tree.K:
-            out[nid] = Y.values[nid]
-        else:
-            out[nid] = tree.conditional_mean(Y.values, nid)
-    return AdaptedProcess(tree, out)
+    y = list(map(Y.values.__getitem__, tree.leaves_under(tree.root)))
+    return AdaptedProcess(tree, dict(zip(tree.order, tree.node_means([y] * (tree.K + 1)))))
 
 
 def optional_projection_raw(Z: RawProcess) -> AdaptedProcess:
@@ -229,12 +224,10 @@ def predictable_projection_raw(Z: RawProcess) -> AdaptedProcess:
     value.
     """
     tree = Z.tree
-    slice_0 = {leaf: Z.values[(leaf, 0)] for leaf in tree.leaves}
+    [root_mean] = tree.node_means([[Z.values[(leaf, 0)] for leaf in tree.leaves_under(tree.root)]])
     ahead = tree.slice_means(Z.values, 1)
-    out = {tree.root: tree.conditional_mean(slice_0, tree.root)}
-    for nid in tree.order[1:]:
-        out[nid] = ahead[tree.nodes[nid].parent]
-    return AdaptedProcess(tree, out)
+    out = {nid: ahead[tree.nodes[nid].parent] for nid in tree.order[1:]}
+    return AdaptedProcess(tree, {tree.root: root_mean, **out})
 
 
 def prob_sup_exceedance(X: AdaptedProcess, Y: AdaptedProcess, eps: float) -> float:

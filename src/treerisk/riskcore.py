@@ -16,13 +16,13 @@ import copy
 import functools
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import accumulate
 from math import fsum
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .bimeasure import BiMeasure, increment_vector, variation_norm
+from .bimeasure import BiMeasure, _stored, increment_vector, variation_norm
 from .convexgeom import SimplexProgram, min_cost_combination
 from .errors import ValidationError
 from .process import AdaptedProcess, StaticRV, optional_projection_static, _require_same_tree
@@ -71,12 +71,6 @@ def _node_vector(tree: ScenarioTree, values: Mapping[str, float]) -> np.ndarray:
     return np.fromiter(map(values.__getitem__, tree.order), float, len(tree.order))
 
 
-def _gather(fields: list[Mapping[str, float]], nodes: list[Iterable[str]], size: int) -> np.ndarray:
-    """Element after element, each field's value at each of its nodes (0.0 where absent)."""
-    gets = (map(f.get, ns, repeat(0.0)) for f, ns in zip(fields, nodes))
-    return np.fromiter(chain.from_iterable(gets), float, size)
-
-
 class RiskMeasureSpec:
     """Validated generating family for one convex (possibly coherent) risk measure.
 
@@ -122,13 +116,10 @@ class RiskMeasureSpec:
             (i for i, (a, _) in enumerate(elems) if a.tree is not tree or not a.is_positive),
             len(elems),
         )
-        good = [a for a, _ in elems[:bad]]
-        stored = [{**a.pr_inc, **a.op_inc} for a in good]  # each element's nodes, once each
-        offsets = [0, *accumulate(map(len, stored))]
-        size = offsets[-1]
-        node = np.fromiter(map(tree.index.__getitem__, chain.from_iterable(stored)), np.intp, size)
-        pr = _gather([a.pr_inc for a in good], stored, size)
-        op = _gather([a.op_inc for a in good], stored, size)
+        stored = [_stored(a) for a, _ in elems[:bad]]
+        offsets = [0, *accumulate(len(index) for index, _ in stored)]
+        node = np.concatenate([index for index, _ in stored] + [np.empty(0, np.intp)])
+        pr, op = np.concatenate([incs for _, incs in stored] + [np.empty((0, 2))]).T
         del stored
         measures = tuple(a for a, _ in elems)
         bounds = tuple(zip(offsets, offsets[1:]))

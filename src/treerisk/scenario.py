@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import fsum, isfinite
 from operator import mul
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -36,18 +37,24 @@ class ScenarioTree:
     ``index`` maps each node id to its position in the canonical (depth, id)
     ``order``. A depth-first pass, children in id order, lays the leaves out
     so that every subtree owns a contiguous range of that DFS leaf order;
-    ``leaves_under`` returns the range as a slice, in DFS order, which differs
-    from the canonical order of ``leaves`` when ids interleave subtrees.
-    ``path`` walks the parents.
+    the ranges are held once, per canonical index, and read by
+    ``leaves_under`` (the range as a slice, in DFS order, which differs from
+    the canonical order of ``leaves`` when ids interleave subtrees),
+    ``node_spans`` and ``node_means``. ``path`` walks the parents.
 
-    Two walks serve the processes and bi-measures, both returning dicts in
-    canonical key order: ``along_paths`` reads node values along every leaf's
-    path, keyed on (leaf, k) with ``leaves`` outermost and k = 0..K innermost;
-    ``slice_means`` takes, at each node in ``order``, the conditional mean of
-    one depth's slice of a (leaf, k)-keyed grid.
+    ``node_means`` is the one conditional-mean loop: given rows of values
+    over the DFS leaves, it returns E[rows[k] | node] at each node of depth
+    k < len(rows), in canonical order. A range whose values all compare
+    equal gives its first DFS value, so a leaf gives its own value; any other
+    range gives the fsum of P(l) v(l) over it, divided by P(node). The
+    projections read it through ``slice_means``, which takes, at each node
+    in ``order``, the conditional mean of one depth's slice of a
+    (leaf, k)-keyed grid.
 
-    Array columns, built on first use: ``leaf_paths`` holds each DFS leaf's
-    path as canonical indices and ``node_spans`` each node's DFS leaf range.
+    Path reads have one layout, built on first use: ``leaf_paths`` holds each
+    DFS leaf's path as canonical indices. ``along_paths`` gathers from it the
+    node values along every leaf's path, keyed on (leaf, k) with ``leaves``
+    outermost and k = 0..K innermost.
 
     ``path_sums`` is the one kernel for sums along paths (variation, terminal
     increments, a spec's per-leaf variations). It takes canonical node
@@ -79,7 +86,7 @@ class ScenarioTree:
         "_children",
         "_dfs_leaves",
         "_dfs_prob",
-        "_span",
+        "_spans",
         "_leaf_paths",
         "_node_spans",
     )
@@ -210,7 +217,7 @@ class ScenarioTree:
         self._children = {nid: tuple(kids) for nid, kids in children.items()}
         self._dfs_leaves = tuple(dfs_leaves)
         self._dfs_prob = tuple(prob[leaf] for leaf in dfs_leaves)
-        self._span = span
+        self._spans = tuple(map(span.__getitem__, order))
         self._leaf_paths = None
         self._node_spans = None
 
@@ -238,7 +245,7 @@ class ScenarioTree:
     def leaves_under(self, node_id: str) -> tuple[str, ...]:
         """The leaves of the subtree at ``node_id``, in DFS order."""
         self.require_node(node_id)
-        lo, hi = self._span[node_id]
+        lo, hi = self._spans[self.index[node_id]]
         return self._dfs_leaves[lo:hi]
 
     def leaf_paths(self) -> np.ndarray:
@@ -258,39 +265,40 @@ class ScenarioTree:
     def node_spans(self) -> tuple[np.ndarray, np.ndarray]:
         """Per canonical index, the node's half-open range [lo, hi) of the DFS leaf order."""
         if self._node_spans is None:
-            lo, hi = np.array([self._span[nid] for nid in self.order], np.intp).T
+            lo, hi = np.array(self._spans, np.intp).T
             self._node_spans = (lo, hi)
         return self._node_spans
 
-    def conditional_mean(self, leaf_values: Mapping[str, float], node_id: str) -> float:
-        """E[V | node] over the leaves under ``node_id``; a constant subtree gives its value exactly."""
-        self.require_node(node_id)
-        lo, hi = self._span[node_id]
-        values = [leaf_values[leaf] for leaf in self._dfs_leaves[lo:hi]]
-        if values.count(values[0]) == len(values):
-            return values[0]
-        return fsum(map(mul, self._dfs_prob[lo:hi], values)) / self.prob[node_id]
+    def node_means(self, rows: Sequence[Sequence[float]]) -> list[float]:
+        """At each node of depth k < len(rows), in canonical order, E[rows[k] | node].
+
+        Each row holds one value per DFS leaf; a constant range gives its first value exactly.
+        """
+        prob, dfs_prob, spans = self.prob, self._dfs_prob, iter(self._spans)
+        out = []
+        for row, ids in zip(rows, self.depth_nodes):
+            for p, (lo, hi) in zip(map(prob.__getitem__, ids), spans):  # ids first: no span is drawn past the level
+                values = row[lo:hi]
+                if values.count(values[0]) == len(values):
+                    out.append(values[0])
+                else:
+                    out.append(fsum(map(mul, dfs_prob[lo:hi], values)) / p)
+        return out
 
     def along_paths(self, node_values: Mapping[str, float]) -> dict[tuple[str, int], float]:
         """Per (leaf, k), the value at the leaf's depth-k ancestor, or 0.0 where none is given."""
-        paths: dict[str, tuple[float, ...]] = {}
-        for nid in self.order:  # canonical order visits each parent before its children
-            parent = self.nodes[nid].parent
-            paths[nid] = (() if parent is None else paths[parent]) + (node_values.get(nid, 0.0),)
-        return {(leaf, k): v for leaf in self.leaves for k, v in enumerate(paths[leaf])}
+        values = list(map(node_values.get, self.order, repeat(0.0)))
+        first = len(self.order) - len(self.leaves)  # the leaves close the canonical order
+        rows = self.leaf_paths()[[lo for lo, _ in self._spans[first:]]].tolist()
+        return {(leaf, k): values[i] for leaf, row in zip(self.leaves, rows) for k, i in enumerate(row)}
 
     def slice_means(self, grid: Mapping[tuple[str, int], float], shift: int = 0) -> dict[str, float]:
         """At each node of depth k <= K - shift, E[grid's depth-(k + shift) slice | node].
 
-        ``grid`` is keyed on (leaf, depth). A constant subtree gives its value
-        exactly, and so does a leaf, whose mean is its own value.
+        ``grid`` is keyed on (leaf, depth); the means come from ``node_means``.
         """
-        out: dict[str, float] = {}
-        for k in range(self.K + 1 - shift):
-            values = {leaf: grid[(leaf, k + shift)] for leaf in self.leaves}
-            for nid in self.depth_nodes[k]:
-                out[nid] = values[nid] if k == self.K else self.conditional_mean(values, nid)
-        return out
+        rows = [[grid[(leaf, k)] for leaf in self._dfs_leaves] for k in range(shift, self.K + 1)]
+        return dict(zip(self.order, self.node_means(rows)))
 
     def path_sums(
         self, node: np.ndarray, terms: np.ndarray, bounds: Iterable[tuple[int, int]]

@@ -107,8 +107,9 @@ def interleaved_tree(rng, max_depth=3, max_branch=3):
 
 
 def brute_mean(tree, leaf_values, nid):
-    """E[V | nid] over the leaves whose paths pass nid; a constant subtree gives its value exactly."""
-    under = [leaf for leaf in tree.leaves if nid in tree.path(leaf)]
+    """E[V | nid] over the leaves whose paths pass nid; a constant subtree gives its first DFS value."""
+    # sorting on paths, children in id order, puts the leaves in depth-first order
+    under = sorted((leaf for leaf in tree.leaves if nid in tree.path(leaf)), key=tree.path)
     values = [leaf_values[leaf] for leaf in under]
     if all(v == values[0] for v in values):
         return values[0]
@@ -116,10 +117,20 @@ def brute_mean(tree, leaf_values, nid):
 
 
 def value_sampler(rng, coarse):
-    """Draws values; coarse draws repeat often, so whole subtrees come out constant."""
+    """Draws values; coarse draws repeat often, so whole subtrees come out constant.
+
+    Coarse draws take 0.0 and -0.0 (equal, with different bits) and values on
+    a 1e12 and a 1e-12 scale among them; fine draws are scaled by 1e-12, 1 or
+    1e12.
+    """
     if coarse:
-        return lambda: float(rng.choice([-1.0, 0.5, 2.0]))
-    return lambda: float(rng.uniform(-1.0, 1.0))
+        return lambda: float(rng.choice([-1.0, 0.5, 2.0, 0.0, -0.0, 3e12, -2e-12]))
+    return lambda: float(rng.uniform(-1.0, 1.0)) * float(rng.choice([1e-12, 1.0, 1e12]))
+
+
+def hexed(values):
+    """A dict's items in key order, each value as float.hex: tells -0.0 from 0.0 and shows every bit."""
+    return [(key, float.hex(v)) for key, v in values.items()]
 
 
 def random_static(tree, rng, scale=1.0):

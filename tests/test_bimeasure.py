@@ -29,6 +29,7 @@ from treerisk import (
 
 from conftest import (
     brute_mean,
+    hexed,
     interleaved_tree,
     random_bimeasure,
     random_process,
@@ -278,8 +279,8 @@ class TestInterleavedIds:
                 op[nid] = brute_mean(tree, {leaf: right[(leaf, k)] for leaf in tree.leaves}, nid)
             proj = dual_projection(RawBiMeasure(tree, left, right))
             expected = BiMeasure(tree, pr, op)
-            assert list(proj.pr_inc.items()) == list(expected.pr_inc.items())
-            assert list(proj.op_inc.items()) == list(expected.op_inc.items())
+            assert hexed(proj.pr_inc) == hexed(expected.pr_inc)
+            assert hexed(proj.op_inc) == hexed(expected.op_inc)
 
     def test_as_raw_matches_path_walks(self):
         rng = np.random.default_rng(64)
@@ -293,8 +294,8 @@ class TestInterleavedIds:
                         left[(leaf, k + 1)] = a.pr_inc.get(nid, 0.0)
                     right[(leaf, k)] = a.op_inc.get(nid, 0.0)
             raw = as_raw(a)
-            assert list(raw.left_inc.items()) == list(left.items())
-            assert list(raw.right_inc.items()) == list(right.items())
+            assert hexed(raw.left_inc) == hexed(left)
+            assert hexed(raw.right_inc) == hexed(right)
 
 
     def test_as_raw_and_from_adapted_skip_the_grid_check(self, monkeypatch):

@@ -739,6 +739,18 @@ class TestOtherCommands:
         assert (code, out) == (1, "")
         assert err == "error: thresholds must be nonnegative and strictly increasing\n"
 
+    @pytest.mark.parametrize("kgrid", ["0,inf", "1e400"])
+    @pytest.mark.parametrize("command", ["diagnose-ui", "diagnose-lebesgue"])
+    def test_infinite_threshold_exits_1(self, workdir, capsys, command, kgrid):
+        _, p = workdir
+        if command == "diagnose-ui":
+            args = ["--tree", p["tree"], "--process", p["y"]]
+        else:
+            args = ["--depths", "5,6"]
+        code, out, err = run_cli(capsys, command, *args, "--kgrid", kgrid)
+        assert (code, out) == (1, "")
+        assert err == "error: thresholds must be nonnegative and strictly increasing\n"
+
     def test_diagnose_lebesgue(self, capsys):
         code, out, _ = run_cli(
             capsys, "diagnose-lebesgue", "--family", "worst-case", "--depths", "1,2,3,4,5,6"

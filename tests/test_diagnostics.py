@@ -86,7 +86,8 @@ class TestUiModulus:
             ui_modulus([f], [1.0, 1.0])
         with pytest.raises(ValidationError):
             ui_modulus([f], [-1.0, 2.0])
-        for ks in ([math.nan], [0.0, math.nan], [math.nan, 1.0]):
+        # an infinite threshold would read E[|f|; |f| > inf] = 0 for every family
+        for ks in ([math.nan], [0.0, math.nan], [math.nan, 1.0], [math.inf], [0.0, math.inf], [1e400]):
             with pytest.raises(ValidationError, match="nonnegative and strictly increasing"):
                 ui_modulus([f], ks)
         with pytest.raises(ValidationError):

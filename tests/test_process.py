@@ -22,6 +22,7 @@ from treerisk import (
 
 from conftest import (
     brute_mean,
+    hexed,
     interleaved_tree,
     random_process,
     random_raw_process,
@@ -249,9 +250,9 @@ class TestInterleavedIds:
                 opt[nid] = brute_mean(tree, slices[node.depth], nid)
                 # one step ahead: condition on the parent; the root on itself
                 pred[nid] = brute_mean(tree, slices[node.depth], node.parent or nid)
-            assert list(optional_projection_static(Y).values.items()) == list(opt_static.items())
-            assert list(optional_projection_raw(Z).values.items()) == list(opt.items())
-            assert list(predictable_projection_raw(Z).values.items()) == list(pred.items())
+            assert hexed(optional_projection_static(Y).values) == hexed(opt_static)
+            assert hexed(optional_projection_raw(Z).values) == hexed(opt)
+            assert hexed(predictable_projection_raw(Z).values) == hexed(pred)
 
     def test_from_adapted_matches_path_walks(self):
         rng = np.random.default_rng(62)
@@ -263,7 +264,7 @@ class TestInterleavedIds:
                 for leaf in tree.leaves
                 for k, nid in enumerate(tree.path(leaf))
             }
-            assert list(RawProcess.from_adapted(X).values.items()) == list(expected.items())
+            assert hexed(RawProcess.from_adapted(X).values) == hexed(expected)
 
 
 class TestExceedance:

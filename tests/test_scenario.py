@@ -7,7 +7,7 @@ import pytest
 
 from treerisk import ScenarioTree, TreeNode, ValidationError, uniform_binomial
 
-from conftest import brute_mean, interleaved_tree, random_tree, value_sampler
+from conftest import brute_mean, hexed, interleaved_tree, random_tree, value_sampler
 
 TOL = 1e-12
 
@@ -210,16 +210,19 @@ def test_spans_are_contiguous_and_match_path_walks():
 
 def test_conditional_mean_matches_brute_force():
     rng = np.random.default_rng(17)
-    for _ in range(20):
+    for i in range(20):
         tree = interleaved_tree(rng)
-        values = {leaf: float(rng.uniform(-1.0, 1.0)) for leaf in tree.leaves}
-        for nid in tree.order:
-            under = sorted(brute_leaves_under(tree, nid))
-            if len(under) == 1:
-                expected = values[under[0]]
-            else:
-                expected = math.fsum(tree.prob[l] * values[l] for l in under) / tree.prob[nid]
-            assert tree.conditional_mean(values, nid) == expected
+        dfs = sorted(tree.leaves, key=tree.path)
+        draw = value_sampler(rng, coarse=i % 2 == 0)
+        # rows for depths 0..depth - 1 only: deeper nodes get no mean
+        depth = int(rng.integers(1, tree.K + 2))
+        rows = [[draw() for _ in dfs] for _ in range(depth)]
+        expected = [
+            brute_mean(tree, dict(zip(dfs, rows[tree.nodes[nid].depth])), nid)
+            for nid in tree.order
+            if tree.nodes[nid].depth < depth
+        ]
+        assert list(map(float.hex, tree.node_means(rows))) == list(map(float.hex, expected))
 
 
 def test_path_sums_match_brute_force():
@@ -266,7 +269,7 @@ def test_along_paths_matches_path_walks():
             for k, nid in enumerate(tree.path(leaf))
         }
         # items in order: canonical leaves outermost, depth innermost
-        assert list(tree.along_paths(values).items()) == list(expected.items())
+        assert hexed(tree.along_paths(values)) == hexed(expected)
 
 
 @pytest.mark.parametrize("shift", [0, 1])
@@ -281,7 +284,7 @@ def test_slice_means_match_path_walks(shift):
             j = tree.nodes[nid].depth + shift
             if j <= tree.K:
                 expected[nid] = brute_mean(tree, {leaf: grid[(leaf, j)] for leaf in tree.leaves}, nid)
-        assert list(tree.slice_means(grid, shift).items()) == list(expected.items())
+        assert hexed(tree.slice_means(grid, shift)) == hexed(expected)
 
 
 def test_leaf_paths_and_node_spans_match_path_walks():
