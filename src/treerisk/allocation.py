@@ -13,6 +13,7 @@ import numpy as np
 from .errors import ValidationError
 from .process import AdaptedProcess, _require_same_tree
 from .riskcore import _UNIT_ROUNDOFF, RiskMeasureSpec, _node_vector, _rho_result
+from .scenario import segment_fsums
 
 FAIRNESS_SLACK_TOL = 1e-12  # the audit passes when no blend undercuts by more
 
@@ -85,12 +86,12 @@ def _position_matrix(spec: RiskMeasureSpec, positions: list[AdaptedProcess]) -> 
     return np.array([_node_vector(spec.tree, X.values) for X in positions])
 
 
-def _blend(columns: list[list[float]], order: Sequence[str]) -> np.ndarray:
-    """Per node, the correctly rounded sum of its blend terms."""
+def _blend(terms: np.ndarray, order: Sequence[str]) -> np.ndarray:
+    """Per node, the correctly rounded sum of its blend terms, one column per node."""
     try:
-        return np.fromiter(map(fsum, columns), float, len(columns))
+        return np.array(segment_fsums(terms))
     except OverflowError:
-        for nid, col in zip(order, columns):
+        for nid, col in zip(order, terms.T.tolist()):
             try:
                 fsum(col)
             except OverflowError:
@@ -137,22 +138,14 @@ def fairness_check(
 
     n = len(positions)
     rng = np.random.default_rng(seed)
-    alphas: list[tuple[float, ...]] = []
-    for j in range(n):
-        e = [0.0] * n
-        e[j] = 1.0
-        alphas.append(tuple(e))
-    alphas.append(tuple([1.0] * n))
-    for _ in range(samples):
-        alphas.append(tuple(float(x) for x in rng.uniform(0.0, 1.0, size=n)))
+    alphas = [tuple(float(i == j) for i in range(n)) for j in range(n)]
+    alphas.append((1.0,) * n)
+    alphas += [tuple(rng.uniform(0.0, 1.0, size=n).tolist()) for _ in range(samples)]
 
-    order = spec.tree.order
-    worst_slack = float("inf")
-    worst_alpha = alphas[0]
-    witness_dev = 0.0
+    worst_slack, worst_alpha, witness_dev = float("inf"), alphas[0], 0.0
     for alpha in alphas:
         # per node, fsum of alpha_j X_j(n); alpha <= 1 keeps every product finite
-        blended = _blend((np.array(alpha)[:, None] * P).T.tolist(), order)
+        blended = _blend(np.array(alpha)[:, None] * P, spec.tree.order)
         charged = fsum(alpha[j] * result.k[j] for j in range(n))
         slack = max(spec._penalized_losses(blended)) - charged
         if slack < worst_slack:

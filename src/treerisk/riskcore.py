@@ -26,7 +26,7 @@ from .bimeasure import BiMeasure, _stored, increment_vector, variation_norm
 from .convexgeom import SimplexProgram, min_cost_combination
 from .errors import ValidationError
 from .process import AdaptedProcess, StaticRV, optional_projection_static, _require_same_tree
-from .scenario import SUM_TOL, ScenarioTree
+from .scenario import SUM_TOL, ScenarioTree, segment_fsums
 
 TIE_TOL = 1e-12
 
@@ -82,12 +82,12 @@ class RiskMeasureSpec:
     (lo, hi). ``_pr`` and ``_op`` stay apart because a path variation adds
     them as separate terms, and fsum([p, o]) can differ from fsum([p + o]).
     Each element's nodes come in input order (its predictable nodes, then the
-    optional-only ones), not sorted; every reduction over them is an fsum,
-    whose value does not depend on the order of its terms. Building the
-    arrays is O(nnz). A spec built from arrays (as ``fileio.load_spec``,
-    ``worst_case_spec`` and ``avar_spec`` do) makes the elements'
-    :class:`BiMeasure` objects only when ``measures()`` or ``elements`` is
-    first read.
+    optional-only ones), not sorted; every reduction over them is an fsum or a
+    ``segment_fsums`` (fsum's value bit for bit), neither of which depends on
+    the order of its terms. Building the arrays is O(nnz). A spec built from
+    arrays (as ``fileio.load_spec``, ``worst_case_spec`` and ``avar_spec`` do)
+    makes the elements' :class:`BiMeasure` objects only when ``measures()`` or
+    ``elements`` is first read.
 
     Each element must have unit expected variation within ``norm_tol``. For
     a nonnegative element that variation is the sum of its weights in exact
@@ -162,6 +162,7 @@ class RiskMeasureSpec:
         self.tree = tree
         self.norm_tol = norm_tol
         self._bounds = bounds
+        self._starts = tuple(lo for lo, _ in bounds)  # the bounds tile the arrays
         self._prob = prob
         self._node = node
         self._pr = pr
@@ -236,8 +237,8 @@ class RiskMeasureSpec:
     def _penalized_losses(self, x: np.ndarray) -> tuple[float, ...]:
         """-<X, a_i> - gamma_i for every element, X given as a canonical node vector."""
         with np.errstate(all="ignore"):
-            terms = memoryview(self._weight * x[self._node])  # yields Python floats
-        return tuple(-fsum(terms[lo:hi]) - g for (lo, hi), g in zip(self._bounds, self.gammas))
+            terms = self._weight * x[self._node]
+        return tuple(-s - g for s, g in zip(segment_fsums(terms, self._starts), self.gammas))
 
     def _pairings(self, i: int, xs: np.ndarray) -> list[float]:
         """<X, a_i> for each row X of ``xs``, term for term as :func:`pairing` forms it."""
@@ -245,7 +246,7 @@ class RiskMeasureSpec:
         node = self._node[lo:hi]
         with np.errstate(all="ignore"):
             terms = self._prob[node] * xs[:, node] * self._inc[lo:hi]
-        return [fsum(row) for row in terms.tolist()]
+        return segment_fsums(terms.T)
 
 
 @dataclass(frozen=True)
@@ -266,7 +267,7 @@ def rho_eval(spec: RiskMeasureSpec, X: AdaptedProcess) -> RhoResult:
     """Penalized worst scenario loss, with all maximizers within an absolute 1e-12 tie band.
 
     One gather of X's node values against the spec's weight array and one
-    fsum per element: O(nnz).
+    ``segment_fsums`` call for the elements' fsums: O(nnz).
     """
     _require_same_tree(spec.tree, X.tree)
     return _rho_result(spec, _node_vector(spec.tree, X.values))

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from math import fsum, isfinite
-from operator import mul
+from math import frexp, fsum, isfinite, ldexp
+from operator import mul, sub
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -309,7 +309,7 @@ class ScenarioTree:
         paths = self.leaf_paths()
         span_lo, span_hi = self.node_spans()
         width = paths.shape[1] * terms.shape[1]
-        scatter = np.zeros((len(self.order), terms.shape[1]))
+        scatter = np.zeros((terms.shape[1], len(self.order)))  # one row per term column
         out = []
         for lo, hi in bounds:
             nodes = node[lo:hi]
@@ -321,11 +321,10 @@ class ScenarioTree:
             closed = np.bincount(ends - first)
             opened = np.bincount(starts - first, minlength=len(closed))
             leaves = np.flatnonzero(np.cumsum(opened - closed)) + first
-            scatter[nodes] = terms[lo:hi]
-            flat = memoryview(scatter[paths[leaves]].reshape(-1))  # leaf after leaf, as Python floats
-            scatter[nodes] = 0.0
-            sums = (fsum(flat[j : j + width]) for j in range(0, len(flat), width))
-            out.append((leaves, np.fromiter(sums, float, len(leaves))))
+            scatter[:, nodes] = terms[lo:hi].T
+            block = scatter[:, paths[leaves].T].reshape(width, len(leaves))  # one column per leaf
+            scatter[:, nodes] = 0.0
+            out.append((leaves, np.array(segment_fsums(block))))
         return out
 
     @property
@@ -337,6 +336,58 @@ class ScenarioTree:
             f"ScenarioTree(nodes={len(self.order)}, leaves={len(self.leaves)}, "
             f"K={self.K}, T={self.T})"
         )
+
+
+# Certified segment sums (Rump, Ogita and Oishi, "Accurate floating-point
+# summation, part I", 2008: ExtractVector). Take n < 2**M finite terms v, max|v|
+# < 2**e, k = M + e, sigma = 2**k. fl(sigma + v) lies in [sigma / 2, 2 sigma],
+# so q = fl(sigma + v) - sigma is exact, a multiple of 2**(k - 53), |q| <= 2**e:
+# each partial sum of the q is such a multiple below n 2**e < 2**k, so the sum
+# s1 is exact in any order. r = fl(v - q) is the rounding error of sigma + v, so
+# exact, |r| <= 2**(k - 53). Splitting the r with sigma = 2**(M + k - 53) gives
+# an exact s2 and |r'| <= 2**(M + k - 106), so |sum(r')| < B = 2**(3M + e - 106).
+# TwoSum gives s1 + s2 = s + t, s = fl(s1 + s2), and fsum rounds s + t + sum(r')
+# to nearest even: to s where every r' is 0, or where fl(|t| + B) is below half
+# the gap from |s| towards zero, the smaller gap at powers of two (rounding is
+# monotone, so the float test is safe). The rest goes to fsum on its own terms,
+# keeping its errors, nan and signed zeros: uncertified segments, s = 0, and
+# whole calls with an empty segment, under _FSUMS_CUTOFF terms (numpy's fixed
+# cost, about 50 us, outweighs the loop) or with max|v| (M, e per call) not
+# finite, >= 2**(999 - M) (sums stay below 2**999) or < 2**-900 (parts normal).
+_FSUMS_CUTOFF = 1500
+
+
+def segment_fsums(terms: np.ndarray, starts: Sequence[int] | None = None) -> list[float]:
+    """Per segment, what math.fsum returns for its terms, bit for bit and error for error: the
+    columns of a 2-D ``terms``, or the runs of a 1-D ``terms`` from each of ``starts`` to the next."""
+    ends = None if starts is None else [*starts[1:], len(terms)]
+    if terms.size >= _FSUMS_CUTOFF:  # smaller calls make no numpy call
+        sizes = [len(terms)] if ends is None else list(map(sub, ends, starts))
+        M = max(sizes).bit_length()
+        big = max(terms.max(), -terms.min()) if min(sizes) > 0 else 0.0
+    if terms.size < _FSUMS_CUTOFF or not ldexp(1.0, -900) <= big < ldexp(1.0, 999 - M):
+        if ends is None:
+            return list(map(fsum, terms.T.tolist()))
+        flat = memoryview(terms)
+        return [fsum(flat[lo:hi]) for lo, hi in zip(starts, ends)]
+    fold = (lambda f, x: f.reduce(x)) if ends is None else (lambda f, x: f.reduceat(x, starts))
+    e, r, sums = frexp(big)[1], terms, []
+    for sigma in ldexp(1.0, M + e), ldexp(1.0, 2 * M + e - 53):
+        q = r + sigma
+        q -= sigma
+        sums.append(fold(np.add, q))
+        r = np.subtract(r, q, out=q)  # at most two term-sized buffers live at once
+    s1, s2 = sums
+    s = s1 + s2
+    z = s - s1
+    t = np.abs((s1 - (s - z)) + (s2 - z))
+    a = np.abs(s)
+    below = (a - np.nextafter(a, 0.0)) / 2  # half the gap from |s| towards zero
+    ok = (a > 0.0) & (~fold(np.logical_or, r) | (t + ldexp(1.0, 3 * M + e - 106) < below))
+    out = s.tolist()
+    for i in np.flatnonzero(~ok).tolist():
+        out[i] = fsum((terms[:, i] if ends is None else terms[starts[i] : ends[i]]).tolist())
+    return out
 
 
 def build_tree(

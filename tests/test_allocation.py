@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from treerisk import (
     worst_case_spec,
 )
 from treerisk.riskcore import TIE_TOL
+from treerisk.scenario import _FSUMS_CUTOFF
 
 from conftest import interleaved_tree, random_process, random_spec, random_tree
 
@@ -82,6 +84,14 @@ def hexed(obj):
     if isinstance(obj, tuple):
         return tuple(hexed(v) for v in obj)
     return float.hex(obj) if isinstance(obj, float) else obj
+
+
+def overflows(terms):
+    try:
+        math.fsum(terms)
+    except OverflowError:
+        return True
+    return False
 
 
 def two_position_fixture(t1):
@@ -198,6 +208,21 @@ class TestMatchesDictWalk:
         assert hexed(result.k) == hexed(tuple(-pairing(X, a_star) for X in positions))
 
 
+class TestAboveTheSumCutoff:
+    def test_charges_and_audit_match_dict_walk(self):
+        """A depth-11 tree: charges, blends, slack and witness all take segment_fsums' numpy
+        route, and must still be the dict walk's plain fsums, bit for bit."""
+        rng = np.random.default_rng(151)
+        tree = uniform_binomial(11)
+        spec = random_spec(tree, rng, n_elements=3, coherent=True)
+        positions = [random_process(tree, rng) for _ in range(3)]
+        assert len(spec._node) >= _FSUMS_CUTOFF
+        result = allocate(spec, positions)
+        assert hexed(result) == hexed(walk_allocate(spec, positions))
+        cert = fairness_check(result, spec, positions, samples=3, seed=7)
+        assert hexed(cert) == hexed(walk_fairness(result, spec, positions, 3, 7))
+
+
 class TestFairness:
     def test_fixture_certificate(self, t1):
         spec, positions = two_position_fixture(t1)
@@ -246,6 +271,20 @@ class TestFairness:
         huge = AdaptedProcess(t1, {"root": 1e308, "u": 1e308, "d": -1e308})
         with pytest.raises(ValidationError, match="non-finite value"):
             fairness_check(result, spec, [huge, huge], samples=0, seed=1)
+        # above the sum kernel's cut-off, with the first overflow past the first node: the
+        # message names the first node whose plain fsum of blend terms overflows
+        tree = uniform_binomial(11)
+        rng = np.random.default_rng(157)
+        spec = random_spec(tree, rng, n_elements=2, coherent=True)
+        result = allocate(spec, [random_process(tree, rng) for _ in range(2)])
+        values = dict(zip(tree.order, rng.normal(size=len(tree.order)).tolist()))
+        values[tree.order[3000]] = values[tree.order[1800]] = 1e308
+        big = AdaptedProcess(tree, values)
+        assert 2 * len(tree.order) >= _FSUMS_CUTOFF
+        first = next(nid for nid in tree.order if overflows([values[nid], values[nid]]))
+        assert first == tree.order[1800]
+        with pytest.raises(ValidationError, match=re.escape(f"at node '{first}'")):
+            fairness_check(result, spec, [big, big], samples=0, seed=1)
 
     def test_overflowing_portfolio_rejected(self, t1):
         spec = worst_case_spec(t1)

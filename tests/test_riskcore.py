@@ -17,6 +17,7 @@ from treerisk import (
     conjugate_combination,
     conjugate_value,
     normalize_scenario,
+    optional_projection_static,
     pairing,
     rho_eval,
     static_rho,
@@ -28,6 +29,7 @@ from treerisk import (
     worst_case_spec,
 )
 from treerisk.riskcore import TIE_TOL
+from treerisk.scenario import _FSUMS_CUTOFF
 
 from conftest import (
     interleaved_tree,
@@ -189,6 +191,25 @@ class TestRhoEvalMatchesDictWalk:
             tree = interleaved_tree(rng, max_depth=4)
             spec = random_spec(tree, rng, n_elements=4)
             self.check(spec, random_process(tree, rng, scale=1e6))
+
+
+class TestAboveTheSumCutoff:
+    """On a depth-11 tree every element sum takes segment_fsums' numpy route; the values
+    must still be the dict walk's plain fsums, bit for bit."""
+
+    def test_rho_eval_and_static_rho(self):
+        rng = np.random.default_rng(109)
+        tree = uniform_binomial(11)
+        spec = random_spec(tree, rng, n_elements=3)
+        assert len(spec._node) >= _FSUMS_CUTOFF
+        for scale in (1.0, 1e6):
+            X = random_process(tree, rng, scale=scale)
+            res = rho_eval(spec, X)
+            best, argmax, values = walk_rho(spec, X)
+            assert (float.hex(res.value), res.argmax, hexed(res.values)) == (float.hex(best), argmax, hexed(values))
+            Y = random_static(tree, rng, scale=scale)
+            closure = optional_projection_static(Y)
+            assert float.hex(static_rho(spec, Y)) == float.hex(walk_rho(spec, closure)[0])
 
 
 class TestUnitNormCheck:
