@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from math import fsum, isfinite
 
 import numpy as np
@@ -26,7 +26,7 @@ from .process import (
     _require_same_tree,
     _unchecked,
 )
-from .scenario import ScenarioTree
+from .scenario import ScenarioTree, _is_int
 
 DENSITY_NORM_TOL = 1e-9  # how far from 1 a terminal density's mean may be
 
@@ -261,17 +261,17 @@ def stopping_time_measure(tree: ScenarioTree, tau: dict[str, int]) -> BiMeasure:
         if leaf not in tau:
             raise ValidationError(f"stopping rule missing at leaf '{leaf}'")
         k = tau[leaf]
-        if not isinstance(k, int) or not 0 <= k <= K:
+        if not _is_int(k) or not 0 <= k <= K:
             raise ValidationError(f"stopping depth {k!r} at leaf '{leaf}' out of range 0..{K}")
+    dfs = [tau[leaf] for leaf in tree.leaves_under(tree.root)]
+    spans = zip(*(bound.tolist() for bound in tree.node_spans()))
     op: dict[str, float] = {}
-    for k in range(K + 1):
-        for nid in tree.depth_nodes[k]:
-            flags = {tau[leaf] == k for leaf in tree.leaves_under(nid)}
-            if len(flags) > 1:
-                raise ValidationError(
-                    f"stopping decision at depth {k} is not measurable at node '{nid}'"
-                )
-            if flags.pop():
+    for k, ids in enumerate(tree.depth_nodes):
+        stops = list(accumulate((t == k for t in dfs), initial=0))  # stops among the first d DFS leaves
+        for nid, (lo, hi) in zip(ids, spans):  # ids first: no span is drawn past the level
+            if 0 < stops[hi] - stops[lo] < hi - lo:
+                raise ValidationError(f"stopping decision at depth {k} is not measurable at node '{nid}'")
+            if stops[hi] > stops[lo]:
                 op[nid] = 1.0
     return BiMeasure(tree, {}, op)
 

@@ -325,11 +325,10 @@ def _cmd_diagnose_lebesgue(ns: argparse.Namespace) -> int:
 
 
 def _random_signed_bimeasure(tree, rng) -> BiMeasure:
-    pr = {}
-    op = {}
-    for nid in tree.order:
-        depth = tree.nodes[nid].depth
-        if depth < tree.K and rng.uniform() < 0.7:
+    pr, op = {}, {}
+    interior = len(tree.order) - len(tree.leaves)  # depths 0..K-1 open the canonical order
+    for i, nid in enumerate(tree.order):
+        if i < interior and rng.uniform() < 0.7:
             pr[nid] = float(rng.uniform(-1.0, 1.0))
         if rng.uniform() < 0.7:
             op[nid] = float(rng.uniform(-1.0, 1.0))

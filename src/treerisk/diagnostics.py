@@ -14,7 +14,7 @@ from .errors import ValidationError
 from .instances import avar, avar_max_density, worst_case_spec
 from .process import AdaptedProcess, StaticRV, prob_sup_exceedance, terminal_values
 from .riskcore import RiskMeasureSpec, rho_eval
-from .scenario import ScenarioTree, uniform_binomial
+from .scenario import ScenarioTree, _is_int, uniform_binomial
 
 DEFAULT_K_GRID = (0.0, 1.0, 5.0, 10.0, 20.0, 50.0)
 EPS_GRID = (0.5, 0.25, 0.125)  # separation levels lebesgue_probe records
@@ -160,12 +160,14 @@ class RefinementSchedule:
     sequence_builder: Callable[[ScenarioTree], tuple[AdaptedProcess, AdaptedProcess]]
 
     def __post_init__(self):
-        depths = tuple(int(d) for d in self.depths)
+        depths = tuple(self.depths)
+        if not all(map(_is_int, depths)):
+            raise ValidationError(f"depths must be integers, got {depths!r}")
         if not depths:
             raise ValidationError("schedule needs at least one depth")
         if any(d < 1 for d in depths) or any(b <= a for a, b in zip(depths, depths[1:])):
             raise ValidationError("depths must be positive and strictly increasing")
-        object.__setattr__(self, "depths", depths)
+        object.__setattr__(self, "depths", tuple(map(int, depths)))
 
 
 @dataclass(frozen=True)

@@ -247,7 +247,7 @@ def avar_spec(tree: ScenarioTree, alpha: float) -> RiskMeasureSpec:
     vertex, leaf = np.nonzero(density)
     ends = np.cumsum(np.count_nonzero(density, axis=1)).tolist()
     bounds, labels = tuple(zip([0, *ends], ends)), [f"v{i}" for i in range(len(ends))]
-    node, op = _leaf_indices(tree)[leaf], density[vertex, leaf]
+    node, op = leaf + (len(tree.order) - len(tree.leaves)), density[vertex, leaf]  # leaves close the order
     return RiskMeasureSpec._from_arrays(tree, node, np.zeros_like(op), op, bounds, [0.0] * len(ends), labels)
 
 
@@ -256,12 +256,8 @@ def worst_case_spec(tree: ScenarioTree) -> RiskMeasureSpec:
     L = len(tree.leaves)
     op = 1.0 / np.fromiter(map(tree.prob.__getitem__, tree.leaves), float, L)
     bounds, labels = tuple((i, i + 1) for i in range(L)), [f"leaf:{leaf}" for leaf in tree.leaves]
-    node = _leaf_indices(tree)
+    node = np.arange(len(tree.order) - L, len(tree.order))  # the leaves close the canonical order
     return RiskMeasureSpec._from_arrays(tree, node, np.zeros_like(op), op, bounds, [0.0] * L, labels)
-
-
-def _leaf_indices(tree: ScenarioTree) -> np.ndarray:
-    return np.fromiter(map(tree.index.__getitem__, tree.leaves), np.intp, len(tree.leaves))
 
 
 def entropic(Y: StaticRV, beta: float) -> float:
@@ -299,18 +295,14 @@ def stopped_worst_case(tree: ScenarioTree, X: AdaptedProcess) -> StoppedWorstCas
     """
     if X.tree is not tree:
         raise ValidationError("tree mismatch: process was built on a different scenario tree")
-    V: dict[str, float] = {}
-    stop: dict[str, bool] = {}
-    for nid in reversed(tree.order):  # children before their parents
-        kids = tree.children(nid)
-        here = -X.values[nid]
-        cont = fsum(tree.nodes[c].branch_prob * V[c] for c in kids)
-        stop[nid] = not kids or here >= cont
-        V[nid] = here if stop[nid] else cont
-    first: dict[str, int | None] = {}  # the depth of the first stop on the way down
-    for nid in tree.order:
-        node = tree.nodes[nid]
-        above = None if node.parent is None else first[node.parent]
-        first[nid] = above if above is not None else (node.depth if stop[nid] else None)
-    tau = {leaf: first[leaf] for leaf in tree.leaves}
-    return StoppedWorstCase(value=V[tree.root], tau=tau)
+    parent, branch = tree.parent.tolist(), [tree.nodes[nid].branch_prob for nid in tree.order]
+    V = [-X.values[nid] for nid in tree.order]
+    cont: list[list[float]] = [[] for _ in V]  # branch_prob * V of each child; none at a leaf
+    stop = [True] * len(V)
+    for i in range(len(V) - 1, -1, -1):  # canonical order backwards: children before their parents
+        if cont[i] and not V[i] >= (c := fsum(cont[i])):  # ties stop
+            stop[i], V[i] = False, c
+        cont[parent[i]].append(branch[i] * V[i])
+    paths = tree.leaf_paths()[tree.node_spans()[0][len(V) - len(tree.leaves) :]]  # in canonical leaf order
+    tau = dict(zip(tree.leaves, np.array(stop)[paths].argmax(axis=1).tolist()))  # each path's first stop
+    return StoppedWorstCase(value=V[0], tau=tau)

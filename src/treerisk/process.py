@@ -38,10 +38,10 @@ def _check_grid(
     tree: ScenarioTree, entries: Mapping[tuple[str, int], float], lo: int, label: str
 ) -> dict[tuple[str, int], float]:
     """Check values keyed on (leaf, k), k = lo..K: known leaves, finite floats, full coverage."""
-    K = tree.K
+    K, first = tree.K, len(tree.order) - len(tree.leaves)  # the leaves close the canonical order
     vals = {}
     for (leaf, k), v in entries.items():
-        if leaf not in tree.nodes or tree.nodes[leaf].depth != K:
+        if tree.index.get(leaf, -1) < first:
             raise ValidationError(f"{label} keyed on unknown leaf '{leaf}'")
         if not lo <= k <= K:
             raise ValidationError(f"{label} at ({leaf}, {k}) out of range {lo}..{K}")
@@ -116,11 +116,12 @@ class StaticRV:
     values: dict[str, float]
 
     def __post_init__(self):
-        vals = {}
+        vals, index = {}, self.tree.index
+        first = len(self.tree.order) - len(self.tree.leaves)  # the leaves close the canonical order
         for leaf, v in self.values.items():
-            if leaf not in self.tree.nodes:
+            if leaf not in index:
                 raise ValidationError(f"value given for unknown leaf '{leaf}'")
-            if self.tree.nodes[leaf].depth != self.tree.K:
+            if index[leaf] < first:
                 raise ValidationError(f"'{leaf}' is not a leaf; static values live on leaves only")
             vals[leaf] = _check_finite(v, "leaf '{}'", leaf)
         for leaf in self.tree.leaves:
@@ -186,18 +187,15 @@ def terminal_values(X: AdaptedProcess) -> StaticRV:
 def running_sup(X: AdaptedProcess) -> StaticRV:
     """Pathwise supremum of |X| from the root through each leaf."""
     tree = X.tree
-    sup: dict[str, float] = {}
-    for nid in tree.order:  # canonical order visits each parent before its children
-        v = abs(X.values[nid])
-        parent = tree.nodes[nid].parent
-        sup[nid] = v if parent is None else max(sup[parent], v)
-    return StaticRV(tree, {leaf: sup[leaf] for leaf in tree.leaves})
+    sup = list(map(abs, map(X.values.__getitem__, tree.order)))
+    for i, parent in enumerate(tree.parent.tolist()):  # canonical order puts parents first
+        sup[i] = max(sup[parent], sup[i])
+    return StaticRV(tree, dict(zip(tree.leaves, sup[len(sup) - len(tree.leaves) :])))
 
 
 def sup_norm(X: AdaptedProcess) -> float:
     """Essential supremum of the running supremum (plain maximum: every leaf has mass)."""
-    rs = running_sup(X)
-    return max(rs.values[leaf] for leaf in X.tree.leaves)
+    return max(running_sup(X).values.values())
 
 
 def optional_projection_static(Y: StaticRV) -> AdaptedProcess:
@@ -225,9 +223,9 @@ def predictable_projection_raw(Z: RawProcess) -> AdaptedProcess:
     """
     tree = Z.tree
     [root_mean] = tree.node_means([[Z.values[(leaf, 0)] for leaf in tree.leaves_under(tree.root)]])
-    ahead = tree.slice_means(Z.values, 1)
-    out = {nid: ahead[tree.nodes[nid].parent] for nid in tree.order[1:]}
-    return AdaptedProcess(tree, {tree.root: root_mean, **out})
+    ahead = list(tree.slice_means(Z.values, 1).values())  # by canonical index
+    values = [root_mean, *map(ahead.__getitem__, tree.parent[1:].tolist())]
+    return AdaptedProcess(tree, dict(zip(tree.order, values)))
 
 
 def prob_sup_exceedance(X: AdaptedProcess, Y: AdaptedProcess, eps: float) -> float:
@@ -236,6 +234,4 @@ def prob_sup_exceedance(X: AdaptedProcess, Y: AdaptedProcess, eps: float) -> flo
     eps = float(eps)
     if not eps > 0.0:
         raise ValidationError(f"eps must be positive, got {eps!r}")
-    tree = X.tree
-    rs = running_sup(X - Y)
-    return fsum(tree.prob[leaf] for leaf in tree.leaves if rs.values[leaf] > eps)
+    return fsum(X.tree.prob[leaf] for leaf, s in running_sup(X - Y).values.items() if s > eps)

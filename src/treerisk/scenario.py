@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import groupby, repeat
 from math import frexp, fsum, isfinite, ldexp
 from operator import mul, sub
 from typing import Iterable, Mapping, Sequence
@@ -35,12 +35,15 @@ class ScenarioTree:
     defined and every leaf has positive mass.
 
     ``index`` maps each node id to its position in the canonical (depth, id)
-    ``order``. A depth-first pass, children in id order, lays the leaves out
-    so that every subtree owns a contiguous range of that DFS leaf order;
-    the ranges are held once, per canonical index, and read by
+    ``order``; ``parent``, an ``np.intp`` array in that order, holds each
+    node's parent as such a position (the root maps to itself), and the
+    recursions over the tree read it. A depth-first pass, children in id order,
+    lays the leaves out so that every subtree owns a contiguous range of that
+    DFS leaf order; the ranges are held once, per canonical index, and read by
     ``leaves_under`` (the range as a slice, in DFS order, which differs from
     the canonical order of ``leaves`` when ids interleave subtrees),
-    ``node_spans`` and ``node_means``. ``path`` walks the parents.
+    ``node_spans`` and ``node_means``. ``path`` and ``children`` walk the
+    nodes themselves, an independent reference for these layouts.
 
     ``node_means`` is the one conditional-mean loop: given rows of values
     over the DFS leaves, it returns E[rows[k] | node] at each node of depth
@@ -51,10 +54,10 @@ class ScenarioTree:
     in ``order``, the conditional mean of one depth's slice of a
     (leaf, k)-keyed grid.
 
-    Path reads have one layout, built on first use: ``leaf_paths`` holds each
-    DFS leaf's path as canonical indices. ``along_paths`` gathers from it the
-    node values along every leaf's path, keyed on (leaf, k) with ``leaves``
-    outermost and k = 0..K innermost.
+    Path reads have one layout, built from ``parent`` on first use: ``leaf_paths``
+    holds each DFS leaf's path as canonical indices. ``along_paths`` gathers from
+    it the node values along every leaf's path, keyed on (leaf, k) with
+    ``leaves`` outermost and k = 0..K innermost.
 
     ``path_sums`` is the one kernel for sums along paths (variation, terminal
     increments, a spec's per-leaf variations). It takes canonical node
@@ -77,6 +80,7 @@ class ScenarioTree:
         "nodes",
         "order",
         "index",
+        "parent",
         "depth_nodes",
         "leaves",
         "K",
@@ -174,11 +178,15 @@ class ScenarioTree:
                         f"children probabilities sum != 1 under node '{n.id}' (got {s!r})"
                     )
 
+        index = {nid: i for i, nid in enumerate(order)}
+        parent = [0] * len(order)  # the root, index 0, stands in for its own parent
         prob: dict[str, float] = {root.id: 1.0}
-        for nid in order:
+        for i, nid in enumerate(order):
             n = by_id[nid]
             if n.parent is not None:
                 prob[nid] = prob[n.parent] * n.branch_prob
+                parent[i] = index[n.parent]
+        self.parent = parent = np.array(parent, np.intp)  # built, list freed, before the temporaries: peak RSS
 
         leaves = [nid for nid in order if by_id[nid].depth == K]
         mass = fsum(prob[leaf] for leaf in leaves)
@@ -201,14 +209,10 @@ class ScenarioTree:
             if kids:
                 span[nid] = (span[kids[0]][0], span[kids[-1]][1])
 
-        depth_nodes: list[list[str]] = [[] for _ in range(K + 1)]
-        for nid in order:
-            depth_nodes[by_id[nid].depth].append(nid)
-
         self.nodes = by_id
         self.order = tuple(order)
-        self.index = {nid: i for i, nid in enumerate(order)}
-        self.depth_nodes = tuple(tuple(ids) for ids in depth_nodes)
+        self.index = index
+        self.depth_nodes = tuple(tuple(ids) for _, ids in groupby(order, lambda i: by_id[i].depth))
         self.leaves = tuple(leaves)
         self.K = K
         self.T = times[K]
@@ -251,22 +255,17 @@ class ScenarioTree:
     def leaf_paths(self) -> np.ndarray:
         """Shape (L, K + 1): row d holds the d-th DFS leaf's path as canonical indices, root first."""
         if self._leaf_paths is None:
-            index = self.index
-            parent = np.fromiter(  # the root, index 0, stands in for its own parent
-                (index.get(self.nodes[nid].parent, 0) for nid in self.order), np.intp, len(self.order)
-            )
             paths = np.empty((len(self._dfs_leaves), self.K + 1), np.intp)
-            paths[:, self.K] = [index[leaf] for leaf in self._dfs_leaves]
+            paths[:, self.K] = [self.index[leaf] for leaf in self._dfs_leaves]
             for k in range(self.K, 0, -1):
-                paths[:, k - 1] = parent[paths[:, k]]
+                paths[:, k - 1] = self.parent[paths[:, k]]
             self._leaf_paths = paths
         return self._leaf_paths
 
     def node_spans(self) -> tuple[np.ndarray, np.ndarray]:
         """Per canonical index, the node's half-open range [lo, hi) of the DFS leaf order."""
         if self._node_spans is None:
-            lo, hi = np.array(self._spans, np.intp).T
-            self._node_spans = (lo, hi)
+            self._node_spans = tuple(np.array(self._spans, np.intp).T)
         return self._node_spans
 
     def node_means(self, rows: Sequence[Sequence[float]]) -> list[float]:
@@ -390,6 +389,11 @@ def segment_fsums(terms: np.ndarray, starts: Sequence[int] | None = None) -> lis
     return out
 
 
+def _is_int(value: object) -> bool:
+    """Whether ``value`` is a Python or numpy integer; bools and floats are not, integral or not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def build_tree(
     node_rows: Iterable[tuple[str, str | None, int, float]],
     branch_prob: Mapping[str, float],
@@ -418,7 +422,7 @@ def uniform_binomial(depth: int) -> ScenarioTree:
     Node ids are the up/down path strings ('u', 'd', 'ud', ...); the root is
     named 'root'. The tree has 2**depth leaves of probability 2**-depth each.
     """
-    if depth < 1:
+    if not _is_int(depth) or depth < 1:
         raise ValidationError(f"depth must be a positive integer, got {depth}")
     rows: list[tuple[str, str | None, int, float]] = [("root", None, 0, 0.0)]
     probs: dict[str, float] = {}

@@ -20,9 +20,11 @@ from treerisk import (
     optional_projection_raw,
     pairing,
     raw_pairing,
+    stopped_worst_case,
     stopping_time_measure,
     terminal_density_measure,
     terminal_increment,
+    uniform_binomial,
     variation,
     variation_norm,
 )
@@ -376,6 +378,56 @@ class TestStoppingTimeMeasure:
     def test_out_of_range_rejected(self, t1):
         with pytest.raises(ValidationError):
             stopping_time_measure(t1, {"u": 5, "d": 5})
+
+    def test_depths_must_be_integers(self, t1):
+        for bad in (True, 1.0):
+            with pytest.raises(ValidationError) as exc:
+                stopping_time_measure(t1, {"d": 1, "u": bad})
+            assert str(exc.value) == f"stopping depth {bad!r} at leaf 'u' out of range 0..1"
+        m = stopping_time_measure(t1, {"d": np.int64(1), "u": np.int32(1)})
+        assert m.op_inc == {"d": 1.0, "u": 1.0}
+
+    def test_worst_case_rule_matches_path_walks(self):
+        rng = np.random.default_rng(71)
+        trees = [interleaved_tree(rng) for _ in range(16)] + [uniform_binomial(6)] * 4
+        for i, tree in enumerate(trees):
+            draw = value_sampler(rng, coarse=i % 2 == 0)
+            X = AdaptedProcess(tree, {nid: draw() for nid in tree.order})
+            tau = stopped_worst_case(tree, X).tau
+            # each leaf's path stops at its depth-tau node; keys in canonical order
+            stops = {tree.path(leaf)[k] for leaf, k in tau.items()}
+            expected = {nid: 1.0 for nid in tree.order if nid in stops}
+            m = stopping_time_measure(tree, tau)
+            assert (m.pr_inc, hexed(m.op_inc)) == ({}, hexed(expected))
+
+    def test_non_measurable_rule_names_the_first_node(self, t2):
+        with pytest.raises(ValidationError) as exc:
+            stopping_time_measure(t2, {"dd": 1, "du": 2, "ud": 2, "uu": 2})
+        assert str(exc.value) == "stopping decision at depth 1 is not measurable at node 'd'"
+        rng = np.random.default_rng(73)
+        for _ in range(60):
+            tree = interleaved_tree(rng, max_depth=4)
+            # a genuine stopping time, then up to four leaves moved off it; decisions from
+            # depth 2 on, where canonical order interleaves subtrees and DFS order does not
+            lo = min(2, tree.K)
+            stop = {n for n in tree.order if tree.nodes[n].depth >= lo and rng.uniform() < 0.3}
+            stop |= set(tree.leaves)
+            tau = {leaf: next(k for k, n in enumerate(tree.path(leaf)) if n in stop) for leaf in tree.leaves}
+            for j in rng.choice(len(tree.leaves), size=int(rng.integers(0, 5))):
+                tau[tree.leaves[j]] = int(rng.integers(lo, tree.K + 1))
+            first = None  # in (depth, canonical) order, the first node whose leaves disagree
+            for nid in tree.order:
+                k = tree.nodes[nid].depth
+                flags = {tau[leaf] == k for leaf in tree.leaves if tree.path(leaf)[k] == nid}
+                if len(flags) > 1:
+                    first = (k, nid)
+                    break
+            if first is None:
+                assert stopping_time_measure(tree, tau).pr_inc == {}
+                continue
+            with pytest.raises(ValidationError) as exc:
+                stopping_time_measure(tree, tau)
+            assert str(exc.value) == "stopping decision at depth {} is not measurable at node '{}'".format(*first)
 
 
 class TestTerminalDensityMeasure:

@@ -486,6 +486,22 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _doc(fmt, **fields):
+    return json.dumps({"format": fmt, **fields}).encode()
+
+
+def _line(message):
+    """The whole error line for a hostile document; ``{bad}`` stands for its path."""
+    return f"error: {{bad}}: {message}\n"
+
+
+# argv templates for a hostile document read as each kind of input
+_STATIC = ("instances", "--tree", "{tree}", "--process", "{bad}", "--alpha", "0.5")
+_TREE = ("instances", "--tree", "{bad}", "--process", "{y}", "--alpha", "0.5")
+_PROJECT = ("project", "--tree", "{tree}", "--process", "{bad}")
+_SPEC = ("eval", "--tree", "{tree}", "--spec", "{bad}", "--process", "{x}")
+
+
 class TestEvalCommand:
     def test_table(self, workdir, capsys):
         _, p = workdir
@@ -908,27 +924,67 @@ class TestDeterminismAndErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "content, message",
+        "content, message, argv",
         [
-            (b'{"format": "static", "values": {"d": 1' + b"0" * 400 + b', "u": 0.0}}', "float range"),
-            (b"\xff\xfe" + '{"format": "static"}'.encode("utf-16-le"), "not UTF-8"),
-            (b'{"format": "static", "values": {"d": 1.0, "u": 0.0, "d": 5.0}}', "duplicate key 'd'"),
-            (b'{"format": "static", "values": {"d": 1' + b"0" * 5000 + b', "u": 0.0}}', "invalid JSON"),
-            (b"[" * 100000 + b"]" * 100000, "invalid JSON"),
+            (b'{"format": "static", "values": {"d": 1' + b"0" * 400 + b', "u": 0.0}}', "float range", _STATIC),
+            (b"\xff\xfe" + '{"format": "static"}'.encode("utf-16-le"), "not UTF-8", _STATIC),
+            (b'{"format": "static", "values": {"d": 1.0, "u": 0.0, "d": 5.0}}', "duplicate key 'd'", _STATIC),
+            (b'{"format": "static", "values": {"d": 1' + b"0" * 5000 + b', "u": 0.0}}', "invalid JSON", _STATIC),
+            (b"[" * 100000 + b"]" * 100000, "invalid JSON", _STATIC),
+            # the rest give the whole error line
+            (_doc("tree", nodes=[]), _line("'nodes' must be a non-empty array"), _TREE),
+            (_doc("tree", nodes=[1]), _line("nodes[0] must be an object"), _TREE),
+            (_doc("tree", nodes=[{"depth": 0, "time": 0}]), _line("nodes[0] missing field 'id'"), _TREE),
+            (_doc("tree", nodes=[{"id": "r", "time": 0}]), _line("nodes[0] missing field 'depth'"), _TREE),
+            (_doc("tree", nodes=[{"id": "r", "depth": 0}]), _line("nodes[0] missing field 'time'"), _TREE),
+            (_doc("tree", nodes=[{"id": 1, "depth": 0, "time": 0}]), _line("nodes[0].id must be a string"), _TREE),
+            (
+                _doc("tree", nodes=[{"id": "r", "parent": 3, "depth": 0, "time": 0}]),
+                _line("nodes[0].parent must be a string or null"),
+                _TREE,
+            ),
+            (_doc("tree", nodes=[{"id": "r", "depth": True, "time": 0}]), _line("nodes[0].depth must be an integer"), _TREE),
+            (
+                _doc("tree", nodes=[{"id": "r", "depth": 0, "time": 0}, {"id": "a", "parent": "r", "depth": 1, "time": 1}]),
+                _line("nodes[1] ('a') missing branch probability 'p'"),
+                _TREE,
+            ),
+            (_doc("raw_process", entries={}), _line("'entries' must be an array"), _PROJECT),
+            (_doc("raw_process", entries=[1]), _line("entries[0] must be an object"), _PROJECT),
+            (_doc("raw_process", entries=[{"leaf": "d", "depth": 0}]), _line("entries[0] missing field 'value'"), _PROJECT),
+            (_doc("raw_process", entries=[{"leaf": 1, "depth": 0, "value": 0}]), _line("entries[0].leaf must be a string"), _PROJECT),
+            (
+                _doc("raw_process", entries=[{"leaf": "d", "depth": "0", "value": 0}]),
+                _line("entries[0].depth must be an integer"),
+                _PROJECT,
+            ),
+            (
+                _doc("raw_process", entries=[{"leaf": "dd", "depth": 0, "value": 0}] * 2),
+                _line("duplicate entry for (dd, 0)"),
+                _PROJECT,
+            ),
+            (b"[]", _line("top level must be an object"), _STATIC),
+            (_doc("static", values=[]), _line("'values' must be an object"), _STATIC),
+            (_doc("spec", elements=[]), _line("'elements' must be a non-empty array"), _SPEC),
         ],
-        ids=["huge-integer", "utf-16", "duplicate-key", "over-long-integer", "deep-nesting"],
+        ids=[
+            "huge-integer", "utf-16", "duplicate-key", "over-long-integer", "deep-nesting",
+            "tree-nodes-empty", "tree-node-not-object", "tree-missing-id", "tree-missing-depth",
+            "tree-missing-time", "tree-id-type", "tree-parent-type", "tree-depth-bool", "tree-missing-p",
+            "raw-entries-type", "raw-entry-not-object", "raw-missing-field", "raw-leaf-type",
+            "raw-depth-type", "raw-duplicate", "top-level-array", "static-values-type", "spec-elements-empty",
+        ],
     )
-    def test_hostile_document_exits_1(self, workdir, capsys, tmp_path, content, message):
+    def test_hostile_document_exits_1(self, workdir, capsys, tmp_path, content, message, argv):
         _, p = workdir
         bad = tmp_path / "hostile.json"
         bad.write_bytes(content)
-        code, out, err = run_cli(
-            capsys, "instances", "--tree", p["tree"], "--process", str(bad), "--alpha", "0.5"
-        )
+        code, out, err = run_cli(capsys, *(a.format(bad=bad, **p) for a in argv))
         assert code == 1
         assert out == ""
-        assert err.startswith(f"error: {bad}: ")
-        assert message in err
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+        assert message.format(bad=bad) in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -937,8 +993,19 @@ class TestDeterminismAndErrors:
             (["diagnose-identities", "--seed", "-1"], "--seed must be nonnegative, got -1"),
             (["conjugate", "--spec", "{spec}", "--measure", "{m}", "--tol", "inf"], "tolerance must be finite, got inf"),
             (["conjugate", "--spec", "{spec}", "--measure", "{m}", "--tol", "nan"], "tolerance must be nonnegative, got nan"),
+            (["diagnose-lebesgue", "--depths", "1,x"], "expected a comma separated integer list, got '1,x'"),
+            (["diagnose-ui", "--process", "{y}", "--kgrid", "0,x"], "expected a comma separated number list, got '0,x'"),
+            (["diagnose-identities", "--seed", "1", "--samples", "0"], "--samples must be positive, got 0"),
+            (
+                ["allocate", "--spec", "{spec}", "--process", "{x}", "--seed", "1", "--samples", "-1"],
+                "samples must be nonnegative, got -1",
+            ),
+            (["eval", "--spec", "{spec}", "--process", "{x}", "--process", "{x}"], "command 'eval' takes exactly one --process"),
         ],
-        ids=["allocate-seed", "identities-seed", "tol-inf", "tol-nan"],
+        ids=[
+            "allocate-seed", "identities-seed", "tol-inf", "tol-nan", "depths-list", "kgrid-list",
+            "identities-samples", "allocate-samples", "eval-two-processes",
+        ],
     )
     def test_bad_flag_values_exit_1(self, workdir, capsys, t1, tmp_path, argv, message):
         _, p = workdir

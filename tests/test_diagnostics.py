@@ -180,6 +180,14 @@ class TestLebesgueProbe:
         with pytest.raises(ValidationError):
             worst_case_crash_schedule([0, 1])
 
+    def test_schedule_depths_must_be_integers(self):
+        for bad in (2.7, True, 2.0):
+            with pytest.raises(ValidationError) as exc:
+                worst_case_crash_schedule([1, bad])
+            assert str(exc.value) == f"depths must be integers, got (1, {bad})"
+        depths = worst_case_crash_schedule([np.int64(1), np.int32(2), 3]).depths
+        assert depths == (1, 2, 3) and {type(d) for d in depths} == {int}
+
 
 class TestDecompositionBattery:
     def test_identities_exact_on_grid_valued_measures(self):

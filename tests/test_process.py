@@ -266,6 +266,23 @@ class TestInterleavedIds:
             }
             assert hexed(RawProcess.from_adapted(X).values) == hexed(expected)
 
+    def test_running_sup_and_exceedance_match_path_walks(self):
+        rng = np.random.default_rng(63)
+        trees = [interleaved_tree(rng) for _ in range(16)] + [uniform_binomial(6)] * 4
+        for i, tree in enumerate(trees):
+            draw = value_sampler(rng, coarse=i % 2 == 0)
+            X = AdaptedProcess(tree, {nid: draw() for nid in tree.order})
+            Y = AdaptedProcess(tree, {nid: draw() for nid in tree.order})
+            sup = {leaf: max(abs(X.values[n]) for n in tree.path(leaf)) for leaf in tree.leaves}
+            assert hexed(running_sup(X).values) == hexed(sup)
+            assert sup_norm(X).hex() == max(sup.values()).hex()
+            gap = {leaf: max(abs(X.values[n] - Y.values[n]) for n in tree.path(leaf)) for leaf in tree.leaves}
+            drawn = sorted({g for g in gap.values() if g > 0.0})
+            # on each drawn gap, just above it, and halfway below it
+            for eps in {e for g in drawn for e in (g, math.nextafter(g, math.inf), g / 2)}:
+                expected = math.fsum(tree.prob[leaf] for leaf in tree.leaves if gap[leaf] > eps)
+                assert prob_sup_exceedance(X, Y, eps).hex() == expected.hex()
+
 
 class TestExceedance:
     def test_identical_processes(self, t2):

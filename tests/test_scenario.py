@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from treerisk import ScenarioTree, TreeNode, ValidationError, uniform_binomial
+from treerisk import ScenarioTree, TreeNode, ValidationError, build_tree, uniform_binomial
 
 from conftest import brute_mean, hexed, interleaved_tree, random_tree, value_sampler
 
@@ -299,3 +299,57 @@ def test_leaf_paths_and_node_spans_match_path_walks():
         for nid, i in tree.index.items():
             assert dfs[lo[i] : hi[i]] == tree.leaves_under(nid)
         assert tree.leaf_paths() is paths  # built once
+
+
+def _root(**kw):
+    return TreeNode(**{"id": "r", "parent": None, "depth": 0, "time": 0.0, "branch_prob": 1.0, **kw})
+
+
+@pytest.mark.parametrize(
+    "nodes, message",
+    [
+        ([], "tree has no nodes"),
+        ([_root(id="")], "node id must be a non-empty string, got ''"),
+        ([_root(depth=1)], "root node 'r' must have depth 0, got 1"),
+        ([_root(branch_prob=0.5)], "root node 'r' must carry branch probability 1"),
+        ([_root(), TreeNode("a", "ghost", 1, 1.0, 1.0)], "node 'a' references unknown parent 'ghost'"),
+        ([_root(), TreeNode("a", "r", 1, math.nan, 1.0)], "node 'a' has non-finite time nan"),
+        (
+            [_root(), TreeNode("a", "r", 1, 1.0, 0.5), TreeNode("b", "r", 1, 2.0, 0.5)],
+            "node 'b' has time 2.0, but depth 1 was already placed at time 1.0",
+        ),
+        ([_root(time=0.5), TreeNode("a", "r", 1, 1.0, 1.0)], "the time grid must start at 0, got t_0 = 0.5"),
+    ],
+    ids=["empty", "empty-id", "root-depth", "root-prob", "unknown-parent", "nan-time", "two-times", "t0"],
+)
+def test_tree_validation_messages(nodes, message):
+    with pytest.raises(ValidationError) as exc:
+        ScenarioTree(nodes)
+    assert str(exc.value) == message
+
+
+def test_build_tree_requires_branch_probabilities():
+    with pytest.raises(ValidationError) as exc:
+        build_tree([("r", None, 0, 0.0), ("a", "r", 1, 1.0)], {})
+    assert str(exc.value) == "missing branch probability for node 'a'"
+
+
+def test_uniform_binomial_depth_must_be_an_integer():
+    for bad in (2.5, True, 2.0):
+        with pytest.raises(ValidationError) as exc:
+            uniform_binomial(bad)
+        assert str(exc.value) == f"depth must be a positive integer, got {bad}"
+    tree = uniform_binomial(np.int64(3))
+    assert tree.order == uniform_binomial(3).order and tree.times == uniform_binomial(3).times
+
+
+def test_parent_column_matches_path_walks():
+    rng = np.random.default_rng(59)
+    for tree in [interleaved_tree(rng) for _ in range(10)] + [uniform_binomial(5)]:
+        assert tree.parent.dtype == np.intp and tree.parent[0] == 0
+        for nid, i in tree.index.items():
+            parent = tree.nodes[nid].parent
+            assert tree.order[tree.parent[i]] == (nid if parent is None else parent)
+        for leaf in tree.leaves:
+            path = brute_path(tree, leaf)
+            assert [tree.parent[tree.index[n]] for n in path[1:]] == [tree.index[n] for n in path[:-1]]
