@@ -32,15 +32,16 @@ DENSITY_NORM_TOL = 1e-9  # how far from 1 a terminal density's mean may be
 
 
 def _clean_increments(
-    tree: ScenarioTree, entries: dict[str, float], *, field: str, max_depth: int
+    tree: ScenarioTree, entries: dict[str, float], *, field: str, leaves: bool
 ) -> dict[str, float]:
+    """The nonzero entries as floats; entries must name known nodes, and leaves only where ``leaves``."""
+    end = len(tree.order) if leaves else tree.first_leaf
     out: dict[str, float] = {}
     for nid, v in entries.items():
-        node = tree.require_node(nid)
-        if node.depth > max_depth:
+        if tree.position(nid) >= end:
             raise ValidationError(
-                f"{field} increment stored at node '{nid}' (depth {node.depth}); "
-                f"entries are only allowed up to depth {max_depth}"
+                f"{field} increment stored at node '{nid}' (depth {tree.K}); "
+                f"entries are only allowed up to depth {tree.K - 1}"
             )
         v = float(v)
         if not isfinite(v):
@@ -67,12 +68,12 @@ class BiMeasure:
         object.__setattr__(
             self,
             "pr_inc",
-            _clean_increments(self.tree, self.pr_inc, field="predictable", max_depth=self.tree.K - 1),
+            _clean_increments(self.tree, self.pr_inc, field="predictable", leaves=False),
         )
         object.__setattr__(
             self,
             "op_inc",
-            _clean_increments(self.tree, self.op_inc, field="optional", max_depth=self.tree.K),
+            _clean_increments(self.tree, self.op_inc, field="optional", leaves=True),
         )
 
     @property
@@ -292,5 +293,5 @@ def terminal_density_measure(f: StaticRV) -> BiMeasure:
 def increment_vector(a: BiMeasure) -> list[float]:
     """Flatten to the canonical coordinate layout: predictable entries (depths 0..K-1), then optional (all depths)."""
     tree = a.tree
-    interior = tree.order[: len(tree.order) - len(tree.leaves)]  # depths 0..K-1: canonical order is by depth
+    interior = tree.order[: tree.first_leaf]
     return [a.pr_inc.get(n, 0.0) for n in interior] + [a.op_inc.get(n, 0.0) for n in tree.order]

@@ -326,9 +326,8 @@ def _cmd_diagnose_lebesgue(ns: argparse.Namespace) -> int:
 
 def _random_signed_bimeasure(tree, rng) -> BiMeasure:
     pr, op = {}, {}
-    interior = len(tree.order) - len(tree.leaves)  # depths 0..K-1 open the canonical order
     for i, nid in enumerate(tree.order):
-        if i < interior and rng.uniform() < 0.7:
+        if i < tree.first_leaf and rng.uniform() < 0.7:
             pr[nid] = float(rng.uniform(-1.0, 1.0))
         if rng.uniform() < 0.7:
             op[nid] = float(rng.uniform(-1.0, 1.0))

@@ -21,7 +21,7 @@ from .bimeasure import BiMeasure
 from .errors import ValidationError
 from .process import AdaptedProcess, RawProcess, StaticRV
 from .riskcore import RiskMeasureSpec
-from .scenario import ScenarioTree, TreeNode, build_tree
+from .scenario import ScenarioTree
 
 
 class FileFormatError(ValidationError):
@@ -87,7 +87,6 @@ def load_tree(path: str | Path) -> ScenarioTree:
     if not isinstance(rows, list) or not rows:
         raise FileFormatError(f"{path}: 'nodes' must be a non-empty array")
     node_rows = []
-    probs = {}
     for i, row in enumerate(rows):
         if not isinstance(row, dict):
             raise FileFormatError(f"{path}: nodes[{i}] must be an object")
@@ -104,22 +103,20 @@ def load_tree(path: str | Path) -> ScenarioTree:
         if isinstance(depth, bool) or not isinstance(depth, int):
             raise FileFormatError(f"{path}: nodes[{i}].depth must be an integer")
         time = _number(path, row["time"], "nodes[{}].time", i)
-        if parent is not None or "p" in row:
-            if "p" not in row:
-                raise FileFormatError(f"{path}: nodes[{i}] ('{nid}') missing branch probability 'p'")
-            probs[nid] = _number(path, row["p"], "nodes[{}].p", i)
-        node_rows.append((nid, parent, depth, time))
-    return build_tree(node_rows, probs)
+        p = _number(path, row["p"], "nodes[{}].p", i) if "p" in row else 1.0
+        if parent is not None and "p" not in row:
+            raise FileFormatError(f"{path}: nodes[{i}] ('{nid}') missing branch probability 'p'")
+        node_rows.append((nid, parent, depth, time, p))
+    return ScenarioTree(node_rows)
 
 
 def dump_tree(tree: ScenarioTree, path: str | Path) -> None:
-    rows = []
-    for nid in tree.order:
-        n: TreeNode = tree.nodes[nid]
-        row: dict[str, Any] = {"id": n.id, "parent": n.parent, "depth": n.depth, "time": n.time}
-        if n.parent is not None:
-            row["p"] = n.branch_prob
-        rows.append(row)
+    rows = [{"id": tree.root, "parent": None, "depth": 0, "time": tree.times[0]}]  # the root carries no 'p'
+    parent = tree.parent.tolist()
+    for k, ids in enumerate(tree.depth_nodes[1:], 1):
+        for i, nid in enumerate(ids, len(rows)):
+            up = tree.order[parent[i]]
+            rows.append({"id": nid, "parent": up, "depth": k, "time": tree.times[k], "p": tree.branch_prob[i]})
     _write(path, {"format": "tree", "nodes": rows})
 
 
@@ -312,8 +309,7 @@ def _spec_rows(path: str | Path, rows: list, tree: ScenarioTree):
         return None
     del ids, incs
     deepest = idx[np.repeat([True, False] * len(labels), counts)].max(initial=-1)
-    interior = len(tree.order) - len(tree.leaves)  # canonical order puts the depth-K nodes last
-    if not (np.isfinite(vals).all() and (vals >= 0.0).all() and deepest < interior):
+    if not (np.isfinite(vals).all() and (vals >= 0.0).all() and deepest < tree.first_leaf):
         return None
     return idx, vals, counts, gammas, labels
 

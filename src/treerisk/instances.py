@@ -247,7 +247,7 @@ def avar_spec(tree: ScenarioTree, alpha: float) -> RiskMeasureSpec:
     vertex, leaf = np.nonzero(density)
     ends = np.cumsum(np.count_nonzero(density, axis=1)).tolist()
     bounds, labels = tuple(zip([0, *ends], ends)), [f"v{i}" for i in range(len(ends))]
-    node, op = leaf + (len(tree.order) - len(tree.leaves)), density[vertex, leaf]  # leaves close the order
+    node, op = leaf + tree.first_leaf, density[vertex, leaf]
     return RiskMeasureSpec._from_arrays(tree, node, np.zeros_like(op), op, bounds, [0.0] * len(ends), labels)
 
 
@@ -256,7 +256,7 @@ def worst_case_spec(tree: ScenarioTree) -> RiskMeasureSpec:
     L = len(tree.leaves)
     op = 1.0 / np.fromiter(map(tree.prob.__getitem__, tree.leaves), float, L)
     bounds, labels = tuple((i, i + 1) for i in range(L)), [f"leaf:{leaf}" for leaf in tree.leaves]
-    node = np.arange(len(tree.order) - L, len(tree.order))  # the leaves close the canonical order
+    node = np.arange(tree.first_leaf, len(tree.order))
     return RiskMeasureSpec._from_arrays(tree, node, np.zeros_like(op), op, bounds, [0.0] * L, labels)
 
 
@@ -295,7 +295,7 @@ def stopped_worst_case(tree: ScenarioTree, X: AdaptedProcess) -> StoppedWorstCas
     """
     if X.tree is not tree:
         raise ValidationError("tree mismatch: process was built on a different scenario tree")
-    parent, branch = tree.parent.tolist(), [tree.nodes[nid].branch_prob for nid in tree.order]
+    parent, branch = tree.parent.tolist(), tree.branch_prob
     V = [-X.values[nid] for nid in tree.order]
     cont: list[list[float]] = [[] for _ in V]  # branch_prob * V of each child; none at a leaf
     stop = [True] * len(V)
@@ -303,6 +303,6 @@ def stopped_worst_case(tree: ScenarioTree, X: AdaptedProcess) -> StoppedWorstCas
         if cont[i] and not V[i] >= (c := fsum(cont[i])):  # ties stop
             stop[i], V[i] = False, c
         cont[parent[i]].append(branch[i] * V[i])
-    paths = tree.leaf_paths()[tree.node_spans()[0][len(V) - len(tree.leaves) :]]  # in canonical leaf order
+    paths = tree.leaf_paths()[tree.node_spans()[0][tree.first_leaf :]]  # in canonical leaf order
     tau = dict(zip(tree.leaves, np.array(stop)[paths].argmax(axis=1).tolist()))  # each path's first stop
     return StoppedWorstCase(value=V[0], tau=tau)

@@ -38,10 +38,10 @@ def _check_grid(
     tree: ScenarioTree, entries: Mapping[tuple[str, int], float], lo: int, label: str
 ) -> dict[tuple[str, int], float]:
     """Check values keyed on (leaf, k), k = lo..K: known leaves, finite floats, full coverage."""
-    K, first = tree.K, len(tree.order) - len(tree.leaves)  # the leaves close the canonical order
+    K = tree.K
     vals = {}
     for (leaf, k), v in entries.items():
-        if tree.index.get(leaf, -1) < first:
+        if tree.index.get(leaf, -1) < tree.first_leaf:
             raise ValidationError(f"{label} keyed on unknown leaf '{leaf}'")
         if not lo <= k <= K:
             raise ValidationError(f"{label} at ({leaf}, {k}) out of range {lo}..{K}")
@@ -67,7 +67,7 @@ class AdaptedProcess:
     def __post_init__(self):
         vals = {}
         for nid, v in self.values.items():
-            if nid not in self.tree.nodes:
+            if nid not in self.tree.index:
                 raise ValidationError(f"process value given for unknown node '{nid}'")
             vals[nid] = _check_finite(v, "node '{}'", nid)
         for nid in self.tree.order:
@@ -117,11 +117,10 @@ class StaticRV:
 
     def __post_init__(self):
         vals, index = {}, self.tree.index
-        first = len(self.tree.order) - len(self.tree.leaves)  # the leaves close the canonical order
         for leaf, v in self.values.items():
             if leaf not in index:
                 raise ValidationError(f"value given for unknown leaf '{leaf}'")
-            if index[leaf] < first:
+            if index[leaf] < self.tree.first_leaf:
                 raise ValidationError(f"'{leaf}' is not a leaf; static values live on leaves only")
             vals[leaf] = _check_finite(v, "leaf '{}'", leaf)
         for leaf in self.tree.leaves:
@@ -190,7 +189,7 @@ def running_sup(X: AdaptedProcess) -> StaticRV:
     sup = list(map(abs, map(X.values.__getitem__, tree.order)))
     for i, parent in enumerate(tree.parent.tolist()):  # canonical order puts parents first
         sup[i] = max(sup[parent], sup[i])
-    return StaticRV(tree, dict(zip(tree.leaves, sup[len(sup) - len(tree.leaves) :])))
+    return StaticRV(tree, dict(zip(tree.leaves, sup[tree.first_leaf :])))
 
 
 def sup_norm(X: AdaptedProcess) -> float:

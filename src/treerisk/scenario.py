@@ -2,22 +2,24 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from functools import cached_property
 from itertools import groupby, repeat
 from math import frexp, fsum, isfinite, ldexp
 from operator import mul, sub
-from typing import Iterable, Mapping, Sequence
+from numbers import Real
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 
 SUM_TOL = 1e-12
+_REAL = (float, Real)  # float first: an isinstance check against the ABC alone takes about 0.45 us
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    """A single tree node. ``branch_prob`` is conditional on the parent (1.0 at the root)."""
+class TreeNode(NamedTuple):
+    """One input row of a tree. ``branch_prob`` is conditional on the parent (1.0 at the root)."""
 
     id: str
     parent: str | None
@@ -34,16 +36,32 @@ class ScenarioTree:
     strictly positive, so every conditional expectation along the tree is well
     defined and every leaf has positive mass.
 
+    The input rows, :class:`TreeNode` (id, parent, depth, time, branch_prob)
+    or any such 5-tuples, are transposed once into five columns. The checks
+    run in this order, each over the rows in input order, and the first to fail
+    raises :class:`ValidationError` naming its node: ids are unique non-empty
+    strings; one row, the root, has no parent, depth 0 and branch probability
+    1; every other row names a known parent one level up and a branch
+    probability in (0, 1]; each row has an integer depth (not a bool) and a
+    finite time, one per depth; the time grid starts at 0 and increases;
+    every node above depth K has children; each node's children (nodes taken
+    in input order) have branch probabilities summing to 1; so do the leaves'
+    probabilities.
+
     ``index`` maps each node id to its position in the canonical (depth, id)
-    ``order``; ``parent``, an ``np.intp`` array in that order, holds each
-    node's parent as such a position (the root maps to itself), and the
-    recursions over the tree read it. A depth-first pass, children in id order,
-    lays the leaves out so that every subtree owns a contiguous range of that
-    DFS leaf order; the ranges are held once, per canonical index, and read by
-    ``leaves_under`` (the range as a slice, in DFS order, which differs from
-    the canonical order of ``leaves`` when ids interleave subtrees),
-    ``node_spans`` and ``node_means``. ``path`` and ``children`` walk the
-    nodes themselves, an independent reference for these layouts.
+    ``order``, the order of the columns the tree keeps: ``parent`` (an
+    ``np.intp`` array of positions, the root its own parent), read by the
+    recursions over the tree, ``branch_prob`` and ``prob`` (a dict, the
+    product of the branch probabilities along the path). The leaves close the
+    order from position ``first_leaf`` on. A depth-first pass, children in id
+    order, lays the leaves out so that every subtree owns a contiguous range
+    of that DFS leaf order; the ranges are held once, per canonical index, and
+    read by ``leaves_under`` (the range as a slice, in DFS order, which differs
+    from the canonical order of ``leaves`` when ids interleave subtrees),
+    ``node_spans`` and ``node_means``. ``nodes``, each id's row rebuilt from
+    the columns on first read, serves ``path``, ``children`` and
+    ``require_node``, which walk the nodes themselves: an independent reference
+    for these layouts.
 
     ``node_means`` is the one conditional-mean loop: given rows of values
     over the DFS leaves, it returns E[rows[k] | node] at each node of depth
@@ -76,164 +94,156 @@ class ScenarioTree:
     :func:`uniform_binomial`.
     """
 
-    __slots__ = (
-        "nodes",
-        "order",
-        "index",
-        "parent",
-        "depth_nodes",
-        "leaves",
-        "K",
-        "T",
-        "times",
-        "prob",
-        "_children",
-        "_dfs_leaves",
-        "_dfs_prob",
-        "_spans",
-        "_leaf_paths",
-        "_node_spans",
-    )
-
     def __init__(self, node_list: Iterable[TreeNode]):
-        nodes = list(node_list)
-        if not nodes:
+        columns = tuple(zip(*node_list))
+        if not columns:
             raise ValidationError("tree has no nodes")
+        ids, parents, depths, times, branch = columns
+        n = len(ids)
 
-        by_id: dict[str, TreeNode] = {}
-        for n in nodes:
-            if not isinstance(n.id, str) or not n.id:
-                raise ValidationError(f"node id must be a non-empty string, got {n.id!r}")
-            if n.id in by_id:
-                raise ValidationError(f"duplicate node id '{n.id}'")
-            by_id[n.id] = n
+        at: dict[str, int] = {}  # id -> input position
+        for i, nid in enumerate(ids):
+            if not isinstance(nid, str) or not nid:
+                raise ValidationError(f"node id must be a non-empty string, got {nid!r}")
+            if at.setdefault(nid, i) != i:
+                raise ValidationError(f"duplicate node id '{nid}'")
 
-        roots = [n for n in nodes if n.parent is None]
-        if len(roots) != 1:
-            raise ValidationError(f"expected exactly one root node, found {len(roots)}")
-        root = roots[0]
-        if root.depth != 0:
-            raise ValidationError(f"root node '{root.id}' must have depth 0, got {root.depth}")
-        if root.branch_prob != 1.0:
-            raise ValidationError(f"root node '{root.id}' must carry branch probability 1")
+        roots = parents.count(None)
+        if roots != 1:
+            raise ValidationError(f"expected exactly one root node, found {roots}")
+        r = parents.index(None)
+        if depths[r] != 0:
+            raise ValidationError(f"root node '{ids[r]}' must have depth 0, got {depths[r]}")
+        if branch[r] != 1.0:
+            raise ValidationError(f"root node '{ids[r]}' must carry branch probability 1")
 
-        children: dict[str, list[str]] = {n.id: [] for n in nodes}
-        for n in nodes:
-            if n.parent is None:
+        for nid, p, d, b in zip(ids, parents, depths, branch):
+            if p is None:
                 continue
-            if n.parent not in by_id:
-                raise ValidationError(f"node '{n.id}' references unknown parent '{n.parent}'")
-            if n.depth != by_id[n.parent].depth + 1:
+            j = at.get(p)
+            if j is None:
+                raise ValidationError(f"node '{nid}' references unknown parent '{p}'")
+            if d != depths[j] + 1:
                 raise ValidationError(
-                    f"node '{n.id}' at depth {n.depth} must sit one level below "
-                    f"parent '{n.parent}' at depth {by_id[n.parent].depth}"
+                    f"node '{nid}' at depth {d} must sit one level below "
+                    f"parent '{p}' at depth {depths[j]}"
                 )
-            if not (0.0 < n.branch_prob <= 1.0) or not isfinite(n.branch_prob):
-                raise ValidationError(
-                    f"branch probability of node '{n.id}' must lie in (0, 1], got {n.branch_prob!r}"
-                )
-            children[n.parent].append(n.id)
+            if not isinstance(b, _REAL) or not 0.0 < b <= 1.0:
+                raise ValidationError(f"branch probability of node '{nid}' must lie in (0, 1], got {b!r}")
 
-        K = max(n.depth for n in nodes)
+        K = max(depths)
         time_at: dict[int, float] = {}
-        for n in nodes:
-            if not isfinite(n.time):
-                raise ValidationError(f"node '{n.id}' has non-finite time {n.time!r}")
-            if n.depth in time_at:
-                if n.time != time_at[n.depth]:
-                    raise ValidationError(
-                        f"node '{n.id}' has time {n.time!r}, but depth {n.depth} "
-                        f"was already placed at time {time_at[n.depth]!r}"
-                    )
-            else:
-                time_at[n.depth] = n.time
-        times = [time_at[k] for k in range(K + 1)]
-        if abs(times[0]) > SUM_TOL:
-            raise ValidationError(f"the time grid must start at 0, got t_0 = {times[0]!r}")
-        for k in range(K):
-            if not times[k + 1] > times[k]:
+        for nid, d, t in zip(ids, depths, times):
+            if not _is_int(d):  # each depth is its parent's plus one: only its type can be wrong
+                raise ValidationError(f"node '{nid}' has depth {d!r}; depths must be integers")
+            if not isinstance(t, _REAL):
+                raise ValidationError(f"node '{nid}' has non-numeric time {t!r}")
+            if not isfinite(t):
+                raise ValidationError(f"node '{nid}' has non-finite time {t!r}")
+            if t != time_at.setdefault(d, t):
                 raise ValidationError(
-                    f"times must be strictly increasing, got t_{k} = {times[k]!r} "
-                    f"and t_{k + 1} = {times[k + 1]!r}"
+                    f"node '{nid}' has time {t!r}, but depth {d} was already placed at time {time_at[d]!r}"
+                )
+        grid = [time_at[k] for k in range(K + 1)]
+        if abs(grid[0]) > SUM_TOL:
+            raise ValidationError(f"the time grid must start at 0, got t_0 = {grid[0]!r}")
+        for k in range(K):
+            if not grid[k + 1] > grid[k]:
+                raise ValidationError(
+                    f"times must be strictly increasing, got t_{k} = {grid[k]!r} "
+                    f"and t_{k + 1} = {grid[k + 1]!r}"
                 )
 
-        for n in nodes:
-            if not children[n.id] and n.depth != K:
+        inner = set(parents)
+        for nid, d in zip(ids, depths):
+            if d != K and nid not in inner:
                 raise ValidationError(
-                    f"node '{n.id}' has no children but sits at depth {n.depth} < {K}; "
+                    f"node '{nid}' has no children but sits at depth {d} < {K}; "
                     "all leaves must share the terminal depth"
                 )
 
-        # canonical ordering: (depth, id) lexicographic, children sorted by id
-        order = sorted(by_id, key=lambda i: (by_id[i].depth, i))
-        for lst in children.values():
-            lst.sort()
+        # canonical order: (depth, id) lexicographic, by two stable sorts
+        perm = sorted(range(n), key=ids.__getitem__)
+        perm.sort(key=depths.__getitem__)
+        order = list(map(ids.__getitem__, perm))
+        index = dict(zip(order, range(n)))
+        parent = list(map(index.get, map(parents.__getitem__, perm)))
+        parent[0] = 0  # the root, index 0, stands in for its own parent
+        self.parent = np.array(parent, np.intp)  # built before the temporaries: peak RSS
+        branch = list(map(branch.__getitem__, perm))
+        # level k is order[starts[k] : starts[k + 1]]
+        starts = [bisect_left(perm, k, key=depths.__getitem__) for k in range(K + 2)]
 
-        for n in nodes:
-            kids = children[n.id]
-            if kids:
-                s = fsum(by_id[c].branch_prob for c in kids)
+        # each level in DFS order, children in id order: a stable sort of the
+        # (id-sorted) level on the parents' DFS ranks; siblings come out adjacent
+        rank = [0] * n  # each node's position in its level's DFS order
+        faults = []  # (input position, canonical index, sum) of each family not summing to 1
+        level = [0]
+        for k in range(1, K + 1):
+            level = sorted(range(starts[k], starts[k + 1]), key=lambda c: rank[parent[c]])
+            for i, c in enumerate(level):
+                rank[c] = i
+            for p, kids in groupby(level, parent.__getitem__):
+                s = fsum(map(branch.__getitem__, kids))
                 if abs(s - 1.0) > SUM_TOL:
-                    raise ValidationError(
-                        f"children probabilities sum != 1 under node '{n.id}' (got {s!r})"
-                    )
+                    faults.append((perm[p], p, s))
+        if faults:
+            _, p, s = min(faults)
+            raise ValidationError(f"children probabilities sum != 1 under node '{order[p]}' (got {s!r})")
 
-        index = {nid: i for i, nid in enumerate(order)}
-        parent = [0] * len(order)  # the root, index 0, stands in for its own parent
-        prob: dict[str, float] = {root.id: 1.0}
-        for i, nid in enumerate(order):
-            n = by_id[nid]
-            if n.parent is not None:
-                prob[nid] = prob[n.parent] * n.branch_prob
-                parent[i] = index[n.parent]
-        self.parent = parent = np.array(parent, np.intp)  # built, list freed, before the temporaries: peak RSS
-
-        leaves = [nid for nid in order if by_id[nid].depth == K]
-        mass = fsum(prob[leaf] for leaf in leaves)
+        prob = [1.0] * n
+        for c in range(1, n):
+            prob[c] = prob[parent[c]] * branch[c]
+        first = starts[K]
+        mass = fsum(prob[first:])
         if abs(mass - 1.0) > SUM_TOL:
             raise ValidationError(f"leaf probabilities sum != 1 (got {mass!r})")
 
-        # preorder walk, children in id order: the leaves under any node are
-        # consecutive, so each node owns the half-open range [lo, hi) of them
-        dfs_leaves: list[str] = []
-        stack = [root.id]
-        while stack:
-            nid = stack.pop()
-            if children[nid]:
-                stack.extend(reversed(children[nid]))
-            else:
-                dfs_leaves.append(nid)
-        span = {leaf: (i, i + 1) for i, leaf in enumerate(dfs_leaves)}
-        for nid in reversed(order):
-            kids = children[nid]
-            if kids:
-                span[nid] = (span[kids[0]][0], span[kids[-1]][1])
+        # each node owns the half-open range [lo, hi) of the DFS leaf order: its
+        # leaves' ranks, widened bottom-up from the children
+        lo = [n - first] * first + rank[first:]
+        hi = [0] * first + [i + 1 for i in rank[first:]]
+        for c, p in zip(range(n - 1, 0, -1), parent[:0:-1]):
+            lo[p], hi[p] = min(lo[p], lo[c]), max(hi[p], hi[c])
 
-        self.nodes = by_id
         self.order = tuple(order)
         self.index = index
-        self.depth_nodes = tuple(tuple(ids) for _, ids in groupby(order, lambda i: by_id[i].depth))
-        self.leaves = tuple(leaves)
+        self.branch_prob = tuple(branch)
+        self.depth_nodes = tuple(self.order[starts[k] : starts[k + 1]] for k in range(K + 1))
+        self.leaves = self.order[first:]
+        self.first_leaf = first
         self.K = K
-        self.T = times[K]
-        self.times = tuple(times)
-        self.prob = prob
-        self._children = {nid: tuple(kids) for nid, kids in children.items()}
-        self._dfs_leaves = tuple(dfs_leaves)
-        self._dfs_prob = tuple(prob[leaf] for leaf in dfs_leaves)
-        self._spans = tuple(map(span.__getitem__, order))
+        self.T = grid[K]
+        self.times = tuple(grid)
+        self.prob = dict(zip(order, prob))
+        self._dfs_leaves = tuple(map(order.__getitem__, level))
+        self._dfs_prob = tuple(map(prob.__getitem__, level))
+        self._spans = (lo, hi)
         self._leaf_paths = None
         self._node_spans = None
 
-    def require_node(self, node_id: str) -> TreeNode:
+    @cached_property
+    def nodes(self) -> dict[str, TreeNode]:
+        """Every node's row by id, in canonical order, rebuilt from the columns on first read."""
+        depth = [k for k, ids in enumerate(self.depth_nodes) for _ in ids]
+        parent = [None, *map(self.order.__getitem__, self.parent[1:].tolist())]
+        time = map(self.times.__getitem__, depth)
+        return dict(zip(self.order, map(TreeNode, self.order, parent, depth, time, self.branch_prob)))
+
+    def position(self, node_id: str) -> int:
+        """The canonical index of ``node_id``."""
         try:
-            return self.nodes[node_id]
+            return self.index[node_id]
         except KeyError:
             raise ValidationError(f"unknown node id '{node_id}'") from None
 
+    def require_node(self, node_id: str) -> TreeNode:
+        self.position(node_id)
+        return self.nodes[node_id]
+
     def children(self, node_id: str) -> tuple[str, ...]:
         self.require_node(node_id)
-        return self._children[node_id]
+        return tuple(nid for nid, node in self.nodes.items() if node.parent == node_id)
 
     def path(self, leaf_id: str) -> tuple[str, ...]:
         """Node ids from the root down to ``leaf_id``, inclusive."""
@@ -248,9 +258,8 @@ class ScenarioTree:
 
     def leaves_under(self, node_id: str) -> tuple[str, ...]:
         """The leaves of the subtree at ``node_id``, in DFS order."""
-        self.require_node(node_id)
-        lo, hi = self._spans[self.index[node_id]]
-        return self._dfs_leaves[lo:hi]
+        i = self.position(node_id)
+        return self._dfs_leaves[self._spans[0][i] : self._spans[1][i]]
 
     def leaf_paths(self) -> np.ndarray:
         """Shape (L, K + 1): row d holds the d-th DFS leaf's path as canonical indices, root first."""
@@ -265,7 +274,7 @@ class ScenarioTree:
     def node_spans(self) -> tuple[np.ndarray, np.ndarray]:
         """Per canonical index, the node's half-open range [lo, hi) of the DFS leaf order."""
         if self._node_spans is None:
-            self._node_spans = tuple(np.array(self._spans, np.intp).T)
+            self._node_spans = tuple(np.array(bound, np.intp) for bound in self._spans)
         return self._node_spans
 
     def node_means(self, rows: Sequence[Sequence[float]]) -> list[float]:
@@ -273,7 +282,7 @@ class ScenarioTree:
 
         Each row holds one value per DFS leaf; a constant range gives its first value exactly.
         """
-        prob, dfs_prob, spans = self.prob, self._dfs_prob, iter(self._spans)
+        prob, dfs_prob, spans = self.prob, self._dfs_prob, zip(*self._spans)
         out = []
         for row, ids in zip(rows, self.depth_nodes):
             for p, (lo, hi) in zip(map(prob.__getitem__, ids), spans):  # ids first: no span is drawn past the level
@@ -287,8 +296,7 @@ class ScenarioTree:
     def along_paths(self, node_values: Mapping[str, float]) -> dict[tuple[str, int], float]:
         """Per (leaf, k), the value at the leaf's depth-k ancestor, or 0.0 where none is given."""
         values = list(map(node_values.get, self.order, repeat(0.0)))
-        first = len(self.order) - len(self.leaves)  # the leaves close the canonical order
-        rows = self.leaf_paths()[[lo for lo, _ in self._spans[first:]]].tolist()
+        rows = self.leaf_paths()[self._spans[0][self.first_leaf :]].tolist()
         return {(leaf, k): values[i] for leaf, row in zip(self.leaves, rows) for k, i in enumerate(row)}
 
     def slice_means(self, grid: Mapping[tuple[str, int], float], shift: int = 0) -> dict[str, float]:
@@ -403,17 +411,12 @@ def build_tree(
     ``branch_prob`` maps each non-root node to its conditional probability.
     An entry for the root is optional and must equal 1 when present.
     """
-    rows = list(node_rows)
-    nodes = []
-    for nid, parent, depth, time in rows:
-        if parent is None:
-            p = branch_prob.get(nid, 1.0)
-        else:
-            if nid not in branch_prob:
-                raise ValidationError(f"missing branch probability for node '{nid}'")
-            p = branch_prob[nid]
-        nodes.append(TreeNode(id=nid, parent=parent, depth=depth, time=float(time), branch_prob=float(p)))
-    return ScenarioTree(nodes)
+    rows = []
+    for nid, parent, depth, time in node_rows:
+        if parent is not None and nid not in branch_prob:
+            raise ValidationError(f"missing branch probability for node '{nid}'")
+        rows.append((nid, parent, depth, float(time), float(branch_prob.get(nid, 1.0))))
+    return ScenarioTree(rows)
 
 
 def uniform_binomial(depth: int) -> ScenarioTree:
@@ -424,18 +427,11 @@ def uniform_binomial(depth: int) -> ScenarioTree:
     """
     if not _is_int(depth) or depth < 1:
         raise ValidationError(f"depth must be a positive integer, got {depth}")
-    rows: list[tuple[str, str | None, int, float]] = [("root", None, 0, 0.0)]
-    probs: dict[str, float] = {}
+    depth = int(depth)
+    rows = [("root", None, 0, 0.0, 1.0)]
     level = [""]
     for k in range(1, depth + 1):
-        nxt = []
-        for prefix in level:
-            parent = prefix if prefix else "root"
-            for letter in ("d", "u"):
-                nid = prefix + letter
-                rows.append((nid, parent, k, k / depth))
-                probs[nid] = 0.5
-                nxt.append(nid)
-        level = nxt
-    return build_tree(rows, probs)
-
+        level = [prefix + letter for prefix in level for letter in "du"]
+        t = k / depth
+        rows += ((nid, nid[:-1] or "root", k, t, 0.5) for nid in level)
+    return ScenarioTree(rows)

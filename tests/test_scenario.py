@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from treerisk import ScenarioTree, TreeNode, ValidationError, build_tree, uniform_binomial
+from treerisk.fileio import dump_tree, load_tree
 
 from conftest import brute_mean, hexed, interleaved_tree, random_tree, value_sampler
 
@@ -123,8 +124,9 @@ def test_leaves_must_share_depth():
 
 def test_unknown_node_lookup():
     tree = uniform_binomial(1)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as exc:
         tree.require_node("ghost")
+    assert str(exc.value) == "unknown node id 'ghost'"
 
 
 def test_canonical_order_is_depth_then_id(t2):
@@ -305,6 +307,12 @@ def _root(**kw):
     return TreeNode(**{"id": "r", "parent": None, "depth": 0, "time": 0.0, "branch_prob": 1.0, **kw})
 
 
+def _binary(p=0.5):
+    """A depth-2 binary tree under root 'r', every branch at ``p``, rows in canonical order."""
+    ids = ("a", "b", "aa", "ab", "ba", "bb")
+    return [_root()] + [TreeNode(nid, nid[:-1] or "r", len(nid), float(len(nid)), p) for nid in ids]
+
+
 @pytest.mark.parametrize(
     "nodes, message",
     [
@@ -319,13 +327,150 @@ def _root(**kw):
             "node 'b' has time 2.0, but depth 1 was already placed at time 1.0",
         ),
         ([_root(time=0.5), TreeNode("a", "r", 1, 1.0, 1.0)], "the time grid must start at 0, got t_0 = 0.5"),
+        (
+            [_root(), TreeNode("a", "r", 1, 1.0, 0.5), TreeNode("a", "r", 1, 1.0, 0.5)],
+            "duplicate node id 'a'",
+        ),
+        ([TreeNode("a", "ghost", 1, 1.0, 1.0)], "expected exactly one root node, found 0"),
+        ([_root(id="r1"), _root(id="r2")], "expected exactly one root node, found 2"),
+        (
+            [_root(), TreeNode("a", "r", 2, 1.0, 1.0)],
+            "node 'a' at depth 2 must sit one level below parent 'r' at depth 0",
+        ),
+        (
+            [_root(), TreeNode("a", "r", 1, 1.0, 0.0), TreeNode("b", "r", 1, 1.0, 1.0)],
+            "branch probability of node 'a' must lie in (0, 1], got 0.0",
+        ),
+        (
+            [_root(), TreeNode("a", "r", 1, 1.0, 1.5)],
+            "branch probability of node 'a' must lie in (0, 1], got 1.5",
+        ),
+        (
+            [_root(), TreeNode("a", "r", 1, 0.0, 1.0)],
+            "times must be strictly increasing, got t_0 = 0.0 and t_1 = 0.0",
+        ),
+        (
+            _binary()[:5],
+            "node 'b' has no children but sits at depth 1 < 2; all leaves must share the terminal depth",
+        ),
+        (
+            [_root(), TreeNode("a", "r", 1, 1.0, 0.6), TreeNode("b", "r", 1, 1.0, 0.6)],
+            "children probabilities sum != 1 under node 'r' (got 1.2)",
+        ),
+        # each sibling sum reads 1.0000000000009, within the tolerance; the leaf mass
+        # compounds the two levels' error past it
+        (_binary(0.5 + 4.5e-13), "leaf probabilities sum != 1 (got 1.0000000000018)"),
+        # field types: integral floats and bools pass the depth arithmetic but are no depths
+        ([_root(), TreeNode("a", "r", 1.0, 1.0, 1.0)], "node 'a' has depth 1.0; depths must be integers"),
+        ([_root(), TreeNode("a", "r", True, 1.0, 1.0)], "node 'a' has depth True; depths must be integers"),
+        ([_root(depth=0.0), TreeNode("a", "r", 1, 1.0, 1.0)], "node 'r' has depth 0.0; depths must be integers"),
+        ([_root(), TreeNode("a", "r", 1, "1.0", 1.0)], "node 'a' has non-numeric time '1.0'"),
+        (
+            [_root(), TreeNode("a", "r", 1, 1.0, "1.0")],
+            "branch probability of node 'a' must lie in (0, 1], got '1.0'",
+        ),
+        # one check, two faulty nodes: the first in input order is named, whatever its id
+        (
+            [_root(), TreeNode("b", "r", 1, 1.0, 0.5), TreeNode("a", "r", 1, 1.0, 0.5),
+             TreeNode("a", "r", 1, 1.0, 0.5), TreeNode("b", "r", 1, 1.0, 0.5)],
+            "duplicate node id 'a'",
+        ),
+        (
+            [_root(), TreeNode("y", "ghost2", 1, 1.0, 1.0), TreeNode("x", "ghost1", 1, 1.0, 1.0)],
+            "node 'y' references unknown parent 'ghost2'",
+        ),
+        (
+            [_root(), TreeNode("b", "r", 1, 1.0, 0.0), TreeNode("a", "r", 1, 1.0, 1.5)],
+            "branch probability of node 'b' must lie in (0, 1], got 0.0",
+        ),
+        (
+            [_root(), TreeNode("c", "r", 1, 1.0, 0.5), TreeNode("b", "r", 1, 1.0, 0.25),
+             TreeNode("a", "r", 1, 1.0, 0.25), TreeNode("cc", "c", 2, 2.0, 1.0)],
+            "node 'b' has no children but sits at depth 1 < 2; all leaves must share the terminal depth",
+        ),
+        (
+            [_binary()[0], _binary()[2], _binary()[1], *_binary(0.2)[3:5], *_binary(0.7)[5:]],
+            "children probabilities sum != 1 under node 'b' (got 1.4)",
+        ),
+        (
+            [*_binary()[:3], *_binary(0.2)[3:5], *_binary(0.7)[5:]],
+            "children probabilities sum != 1 under node 'a' (got 0.4)",
+        ),
+        # one pass, two checks: node by node in input order
+        (
+            [_root(), TreeNode("a", "r", 1, 1.0, 0.0), TreeNode("b", "r", 2, 1.0, 1.0)],
+            "branch probability of node 'a' must lie in (0, 1], got 0.0",
+        ),
+        # two passes: every node meets the earlier check before any meets the later one
+        (
+            [_root(id="r1"), _root(id="r2"), TreeNode("a", "r1", 1, 1.0, 0.5), TreeNode("a", "r1", 1, 1.0, 0.5)],
+            "duplicate node id 'a'",
+        ),
+        (
+            [_root(), TreeNode("a", "r", 1, math.nan, 0.5), TreeNode("b", "ghost", 1, 1.0, 0.5)],
+            "node 'b' references unknown parent 'ghost'",
+        ),
+        (
+            [_root(), TreeNode("a", "r", 1, 1.0, 0.5), TreeNode("b", "r", 1, 2.0, 0.5),
+             TreeNode("c", "r", 1, 1.0, 1.5)],
+            "branch probability of node 'c' must lie in (0, 1], got 1.5",
+        ),
+        (
+            [*_binary()[:3], TreeNode("aa", "a", 2, 1.0, 1.0)],
+            "times must be strictly increasing, got t_1 = 1.0 and t_2 = 1.0",
+        ),
+        (
+            [_root(), TreeNode("a", "r", 1, 1.0, 0.6), TreeNode("b", "r", 1, 1.0, 0.6),
+             TreeNode("aa", "a", 2, 2.0, 1.0)],
+            "node 'b' has no children but sits at depth 1 < 2; all leaves must share the terminal depth",
+        ),
+        (
+            [*_binary()[:3], *_binary(0.6)[3:5], *_binary(0.5 + 4.5e-13)[5:]],
+            "children probabilities sum != 1 under node 'a' (got 1.2)",
+        ),
     ],
-    ids=["empty", "empty-id", "root-depth", "root-prob", "unknown-parent", "nan-time", "two-times", "t0"],
+    ids=[
+        "empty", "empty-id", "root-depth", "root-prob", "unknown-parent", "nan-time", "two-times", "t0",
+        "duplicate", "no-root", "two-roots", "depth-below-parent", "prob-zero", "prob-above-one",
+        "times-not-increasing", "short-leaf", "sibling-sum", "leaf-mass",
+        "float-depth", "bool-depth", "float-root-depth", "string-time", "string-branch-prob",
+        "first-duplicate", "first-unknown-parent", "first-branch-prob", "first-short-leaf",
+        "first-sibling-sum-b", "first-sibling-sum-a", "prob-before-depth", "duplicate-before-roots",
+        "parent-before-time", "prob-before-time", "times-before-short-leaf", "short-leaf-before-sibling-sum",
+        "sibling-sum-before-leaf-mass",
+    ],
 )
 def test_tree_validation_messages(nodes, message):
     with pytest.raises(ValidationError) as exc:
         ScenarioTree(nodes)
     assert str(exc.value) == message
+
+
+def test_numpy_integer_depths_pass():
+    tree = ScenarioTree([_root(depth=np.int64(0)), TreeNode("a", "r", np.int64(1), 1.0, 1.0)])
+    assert tree.K == 1 and tree.leaves == ("a",)
+
+
+def test_build_is_bitwise_and_round_trips(tmp_path):
+    rng = np.random.default_rng(61)
+    for tree in [interleaved_tree(rng) for _ in range(10)] + [uniform_binomial(5)]:
+        records = list(tree.nodes.values())
+        rng.shuffle(records)
+        built = ScenarioTree(records)
+        assert built.order == tuple(r.id for r in sorted(records, key=lambda r: (r.depth, r.id)))
+        assert hexed(built.prob) == hexed(tree.prob)  # input order changes nothing
+        for r in records:
+            if r.parent is not None:
+                assert float.hex(built.prob[r.id]) == float.hex(built.prob[r.parent] * r.branch_prob)
+        assert built.nodes == {r.id: r for r in records}
+        for r in records:
+            node = built.nodes[r.id]
+            assert (float.hex(node.time), float.hex(node.branch_prob)) == (float.hex(r.time), float.hex(r.branch_prob))
+        dump_tree(built, tmp_path / "tree.json")
+        back = load_tree(tmp_path / "tree.json")
+        assert back.order == built.order and hexed(back.prob) == hexed(built.prob)
+        for a, b in [*zip(back.node_spans(), built.node_spans()), (back.leaf_paths(), built.leaf_paths())]:
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
 
 
 def test_build_tree_requires_branch_probabilities():
