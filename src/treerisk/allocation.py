@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 from math import fsum
 from typing import Sequence
@@ -11,8 +10,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .process import AdaptedProcess, _require_same_tree
-from .riskcore import _UNIT_ROUNDOFF, RiskMeasureSpec, _node_vector, _rho_result
+from .process import AdaptedProcess, _require_finite, _require_same_tree
+from .riskcore import _UNIT_ROUNDOFF, RiskMeasureSpec, _rho_result
 from .scenario import segment_fsums
 
 FAIRNESS_SLACK_TOL = 1e-12  # the audit passes when no blend undercuts by more
@@ -65,8 +64,7 @@ def allocate(spec: RiskMeasureSpec, positions: Sequence[AdaptedProcess]) -> Allo
     P = _position_matrix(spec, positions)
     with np.errstate(all="ignore"):
         total = functools.reduce(np.add, P)  # the left fold X_1 + X_2 + ... of the processes
-    if not np.isfinite(total).all():
-        functools.reduce(operator.add, positions)  # raises AdaptedProcess's error for the sum
+    _require_finite(total, spec.tree.order, "in the portfolio sum at node '{}'")
     res = _rho_result(spec, total)
     idx = res.argmax[0]
     k = tuple(-v for v in spec._pairings(idx, P))
@@ -80,10 +78,10 @@ def allocate(spec: RiskMeasureSpec, positions: Sequence[AdaptedProcess]) -> Allo
 
 
 def _position_matrix(spec: RiskMeasureSpec, positions: list[AdaptedProcess]) -> np.ndarray:
-    """One row per position: its node values in canonical order."""
+    """One row per position: its node vector."""
     for X in positions:
         _require_same_tree(spec.tree, X.tree)
-    return np.array([_node_vector(spec.tree, X.values) for X in positions])
+    return np.array([X.vector for X in positions])
 
 
 def _blend(terms: np.ndarray, order: Sequence[str]) -> np.ndarray:

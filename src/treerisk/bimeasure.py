@@ -18,15 +18,9 @@ from math import fsum, isfinite
 import numpy as np
 
 from .errors import ValidationError
-from .process import (
-    AdaptedProcess,
-    RawProcess,
-    StaticRV,
-    _check_grid,
-    _require_same_tree,
-    _unchecked,
-)
-from .scenario import ScenarioTree, _is_int
+from .process import AdaptedProcess, RawProcess, StaticRV, _require_same_tree
+from .process import _dfs_rows, _grid_dict, _hold, _new, _paths, _read_grid
+from .scenario import ScenarioTree, _is_int, segment_fsums
 
 DENSITY_NORM_TOL = 1e-9  # how far from 1 a terminal density's mean may be
 
@@ -114,7 +108,9 @@ class RawBiMeasure:
 
     ``left_inc`` is keyed on (leaf, k) for k = 1..K and pairs against the
     previous process value; ``right_inc`` is keyed on k = 0..K and pairs
-    against the current one. Coverage must be complete.
+    against the current one. Coverage must be complete. ``left_grid`` and
+    ``right_grid`` hold them as (L, K + 1) grids, one row per leaf in
+    canonical leaf order; the left grid's column 0 holds 0.0.
     """
 
     tree: ScenarioTree
@@ -122,16 +118,26 @@ class RawBiMeasure:
     right_inc: dict[tuple[str, int], float]
 
     def __post_init__(self):
+        left, left_inc = _read_grid(self.tree, self.left_inc, 1, "left increment")
+        right, right_inc = _read_grid(self.tree, self.right_inc, 0, "right increment")
+        _hold(self, left_grid=left, right_grid=right, left_inc=left_inc, right_inc=right_inc)
+
+    def _keep(self, left: np.ndarray, right: np.ndarray) -> None:
         tree = self.tree
-        object.__setattr__(self, "left_inc", _check_grid(tree, self.left_inc, 1, "left increment"))
-        object.__setattr__(self, "right_inc", _check_grid(tree, self.right_inc, 0, "right increment"))
+        _hold(self, left_grid=left, right_grid=right, left_inc=_grid_dict(tree, left, 1),
+              right_inc=_grid_dict(tree, right, 0))
 
 
 def as_raw(a: BiMeasure) -> RawBiMeasure:
     """Resolve a bi-measure along each path into its raw counterpart."""
     tree = a.tree
-    left = {(leaf, k + 1): v for (leaf, k), v in tree.along_paths(a.pr_inc).items() if k < tree.K}
-    return _unchecked(RawBiMeasure, tree=tree, left_inc=left, right_inc=tree.along_paths(a.op_inc))
+    index, incs = _stored(a)
+    nodes = np.zeros((len(tree.order), 2))  # pr and op per canonical node
+    nodes[index] = incs
+    paths = _paths(tree)
+    left = np.zeros(paths.shape)
+    left[:, 1:] = nodes[paths[:, :-1], 0]  # a predictable increment acts one step after its node
+    return _new(RawBiMeasure, tree, left, nodes[paths, 1])
 
 
 def pairing(X: AdaptedProcess, a: BiMeasure) -> float:
@@ -143,26 +149,19 @@ def pairing(X: AdaptedProcess, a: BiMeasure) -> float:
     P(n) * X(n) * (pr(n) + op(n)).
     """
     _require_same_tree(X.tree, a.tree)
-    prob = X.tree.prob
-    pr, op = a.pr_inc, a.op_inc
-    return fsum(
-        prob[n] * X.values[n] * (pr.get(n, 0.0) + op.get(n, 0.0)) for n in pr.keys() | op.keys()
-    )
+    index, incs = _stored(a)
+    with np.errstate(all="ignore"):
+        return fsum((X.tree.node_prob[index] * X.vector[index] * (incs[:, 0] + incs[:, 1])).tolist())
 
 
 def raw_pairing(Z: RawProcess, a: RawBiMeasure) -> float:
     """Pairing over the constant filtration: per-leaf increment sums, then expectation."""
     _require_same_tree(Z.tree, a.tree)
-    tree = Z.tree
-    K = tree.K
-    terms = []
-    for leaf in tree.leaves:
-        p = tree.prob[leaf]
-        for k in range(1, K + 1):
-            terms.append(p * Z.values[(leaf, k - 1)] * a.left_inc[(leaf, k)])
-        for k in range(K + 1):
-            terms.append(p * Z.values[(leaf, k)] * a.right_inc[(leaf, k)])
-    return fsum(terms)
+    with np.errstate(all="ignore"):
+        weighted = Z.tree.leaf_prob[:, None] * Z.grid  # P(leaf) Z(leaf, k)
+        left = weighted[:, :-1] * a.left_grid[:, 1:]  # the left increment at k reads Z at k - 1
+        terms = np.concatenate((left.ravel(), (weighted * a.right_grid).ravel()))
+    return segment_fsums(terms[:, None])[0]
 
 
 def _stored(a: BiMeasure) -> tuple[np.ndarray, np.ndarray]:
@@ -174,30 +173,39 @@ def _stored(a: BiMeasure) -> tuple[np.ndarray, np.ndarray]:
     return index, np.fromiter(pairs, float, 2 * len(nodes)).reshape(-1, 2)
 
 
-def _path_sums(a: BiMeasure, term=None) -> dict[str, float]:
-    """Per leaf whose path holds an increment, the fsum of term(increment) over both
-    fields along it: one segment of the tree's kernel, pr and op in two columns."""
+def _path_sums(a: BiMeasure, term=None) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical leaf positions whose paths hold an increment and, at each, the fsum
+    of term(increment) over both fields along the path: one segment of the tree's
+    kernel, pr and op in two columns."""
     tree = a.tree
     index, incs = _stored(a)
     [(leaves, sums)] = tree.path_sums(index, incs if term is None else term(incs), [(0, len(index))])
-    return dict(zip(map(tree.leaves_under(tree.root).__getitem__, leaves.tolist()), sums.tolist()))
+    return tree.leaf_paths()[leaves, -1] - tree.first_leaf, sums
+
+
+def _leaf_sums(a: BiMeasure, term=None) -> StaticRV:
+    """The path sums of ``_path_sums`` as a payoff, 0.0 on the leaves no increment covers."""
+    at, sums = _path_sums(a, term)
+    vector = np.zeros(len(a.tree.leaves))
+    vector[at] = sums
+    return _new(StaticRV, a.tree, vector)
 
 
 def variation(a: BiMeasure) -> StaticRV:
     """Pathwise total variation: the sum of absolute increments seen along each leaf's path."""
-    return StaticRV(a.tree, {**dict.fromkeys(a.tree.leaves, 0.0), **_path_sums(a, np.abs)})
+    return _leaf_sums(a, np.abs)
 
 
 def variation_norm(a: BiMeasure, p: float = 1.0) -> float:
     """L^p norm of the pathwise variation under the leaf measure (p = inf gives the max)."""
-    var = _path_sums(a, np.abs)
+    at, var = _path_sums(a, np.abs)
     if p == math.inf:
-        return max(var.values(), default=0.0)
+        return max(var.tolist(), default=0.0)
     p = float(p)
     if not p >= 1.0:
         raise ValidationError(f"norm order must satisfy p >= 1, got {p!r}")
-    prob = a.tree.prob
-    total = fsum(prob[leaf] * v**p for leaf, v in var.items())
+    prob = a.tree.leaf_prob[at]
+    total = fsum(q * v**p for q, v in zip(prob.tolist(), var.tolist()))
     return total ** (1.0 / p)
 
 
@@ -218,7 +226,7 @@ def jordan(a: BiMeasure) -> tuple[BiMeasure, BiMeasure]:
 
 def terminal_increment(a: BiMeasure) -> StaticRV:
     """Signed sum of all increments along each path: the net terminal mass a_T - a_0."""
-    return StaticRV(a.tree, {**dict.fromkeys(a.tree.leaves, 0.0), **_path_sums(a)})
+    return _leaf_sums(a)
 
 
 def dual_projection(a: RawBiMeasure) -> BiMeasure:
@@ -230,7 +238,9 @@ def dual_projection(a: RawBiMeasure) -> BiMeasure:
     time no mass is left over for a continuous part.
     """
     tree = a.tree
-    return BiMeasure(tree, tree.slice_means(a.left_inc, 1), tree.slice_means(a.right_inc))
+    pr = tree.node_means(_dfs_rows(tree, a.left_grid)[1:])  # the depth-(k + 1) slice at depth k
+    op = tree.node_means(_dfs_rows(tree, a.right_grid))
+    return BiMeasure(tree, dict(zip(tree.order, pr)), dict(zip(tree.order, op)))
 
 
 def normalize_scenario(a: BiMeasure) -> BiMeasure:
@@ -286,8 +296,7 @@ def terminal_density_measure(f: StaticRV) -> BiMeasure:
     mean = f.expectation()
     if abs(mean - 1.0) > DENSITY_NORM_TOL:
         raise ValidationError(f"density must integrate to 1, got {mean!r}")
-    op = {leaf: f.values[leaf] for leaf in tree.leaves if f.values[leaf] != 0.0}
-    return BiMeasure(tree, {}, op)
+    return BiMeasure(tree, {}, f.values)  # the zero densities are dropped
 
 
 def increment_vector(a: BiMeasure) -> list[float]:

@@ -43,9 +43,9 @@ from .diagnostics import (
 from .errors import UndefinedQuantityError, ValidationError
 from .instances import avar, entropic, es_tce, var_alpha
 from .process import (
-    AdaptedProcess,
     RawProcess,
     StaticRV,
+    _new,
     optional_projection_raw,
     optional_projection_static,
     predictable_projection_raw,
@@ -335,17 +335,11 @@ def _random_signed_bimeasure(tree, rng) -> BiMeasure:
 
 
 def _random_raw_pair(tree, rng) -> tuple[RawProcess, RawBiMeasure]:
-    K = tree.K
-    zvals = {}
-    left = {}
-    right = {}
-    for leaf in tree.leaves:
-        for k in range(K + 1):
-            zvals[(leaf, k)] = float(rng.uniform(-1.0, 1.0))
-            right[(leaf, k)] = float(rng.uniform(-1.0, 1.0))
-            if k >= 1:
-                left[(leaf, k)] = float(rng.uniform(-1.0, 1.0))
-    return RawProcess(tree, zvals), RawBiMeasure(tree, left, right)
+    # drawn leaf by leaf, k = 0..K: the process value, the right increment, then
+    # the left one from k = 1 on; a 0.0 stands in for the left one at k = 0
+    draws = rng.uniform(-1.0, 1.0, size=(len(tree.leaves), 3 * tree.K + 2))
+    z, right, left = np.insert(draws, 2, 0.0, axis=1).reshape(len(tree.leaves), tree.K + 1, 3).transpose(2, 0, 1)
+    return _new(RawProcess, tree, z), _new(RawBiMeasure, tree, left, right)
 
 
 def _cmd_diagnose_identities(ns: argparse.Namespace) -> int:
@@ -367,11 +361,10 @@ def _cmd_diagnose_identities(ns: argparse.Namespace) -> int:
             {n: abs(v) for n, v in a.pr_inc.items()},
             {n: abs(v) for n, v in a.op_inc.items()},
         )
-        Y = StaticRV(tree, {leaf: float(rng.uniform(-1.0, 1.0)) for leaf in tree.leaves})
+        Y = _new(StaticRV, tree, rng.uniform(-1.0, 1.0, size=len(tree.leaves)))
         if plus.pr_inc or plus.op_inc:
             pos = normalize_scenario(plus)
-            var = variation(pos).values
-            lhs = fsum(tree.prob[leaf] * var[leaf] * Y.values[leaf] for leaf in tree.leaves)
+            lhs = fsum((tree.leaf_prob * variation(pos).vector * Y.vector).tolist())
             rhs = pairing(optional_projection_static(Y), pos)
             duality_dev = max(duality_dev, abs(lhs - rhs))
         Z, ra = _random_raw_pair(tree, rng)

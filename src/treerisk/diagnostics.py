@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import fsum
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
@@ -12,9 +11,9 @@ import numpy as np
 from .bimeasure import BiMeasure, _stored, variation
 from .errors import ValidationError
 from .instances import avar, avar_max_density, worst_case_spec
-from .process import AdaptedProcess, StaticRV, prob_sup_exceedance, terminal_values
+from .process import AdaptedProcess, StaticRV, _new, prob_sup_exceedance, terminal_values
 from .riskcore import RiskMeasureSpec, rho_eval
-from .scenario import ScenarioTree, _is_int, uniform_binomial
+from .scenario import ScenarioTree, _is_int, segment_fsums, uniform_binomial
 
 DEFAULT_K_GRID = (0.0, 1.0, 5.0, 10.0, 20.0, 50.0)
 EPS_GRID = (0.5, 0.25, 0.125)  # separation levels lebesgue_probe records
@@ -34,9 +33,11 @@ class UIReport:
 def ui_modulus(family: Sequence[StaticRV], thresholds: Sequence[float]) -> UIReport:
     """Tail-mass modulus eta(K) = sup_f E[|f| ; |f| > K] over a finite family.
 
-    Computed exactly atom by atom. ``decaying`` means the modulus at the
-    largest threshold has dropped below ``DECAY_THRESHOLD``; on a finite tree
-    that is the meaningful stand-in for the vanishing-tail limit.
+    Computed exactly atom by atom: per threshold, one mask over the family's
+    |f| and one fsum per member of P(l) |f(l)| where it is set. ``decaying``
+    means the modulus at the largest threshold has dropped below
+    ``DECAY_THRESHOLD``; on a finite tree that is the meaningful stand-in for
+    the vanishing-tail limit.
     """
     family = list(family)
     if not family:
@@ -51,19 +52,9 @@ def ui_modulus(family: Sequence[StaticRV], thresholds: Sequence[float]) -> UIRep
     for f in family:
         if f.tree is not tree:
             raise ValidationError("tree mismatch inside the family")
-    prob = tree.prob
-    etas = []
-    for k in ks:
-        eta = 0.0
-        for f in family:
-            mass = fsum(
-                prob[leaf] * abs(f.values[leaf])
-                for leaf in tree.leaves
-                if abs(f.values[leaf]) > k
-            )
-            if mass > eta:
-                eta = mass
-        etas.append(eta)
+    size = np.abs(np.array([f.vector for f in family]).T)  # one column per member
+    weighted = tree.leaf_prob[:, None] * size
+    etas = [max([0.0, *segment_fsums(np.where(size > k, weighted, 0.0))]) for k in ks]
     verdict = "decaying" if etas[-1] < DECAY_THRESHOLD else "non-decaying"
     return UIReport(
         thresholds=tuple(ks),
@@ -112,16 +103,13 @@ class WorstCaseFamily:
         # one representative point mass per distinct leaf probability carries
         # the whole family's tail modulus
         tree = self.tree
-        out = []
-        seen: set[float] = set()
-        for leaf in tree.leaves:
-            p = tree.prob[leaf]
-            if p in seen:
-                continue
-            seen.add(p)
-            vals = {l: 0.0 for l in tree.leaves}
-            vals[leaf] = 1.0 / p
-            out.append(StaticRV(tree, vals))
+        out, seen = [], set()
+        for i, p in enumerate(tree.leaf_prob.tolist()):
+            if p not in seen:
+                seen.add(p)
+                vector = np.zeros(len(tree.leaves))
+                vector[i] = 1.0 / p
+                out.append(_new(StaticRV, tree, vector))
         return out
 
 
@@ -144,11 +132,8 @@ class AVaRFamily:
 
     def variation_densities(self) -> list[StaticRV]:
         tree = self.tree
-        ranking = StaticRV(
-            tree, {leaf: float(i) for i, leaf in enumerate(tree.leaves)}
-        )
-        concentrated = avar_max_density(ranking, self.alpha)
-        return [StaticRV.constant(tree, 1.0), concentrated]
+        ranking = _new(StaticRV, tree, np.arange(len(tree.leaves), dtype=float))
+        return [StaticRV.constant(tree, 1.0), avar_max_density(ranking, self.alpha)]
 
 
 @dataclass(frozen=True)
@@ -247,9 +232,9 @@ def lebesgue_probe(schedule: RefinementSchedule, k_grid: Sequence[float] = DEFAU
 
 def crash_sequence(tree: ScenarioTree) -> tuple[AdaptedProcess, AdaptedProcess]:
     """Terminal unit loss on the first canonical leaf, against the zero limit."""
-    vals = {nid: 0.0 for nid in tree.order}
-    vals[tree.leaves[0]] = -1.0
-    return AdaptedProcess(tree, vals), AdaptedProcess.zero(tree)
+    vector = np.zeros(len(tree.order))
+    vector[tree.first_leaf] = -1.0
+    return _new(AdaptedProcess, tree, vector), AdaptedProcess.zero(tree)
 
 
 def worst_case_crash_schedule(depths: Sequence[int]) -> RefinementSchedule:

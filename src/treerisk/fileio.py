@@ -120,25 +120,32 @@ def dump_tree(tree: ScenarioTree, path: str | Path) -> None:
     _write(path, {"format": "tree", "nodes": rows})
 
 
-def _load_value_map(path: str | Path, doc: dict) -> dict[str, float]:
+def _load_values(path: str | Path, doc: dict, build):
+    """``build(values)`` over the document's 'values' object; only if that fails, or a value is
+    no int or float, are the values checked as fields first, so their faults come first."""
     values = doc.get("values")
     if not isinstance(values, dict):
         raise FileFormatError(f"{path}: 'values' must be an object")
-    return {k: _number(path, v, "values['{}']", k) for k, v in values.items()}
+    if set(map(type, values.values())) <= {int, float}:
+        try:
+            return build(values)
+        except (ValidationError, OverflowError):  # an int beyond the float range overflows
+            pass
+    return build({k: _number(path, v, "values['{}']", k) for k, v in values.items()})
 
 
 def load_process(path: str | Path, tree: ScenarioTree) -> AdaptedProcess:
     doc = _read_document(path, "process")
-    return AdaptedProcess(tree, _load_value_map(path, doc))
+    return _load_values(path, doc, lambda values: AdaptedProcess(tree, values))
 
 
 def dump_process(X: AdaptedProcess, path: str | Path) -> None:
-    _write(path, {"format": "process", "values": {n: X.values[n] for n in X.tree.order}})
+    _write(path, {"format": "process", "values": X.values})
 
 
 def load_static(path: str | Path, tree: ScenarioTree) -> StaticRV:
     doc = _read_document(path, "static")
-    return StaticRV(tree, _load_value_map(path, doc))
+    return _load_values(path, doc, lambda values: StaticRV(tree, values))
 
 
 def load_projectable(path: str | Path, tree: ScenarioTree) -> StaticRV | RawProcess:
@@ -146,14 +153,14 @@ def load_projectable(path: str | Path, tree: ScenarioTree) -> StaticRV | RawProc
     doc = _read_document(path, None)
     fmt = doc.get("format")
     if fmt == "static":
-        return StaticRV(tree, _load_value_map(path, doc))
+        return _load_values(path, doc, lambda values: StaticRV(tree, values))
     if fmt == "raw_process":
         return _raw_process_from(path, doc, tree)
     raise FileFormatError(f"project expects a 'static' or 'raw_process' document, got {fmt!r}")
 
 
 def dump_static(Y: StaticRV, path: str | Path) -> None:
-    _write(path, {"format": "static", "values": {l: Y.values[l] for l in Y.tree.leaves}})
+    _write(path, {"format": "static", "values": Y.values})
 
 
 def load_raw_process(path: str | Path, tree: ScenarioTree) -> RawProcess:
@@ -185,10 +192,7 @@ def _raw_process_from(path: str | Path, doc: dict, tree: ScenarioTree) -> RawPro
 
 
 def dump_raw_process(Z: RawProcess, path: str | Path) -> None:
-    entries = []
-    for leaf in Z.tree.leaves:
-        for k in range(Z.tree.K + 1):
-            entries.append({"leaf": leaf, "depth": k, "value": Z.values[(leaf, k)]})
+    entries = [{"leaf": leaf, "depth": k, "value": v} for (leaf, k), v in Z.values.items()]
     _write(path, {"format": "raw_process", "entries": entries})
 
 

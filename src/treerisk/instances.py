@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import UndefinedQuantityError, ValidationError
-from .process import AdaptedProcess, StaticRV
+from .process import AdaptedProcess, StaticRV, _new, _paths
 from .riskcore import _UNIT_ROUNDOFF, RiskMeasureSpec
 from .scenario import ScenarioTree
 
@@ -52,9 +52,8 @@ class _Ladder(NamedTuple):
 
 
 def _ladder(Y: StaticRV) -> _Ladder:
-    value = Y.values.__getitem__
-    leaves = sorted(Y.values, key=value)
-    outcomes, probs = tuple(map(value, leaves)), tuple(map(Y.tree.prob.__getitem__, leaves))
+    rank = np.argsort(Y.vector, kind="stable")
+    outcomes, probs = tuple(Y.vector[rank].tolist()), tuple(Y.tree.leaf_prob[rank].tolist())
     starts = [0, *compress(range(1, len(outcomes)), map(ne, outcomes[1:], outcomes))]
     ends = [*starts[1:], len(outcomes)]
     return _Ladder(
@@ -162,20 +161,19 @@ def avar_max_density(Y: StaticRV, alpha: float) -> StaticRV:
     level = QuantileLevel(alpha)
     inv = 1.0 / level.alpha
     tree = Y.tree
-    prob = tree.prob
-    ranked = sorted(tree.leaves, key=lambda leaf: (Y.values[leaf], leaf))
-    f = {leaf: 0.0 for leaf in tree.leaves}
+    prob = tree.leaf_prob.tolist()
+    f = np.zeros(len(prob))
     used = 0.0
-    for leaf in ranked:
-        p = prob[leaf]
+    for i in np.argsort(Y.vector, kind="stable").tolist():  # ties in canonical leaf order
+        p = prob[i]
         if used + p * inv <= 1.0:
-            f[leaf] = inv
+            f[i] = inv
             used += p * inv
         else:
-            f[leaf] = (1.0 - used) / p
+            f[i] = (1.0 - used) / p
             used = 1.0
             break
-    return StaticRV(tree, f)
+    return _new(StaticRV, tree, f)
 
 
 def _mass_tol(count: int, mass: float, alpha: float) -> float:
@@ -238,7 +236,7 @@ def avar_spec(tree: ScenarioTree, alpha: float) -> RiskMeasureSpec:
         raise ValidationError(
             f"vertex enumeration capped at {AVAR_SPEC_MAX_LEAVES} leaves, tree has {len(tree.leaves)}"
         )
-    probs = [tree.prob[leaf] for leaf in tree.leaves]
+    probs = tree.leaf_prob.tolist()
     density = np.array(_density_vertices(probs, level.alpha)).reshape(-1, len(probs))
     negative = np.flatnonzero(density < 0.0) % len(probs)
     if len(negative):
@@ -254,7 +252,7 @@ def avar_spec(tree: ScenarioTree, alpha: float) -> RiskMeasureSpec:
 def worst_case_spec(tree: ScenarioTree) -> RiskMeasureSpec:
     """One renormalized point mass per leaf; the risk is the worst terminal loss."""
     L = len(tree.leaves)
-    op = 1.0 / np.fromiter(map(tree.prob.__getitem__, tree.leaves), float, L)
+    op = 1.0 / tree.leaf_prob
     bounds, labels = tuple((i, i + 1) for i in range(L)), [f"leaf:{leaf}" for leaf in tree.leaves]
     node = np.arange(tree.first_leaf, len(tree.order))
     return RiskMeasureSpec._from_arrays(tree, node, np.zeros_like(op), op, bounds, [0.0] * L, labels)
@@ -266,18 +264,14 @@ def entropic(Y: StaticRV, beta: float) -> float:
     if not beta > 0.0 or not math.isfinite(beta):
         raise ValidationError(f"entropic parameter must be positive, got {beta!r}")
     tree = Y.tree
-    prob = tree.prob
-    m = max(-Y.values[leaf] for leaf in tree.leaves)
+    prob, y = tree.leaf_prob.tolist(), Y.vector.tolist()
+    m = max(-v for v in y)
     shift = beta * m  # equals max(-beta Y): rounding is monotone
     if not math.isfinite(shift):
         # beta * m overflows: shift by m alone, every exponent stays <= 0
-        total = fsum(
-            prob[leaf] * math.exp(beta * (-Y.values[leaf] - m)) for leaf in tree.leaves
-        )
+        total = fsum(p * math.exp(beta * (-v - m)) for p, v in zip(prob, y))
         return m + math.log(total) / beta
-    total = fsum(
-        prob[leaf] * math.exp(-beta * Y.values[leaf] - shift) for leaf in tree.leaves
-    )
+    total = fsum(p * math.exp(-beta * v - shift) for p, v in zip(prob, y))
     return (shift + math.log(total)) / beta
 
 
@@ -296,13 +290,12 @@ def stopped_worst_case(tree: ScenarioTree, X: AdaptedProcess) -> StoppedWorstCas
     if X.tree is not tree:
         raise ValidationError("tree mismatch: process was built on a different scenario tree")
     parent, branch = tree.parent.tolist(), tree.branch_prob
-    V = [-X.values[nid] for nid in tree.order]
+    V = (-X.vector).tolist()
     cont: list[list[float]] = [[] for _ in V]  # branch_prob * V of each child; none at a leaf
     stop = [True] * len(V)
     for i in range(len(V) - 1, -1, -1):  # canonical order backwards: children before their parents
         if cont[i] and not V[i] >= (c := fsum(cont[i])):  # ties stop
             stop[i], V[i] = False, c
         cont[parent[i]].append(branch[i] * V[i])
-    paths = tree.leaf_paths()[tree.node_spans()[0][tree.first_leaf :]]  # in canonical leaf order
-    tau = dict(zip(tree.leaves, np.array(stop)[paths].argmax(axis=1).tolist()))  # each path's first stop
+    tau = dict(zip(tree.leaves, np.array(stop)[_paths(tree)].argmax(axis=1).tolist()))  # each path's first stop
     return StoppedWorstCase(value=V[0], tau=tau)

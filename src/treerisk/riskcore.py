@@ -18,15 +18,15 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate
 from math import fsum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .bimeasure import BiMeasure, _stored, increment_vector, variation_norm
 from .convexgeom import SimplexProgram, min_cost_combination
 from .errors import ValidationError
-from .process import AdaptedProcess, StaticRV, optional_projection_static, _require_same_tree
-from .scenario import SUM_TOL, ScenarioTree, segment_fsums
+from .process import AdaptedProcess, StaticRV, _new, _require_same_tree, optional_projection_static
+from .scenario import _UNIT_ROUNDOFF, SUM_TOL, ScenarioTree, segment_fsums
 
 TIE_TOL = 1e-12
 
@@ -51,7 +51,6 @@ TIE_TOL = 1e-12
 # the smallest leaf probability is at least 2**-1000: every P(n), weight, c(n)
 # and leaf term P(l) S(l) is then at least 2**-1001. est < 2 keeps each c(n)
 # below 2**1002 and the path sums finite (K < 2**20).
-_UNIT_ROUNDOFF = 2.0**-53
 _NORMAL_FLOOR = 2.0**-1000
 
 
@@ -66,21 +65,16 @@ def _unit_norm_certified(weights: Iterable[float], K: int, norm_tol: float) -> b
     return est < 2.0 and abs(est - 1.0) <= norm_tol - bound
 
 
-def _node_vector(tree: ScenarioTree, values: Mapping[str, float]) -> np.ndarray:
-    """Node values as an array in the tree's canonical order."""
-    return np.fromiter(map(values.__getitem__, tree.order), float, len(tree.order))
-
-
 class RiskMeasureSpec:
     """Validated generating family for one convex (possibly coherent) risk measure.
 
     The family is stored as one sparse node array set, element after element:
     ``_node`` holds canonical node indices, ``_pr`` and ``_op`` the
     predictable and optional increments there (either may be 0.0 where the
-    other is not), ``_inc`` their sum pr(n) + op(n) and ``_weight``
-    P(n) (pr(n) + op(n)); element i owns the entries in ``_bounds[i]`` =
-    (lo, hi). ``_pr`` and ``_op`` stay apart because a path variation adds
-    them as separate terms, and fsum([p, o]) can differ from fsum([p + o]).
+    other is not) and ``_weight`` P(n) (pr(n) + op(n)); element i owns the
+    entries in ``_bounds[i]`` = (lo, hi). ``_pr`` and ``_op`` stay apart
+    because a path variation adds them as separate terms, and fsum([p, o])
+    can differ from fsum([p + o]).
     Each element's nodes come in input order (its predictable nodes, then the
     optional-only ones), not sorted; every reduction over them is an fsum or a
     ``segment_fsums`` (fsum's value bit for bit), neither of which depends on
@@ -154,11 +148,10 @@ class RiskMeasureSpec:
     def _load(self, tree, node, pr, op, bounds, gammas, norm_tol, measure) -> None:
         """Take the arrays as the family; check each element's unit variation, then its
         penalty, element after element. ``measure(i)`` gives element i for the exact check."""
-        prob = _node_vector(tree, tree.prob)
+        prob = tree.node_prob
         with np.errstate(over="ignore"):  # overflow gives inf, as Python floats do
-            inc = pr + op
             weight = prob[node]
-            weight *= inc
+            weight *= pr + op
         self.tree = tree
         self.norm_tol = norm_tol
         self._bounds = bounds
@@ -167,11 +160,9 @@ class RiskMeasureSpec:
         self._node = node
         self._pr = pr
         self._op = op
-        self._inc = inc
         self._weight = weight
         terms = memoryview(weight)
-        min_leaf_prob = min(map(tree.prob.__getitem__, tree.leaves))
-        normal = weight.min(initial=1.0) * min_leaf_prob >= _NORMAL_FLOOR
+        normal = weight.min(initial=1.0) * tree.leaf_prob.min() >= _NORMAL_FLOOR
         for i, ((lo, hi), g) in enumerate(zip(bounds, gammas)):
             if not (normal and _unit_norm_certified(terms[lo:hi], tree.K, norm_tol)):
                 norm = variation_norm(measure(i), 1.0)
@@ -245,7 +236,7 @@ class RiskMeasureSpec:
         lo, hi = self._bounds[i]
         node = self._node[lo:hi]
         with np.errstate(all="ignore"):
-            terms = self._prob[node] * xs[:, node] * self._inc[lo:hi]
+            terms = self._prob[node] * xs[:, node] * (self._pr[lo:hi] + self._op[lo:hi])
         return segment_fsums(terms.T)
 
 
@@ -266,11 +257,11 @@ def _rho_result(spec: RiskMeasureSpec, x: np.ndarray) -> RhoResult:
 def rho_eval(spec: RiskMeasureSpec, X: AdaptedProcess) -> RhoResult:
     """Penalized worst scenario loss, with all maximizers within an absolute 1e-12 tie band.
 
-    One gather of X's node values against the spec's weight array and one
+    One gather of X's node vector against the spec's weight array and one
     ``segment_fsums`` call for the elements' fsums: O(nnz).
     """
     _require_same_tree(spec.tree, X.tree)
-    return _rho_result(spec, _node_vector(spec.tree, X.values))
+    return _rho_result(spec, X.vector)
 
 
 def static_rho(spec: RiskMeasureSpec, Y: StaticRV) -> float:
@@ -291,8 +282,9 @@ def static_rho_coherent_direct(spec: RiskMeasureSpec, Y: StaticRV) -> float:
     if not spec.is_coherent:
         raise ValidationError("direct static evaluation requires a coherent spec")
     tree = spec.tree
-    leaf_prob = spec._prob[tree.leaf_paths()[:, -1]]
-    y = np.fromiter(map(Y.values.__getitem__, tree.leaves_under(tree.root)), float, len(tree.leaves))
+    dfs = tree.leaf_paths()[:, -1]
+    leaf_prob = spec._prob[dfs]
+    y = Y.vector[dfs - tree.first_leaf]
     best = -math.inf
     for leaves, var in spec._variations:
         with np.errstate(all="ignore"):
@@ -359,11 +351,10 @@ def axiom_report(spec: RiskMeasureSpec, sample_count: int, seed: int) -> AxiomRe
         raise ValidationError(f"sample_count must be positive, got {sample_count}")
     rng = np.random.default_rng(seed)
     tree = spec.tree
-    order = tree.order
+    n = len(tree.order)
 
     def draw() -> AdaptedProcess:
-        vals = rng.uniform(-1.0, 1.0, size=len(order))
-        return AdaptedProcess(tree, {n: float(v) for n, v in zip(order, vals)})
+        return _new(AdaptedProcess, tree, rng.uniform(-1.0, 1.0, size=n))
 
     conv = 0.0
     trans = 0.0
@@ -378,17 +369,12 @@ def axiom_report(spec: RiskMeasureSpec, sample_count: int, seed: int) -> AxiomRe
 
         rx = rho_eval(spec, X).value
         ry = rho_eval(spec, Y).value
-        blend = AdaptedProcess(
-            tree, {n: lam * X.values[n] + (1.0 - lam) * Y.values[n] for n in order}
-        )
+        blend = _new(AdaptedProcess, tree, lam * X.vector + (1.0 - lam) * Y.vector)
         conv = max(conv, rho_eval(spec, blend).value - (lam * rx + (1.0 - lam) * ry))
 
         trans = max(trans, abs(rho_eval(spec, X.shift(m)).value - (rx - m)))
 
-        bump = rng.uniform(0.0, 1.0, size=len(order))
-        higher = AdaptedProcess(
-            tree, {n: X.values[n] + float(b) for n, b in zip(order, bump)}
-        )
+        higher = _new(AdaptedProcess, tree, X.vector + rng.uniform(0.0, 1.0, size=n))
         mono = max(mono, rho_eval(spec, higher).value - rx)
 
         if homog is not None:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property
-from itertools import groupby, repeat
+from itertools import groupby
 from math import frexp, fsum, isfinite, ldexp
 from operator import mul, sub
 from numbers import Real
@@ -15,6 +15,7 @@ import numpy as np
 from .errors import ValidationError
 
 SUM_TOL = 1e-12
+_UNIT_ROUNDOFF = 2.0**-53
 _REAL = (float, Real)  # float first: an isinstance check against the ABC alone takes about 0.45 us
 
 
@@ -45,14 +46,16 @@ class ScenarioTree:
     probability in (0, 1]; each row has an integer depth (not a bool) and a
     finite time, one per depth; the time grid starts at 0 and increases;
     every node above depth K has children; each node's children (nodes taken
-    in input order) have branch probabilities summing to 1; so do the leaves'
-    probabilities.
+    in input order) have branch probabilities summing to 1 within ``SUM_TOL``;
+    the leaves' probabilities sum to 1 within the bound that implies.
 
     ``index`` maps each node id to its position in the canonical (depth, id)
     ``order``, the order of the columns the tree keeps: ``parent`` (an
     ``np.intp`` array of positions, the root its own parent), read by the
-    recursions over the tree, ``branch_prob`` and ``prob`` (a dict, the
-    product of the branch probabilities along the path). The leaves close the
+    recursions over the tree, ``branch_prob``, ``prob`` (a dict, the product
+    of the branch probabilities along the path) and ``node_prob`` (the same
+    probabilities as a read-only float64 array; ``leaf_prob`` is its leaves'
+    part). The leaves close the
     order from position ``first_leaf`` on. A depth-first pass, children in id
     order, lays the leaves out so that every subtree owns a contiguous range
     of that DFS leaf order; the ranges are held once, per canonical index, and
@@ -67,15 +70,10 @@ class ScenarioTree:
     over the DFS leaves, it returns E[rows[k] | node] at each node of depth
     k < len(rows), in canonical order. A range whose values all compare
     equal gives its first DFS value, so a leaf gives its own value; any other
-    range gives the fsum of P(l) v(l) over it, divided by P(node). The
-    projections read it through ``slice_means``, which takes, at each node
-    in ``order``, the conditional mean of one depth's slice of a
-    (leaf, k)-keyed grid.
+    range gives the fsum of P(l) v(l) over it, divided by P(node).
 
     Path reads have one layout, built from ``parent`` on first use: ``leaf_paths``
-    holds each DFS leaf's path as canonical indices. ``along_paths`` gathers from
-    it the node values along every leaf's path, keyed on (leaf, k) with
-    ``leaves`` outermost and k = 0..K innermost.
+    holds each DFS leaf's path as canonical indices.
 
     ``path_sums`` is the one kernel for sums along paths (variation, terminal
     increments, a spec's per-leaf variations). It takes canonical node
@@ -196,7 +194,13 @@ class ScenarioTree:
             prob[c] = prob[parent[c]] * branch[c]
         first = starts[K]
         mass = fsum(prob[first:])
-        if abs(mass - 1.0) > SUM_TOL:
+        # Each P(child) = fl(P(n) b(child)) carries one rounding and each sibling
+        # sum is within SUM_TOL + u of 1 (the check above reads its fsum), so each
+        # of the K levels scales the mass below a node by a factor within x =
+        # SUM_TOL + 3u of 1: the leaf mass is within (1 + x)**K - 1 <= 1.72 K x of 1
+        # while K x <= 1, plus u for its fsum. The sibling checks imply this one; a
+        # flat SUM_TOL would refuse trees whose every sibling sum passes.
+        if abs(mass - 1.0) > 2 * K * (SUM_TOL + 3 * _UNIT_ROUNDOFF) + 2 * _UNIT_ROUNDOFF:
             raise ValidationError(f"leaf probabilities sum != 1 (got {mass!r})")
 
         # each node owns the half-open range [lo, hi) of the DFS leaf order: its
@@ -216,6 +220,9 @@ class ScenarioTree:
         self.T = grid[K]
         self.times = tuple(grid)
         self.prob = dict(zip(order, prob))
+        self.node_prob = np.array(prob)
+        self.node_prob.flags.writeable = False
+        self.leaf_prob = self.node_prob[first:]
         self._dfs_leaves = tuple(map(order.__getitem__, level))
         self._dfs_prob = tuple(map(prob.__getitem__, level))
         self._spans = (lo, hi)
@@ -292,20 +299,6 @@ class ScenarioTree:
                 else:
                     out.append(fsum(map(mul, dfs_prob[lo:hi], values)) / p)
         return out
-
-    def along_paths(self, node_values: Mapping[str, float]) -> dict[tuple[str, int], float]:
-        """Per (leaf, k), the value at the leaf's depth-k ancestor, or 0.0 where none is given."""
-        values = list(map(node_values.get, self.order, repeat(0.0)))
-        rows = self.leaf_paths()[self._spans[0][self.first_leaf :]].tolist()
-        return {(leaf, k): values[i] for leaf, row in zip(self.leaves, rows) for k, i in enumerate(row)}
-
-    def slice_means(self, grid: Mapping[tuple[str, int], float], shift: int = 0) -> dict[str, float]:
-        """At each node of depth k <= K - shift, E[grid's depth-(k + shift) slice | node].
-
-        ``grid`` is keyed on (leaf, depth); the means come from ``node_means``.
-        """
-        rows = [[grid[(leaf, k)] for leaf in self._dfs_leaves] for k in range(shift, self.K + 1)]
-        return dict(zip(self.order, self.node_means(rows)))
 
     def path_sums(
         self, node: np.ndarray, terms: np.ndarray, bounds: Iterable[tuple[int, int]]

@@ -301,7 +301,6 @@ class TestInterleavedIds:
 
 
     def test_as_raw_and_from_adapted_skip_the_grid_check(self, monkeypatch):
-        import treerisk.bimeasure
         import treerisk.process
 
         rng = np.random.default_rng(66)
@@ -309,10 +308,9 @@ class TestInterleavedIds:
         a = random_bimeasure(tree, rng)
         X = random_process(tree, rng)
         checks = []
-        grid = treerisk.process._check_grid
-        counted = lambda *args: checks.append(1) or grid(*args)
-        monkeypatch.setattr(treerisk.bimeasure, "_check_grid", counted)
-        monkeypatch.setattr(treerisk.process, "_check_grid", counted)
+        read = treerisk.process._read
+        counted = lambda *args: checks.append(1) or read(*args)
+        monkeypatch.setattr(treerisk.process, "_read", counted)
         raw = as_raw(a)
         Z = RawProcess.from_adapted(X)
         assert checks == []

@@ -7,6 +7,7 @@ import pytest
 
 from treerisk import (
     AdaptedProcess,
+    RawBiMeasure,
     RawProcess,
     StaticRV,
     ValidationError,
@@ -305,3 +306,227 @@ class TestExceedance:
     def test_epsilon_must_be_positive(self, t1):
         with pytest.raises(ValidationError):
             prob_sup_exceedance(mart_x(t1), AdaptedProcess.zero(t1), 0.0)
+
+
+def _grid(tree, lo=0, edits=()):
+    """A full (leaf, k) grid of ones for k = lo..K, then ``edits`` (key, value or None to drop) in order."""
+    grid = {(leaf, k): 1.0 for leaf in tree.leaves for k in range(lo, tree.K + 1)}
+    for key, v in edits:
+        if v is None:
+            del grid[key]
+        else:
+            grid[key] = v
+    return grid
+
+
+def _raw_bimeasure(tree, left=(), right=()):
+    return RawBiMeasure(tree, _grid(tree, lo=1, edits=left), _grid(tree, edits=right))
+
+
+INF, NAN = math.inf, math.nan
+# (a call on the depth-1 binomial tree: canonical order root, d, u; leaves d, u; K = 1, message)
+VALUE_TYPE_FAULTS = {
+    "adapted-unknown-node": (
+        lambda t: AdaptedProcess(t, {"root": 0.0, "d": 1.0, "u": 2.0, "ghost": 3.0}),
+        "process value given for unknown node 'ghost'",
+    ),
+    "adapted-non-finite": (
+        lambda t: AdaptedProcess(t, {"root": 0.0, "u": INF, "d": -1.0}),
+        "non-finite value inf at node 'u'",
+    ),
+    "adapted-nan": (lambda t: AdaptedProcess(t, {"root": 0.0, "d": NAN, "u": 1.0}), "non-finite value nan at node 'd'"),
+    # the value as given is shown, not its float
+    "adapted-numpy-inf": (
+        lambda t: AdaptedProcess(t, {"root": 0.0, "d": np.float64(-INF), "u": 1.0}),
+        f"non-finite value {np.float64(-INF)!r} at node 'd'",
+    ),
+    "adapted-string-inf": (
+        lambda t: AdaptedProcess(t, {"root": 0.0, "d": "inf", "u": 1.0}),
+        "non-finite value 'inf' at node 'd'",
+    ),
+    "adapted-missing": (lambda t: AdaptedProcess(t, {"root": 0.0}), "process is missing a value at node 'd'"),
+    "adapted-missing-canonical-first": (
+        lambda t: AdaptedProcess(t, {"u": 0.0}),
+        "process is missing a value at node 'root'",
+    ),
+    # two faults: the first in input order is reported, and coverage comes last
+    "adapted-value-before-key": (
+        lambda t: AdaptedProcess(t, {"u": NAN, "ghost": 1.0, "root": 0.0, "d": 0.0}),
+        "non-finite value nan at node 'u'",
+    ),
+    "adapted-key-before-value": (
+        lambda t: AdaptedProcess(t, {"ghost": 1.0, "u": NAN, "root": 0.0, "d": 0.0}),
+        "process value given for unknown node 'ghost'",
+    ),
+    "adapted-value-before-missing": (lambda t: AdaptedProcess(t, {"u": INF}), "non-finite value inf at node 'u'"),
+    "adapted-key-before-missing": (
+        lambda t: AdaptedProcess(t, {"root": 0.0, "ghost": 1.0}),
+        "process value given for unknown node 'ghost'",
+    ),
+    "static-unknown-leaf": (
+        lambda t: StaticRV(t, {"d": 1.0, "u": 2.0, "ghost": 0.0}),
+        "value given for unknown leaf 'ghost'",
+    ),
+    "static-not-a-leaf": (
+        lambda t: StaticRV(t, {"d": 1.0, "root": 0.0, "u": 2.0}),
+        "'root' is not a leaf; static values live on leaves only",
+    ),
+    "static-non-finite": (lambda t: StaticRV(t, {"d": -INF, "u": 1.0}), "non-finite value -inf at leaf 'd'"),
+    "static-missing": (lambda t: StaticRV(t, {"u": 1.0}), "missing value at leaf 'd'"),
+    "static-value-before-node": (
+        lambda t: StaticRV(t, {"u": NAN, "root": 1.0, "d": 0.0}),
+        "non-finite value nan at leaf 'u'",
+    ),
+    "static-node-before-value": (
+        lambda t: StaticRV(t, {"root": 1.0, "u": NAN, "d": 0.0}),
+        "'root' is not a leaf; static values live on leaves only",
+    ),
+    "raw-unknown-leaf": (
+        lambda t: RawProcess(t, _grid(t, edits=[(("ghost", 0), 1.0)])),
+        "raw process keyed on unknown leaf 'ghost'",
+    ),
+    "raw-interior-node": (
+        lambda t: RawProcess(t, _grid(t, edits=[(("root", 0), 1.0)])),
+        "raw process keyed on unknown leaf 'root'",
+    ),
+    "raw-depth-above": (
+        lambda t: RawProcess(t, _grid(t, edits=[(("u", 2), 1.0)])),
+        "raw process at (u, 2) out of range 0..1",
+    ),
+    "raw-depth-below": (
+        lambda t: RawProcess(t, _grid(t, edits=[(("u", -1), 1.0)])),
+        "raw process at (u, -1) out of range 0..1",
+    ),
+    "raw-non-finite": (
+        lambda t: RawProcess(t, _grid(t, edits=[(("u", 1), INF)])),
+        "non-finite value inf at raw process (u, 1)",
+    ),
+    "raw-missing": (
+        lambda t: RawProcess(t, _grid(t, edits=[(("d", 0), None)])),
+        "raw process is missing at (d, 0)",
+    ),
+    "raw-value-before-key": (
+        lambda t: RawProcess(t, {("u", 1): NAN, ("ghost", 0): 1.0}),
+        "non-finite value nan at raw process (u, 1)",
+    ),
+    "raw-key-before-value": (
+        lambda t: RawProcess(t, {("d", 5): 1.0, ("u", 1): NAN}),
+        "raw process at (d, 5) out of range 0..1",
+    ),
+    "raw-value-before-missing": (
+        lambda t: RawProcess(t, {("u", 0): -INF}),
+        "non-finite value -inf at raw process (u, 0)",
+    ),
+    "left-unknown-leaf": (
+        lambda t: _raw_bimeasure(t, left=[(("ghost", 1), 1.0)]),
+        "left increment keyed on unknown leaf 'ghost'",
+    ),
+    "left-depth-zero": (
+        lambda t: _raw_bimeasure(t, left=[(("u", 0), 1.0)]),
+        "left increment at (u, 0) out of range 1..1",
+    ),
+    "left-non-finite": (
+        lambda t: _raw_bimeasure(t, left=[(("d", 1), NAN)]),
+        "non-finite value nan at left increment (d, 1)",
+    ),
+    "left-missing": (
+        lambda t: _raw_bimeasure(t, left=[(("d", 1), None)]),
+        "left increment is missing at (d, 1)",
+    ),
+    "right-unknown-leaf": (
+        lambda t: _raw_bimeasure(t, right=[(("ghost", 0), 1.0)]),
+        "right increment keyed on unknown leaf 'ghost'",
+    ),
+    "right-depth-above": (
+        lambda t: _raw_bimeasure(t, right=[(("d", 2), 1.0)]),
+        "right increment at (d, 2) out of range 0..1",
+    ),
+    "right-non-finite": (
+        lambda t: _raw_bimeasure(t, right=[(("u", 0), INF)]),
+        "non-finite value inf at right increment (u, 0)",
+    ),
+    "right-missing": (
+        lambda t: _raw_bimeasure(t, right=[(("u", 1), None)]),
+        "right increment is missing at (u, 1)",
+    ),
+    # the left grid is checked in full, its coverage included, before the right one
+    "left-before-right": (
+        lambda t: _raw_bimeasure(t, left=[(("u", 1), None)], right=[(("ghost", 0), NAN)]),
+        "left increment is missing at (u, 1)",
+    ),
+    # computed values: the first non-finite one in canonical order is named
+    "adapted-constant": (lambda t: AdaptedProcess.constant(t, INF), "non-finite value inf at node 'root'"),
+    "adapted-sum-overflow": (
+        lambda t: (lambda X: X + X)(AdaptedProcess(t, {"u": 1e308, "root": 0.0, "d": -1e308})),
+        "non-finite value -inf at node 'd'",
+    ),
+    "adapted-shift-overflow": (
+        lambda t: AdaptedProcess(t, {"root": 1.0, "d": 0.0, "u": 1.7e308}).shift(1.7e308),
+        "non-finite value inf at node 'u'",
+    ),
+    "static-constant": (lambda t: StaticRV.constant(t, NAN), "non-finite value nan at leaf 'd'"),
+    "static-scale-overflow": (
+        lambda t: StaticRV(t, {"u": -1e300, "d": 1.0}).scale(1e300),
+        "non-finite value -inf at leaf 'u'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", VALUE_TYPE_FAULTS, ids=str)
+def test_value_type_messages(case):
+    build, message = VALUE_TYPE_FAULTS[case]
+    with pytest.raises(ValidationError) as caught:
+        build(uniform_binomial(1))
+    assert str(caught.value) == message
+
+
+class TestValueLayout:
+    """One read-only float64 array per value, in the tree's order; the dicts follow it."""
+
+    def test_arrays_in_canonical_order_whatever_the_input_order(self):
+        import dataclasses
+
+        rng = np.random.default_rng(71)
+        for _ in range(10):
+            tree = interleaved_tree(rng)
+            draw = value_sampler(rng, coarse=True)
+            nodes, leaves = list(tree.order), list(tree.leaves)
+            rng.shuffle(nodes)
+            rng.shuffle(leaves)
+            cells = [(leaf, k) for leaf in leaves for k in range(tree.K + 1)]
+            X = AdaptedProcess(tree, {nid: draw() for nid in nodes})
+            Y = StaticRV(tree, {leaf: draw() for leaf in leaves})
+            Z = RawProcess(tree, {cell: draw() for cell in cells})
+            ra = RawBiMeasure(tree, {c: draw() for c in cells if c[1] >= 1}, {c: draw() for c in cells})
+            assert list(X.values) == list(tree.order) and list(Y.values) == list(tree.leaves)
+            grid_keys = [(leaf, k) for leaf in tree.leaves for k in range(tree.K + 1)]
+            assert list(Z.values) == list(ra.right_inc) == grid_keys
+            assert list(ra.left_inc) == [(leaf, k) for leaf, k in grid_keys if k >= 1]
+            assert [v.hex() for v in X.vector.tolist()] == [v.hex() for v in X.values.values()]
+            assert [v.hex() for v in Y.vector.tolist()] == [v.hex() for v in Y.values.values()]
+            assert [v.hex() for v in Z.grid.ravel().tolist()] == [v.hex() for v in Z.values.values()]
+            assert [v.hex() for v in ra.right_grid.ravel().tolist()] == [v.hex() for v in ra.right_inc.values()]
+            assert ra.left_grid[:, 0].tolist() == [0.0] * len(tree.leaves)
+            assert [v.hex() for v in ra.left_grid[:, 1:].ravel().tolist()] == [v.hex() for v in ra.left_inc.values()]
+            for array in (X.vector, Y.vector, Z.grid, ra.left_grid, ra.right_grid):
+                assert array.dtype == np.float64 and not array.flags.writeable
+            # the arrays are attributes, not fields: the fields stay (tree, values)
+            assert [f.name for f in dataclasses.fields(X)] == ["tree", "values"]
+            assert [f.name for f in dataclasses.fields(ra)] == ["tree", "left_inc", "right_inc"]
+
+    def test_integral_depth_keys_accepted_others_refused(self, t1):
+        Z = RawProcess(t1, {("d", 0.0): 1.0, ("d", np.int64(1)): 2.0, ("u", 0): 3.0, ("u", 1): 4.0})
+        assert Z.values == {("d", 0): 1.0, ("d", 1): 2.0, ("u", 0): 3.0, ("u", 1): 4.0}
+        assert all(type(k) is int for _, k in Z.values)
+        # a fractional depth once collided with its integer part; it is refused now
+        with pytest.raises(ValidationError) as caught:
+            RawProcess(t1, {("d", 0): 1.0, ("d", 1): 2.0, ("u", 0): 3.0, ("u", 1): 4.0, ("u", 0.5): 5.0})
+        assert str(caught.value) == "raw process at (u, 0.5) is not at an integer depth"
+
+    def test_mapping_input_is_not_written(self, t1):
+        from collections import defaultdict
+
+        values = defaultdict(float, {"root": 0.0, "u": 1.0})
+        with pytest.raises(ValidationError, match="process is missing a value at node 'd'"):
+            AdaptedProcess(t1, values)
+        assert dict(values) == {"root": 0.0, "u": 1.0}

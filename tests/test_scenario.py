@@ -5,8 +5,21 @@ import math
 import numpy as np
 import pytest
 
-from treerisk import ScenarioTree, TreeNode, ValidationError, build_tree, uniform_binomial
+from treerisk import (
+    AdaptedProcess,
+    BiMeasure,
+    RawProcess,
+    ScenarioTree,
+    TreeNode,
+    ValidationError,
+    as_raw,
+    build_tree,
+    optional_projection_raw,
+    predictable_projection_raw,
+    uniform_binomial,
+)
 from treerisk.fileio import dump_tree, load_tree
+from treerisk.scenario import SUM_TOL
 
 from conftest import brute_mean, hexed, interleaved_tree, random_tree, value_sampler
 
@@ -260,7 +273,7 @@ def test_path_sums_match_brute_force():
             assert [float.hex(v) for v in sums.tolist()] == [float.hex(v) for v in expected.values()]
 
 
-def test_along_paths_matches_path_walks():
+def test_path_gathers_match_path_walks():
     rng = np.random.default_rng(41)
     for _ in range(20):
         tree = interleaved_tree(rng)
@@ -270,23 +283,33 @@ def test_along_paths_matches_path_walks():
             for leaf in tree.leaves
             for k, nid in enumerate(tree.path(leaf))
         }
-        # items in order: canonical leaves outermost, depth innermost
-        assert hexed(tree.along_paths(values)) == hexed(expected)
+        # items in order: canonical leaves outermost, depth innermost; the grids
+        # hold the same values, row i for tree.leaves[i]
+        Z = RawProcess.from_adapted(AdaptedProcess(tree, {nid: values.get(nid, 0.0) for nid in tree.order}))
+        raw = as_raw(BiMeasure(tree, {}, values))
+        for got, grid in ((Z.values, Z.grid), (raw.right_inc, raw.right_grid)):
+            assert hexed(got) == hexed(expected)
+            assert [v.hex() for v in grid.ravel().tolist()] == [v.hex() for v in expected.values()]
 
 
 @pytest.mark.parametrize("shift", [0, 1])
-def test_slice_means_match_path_walks(shift):
+def test_raw_slice_means_match_path_walks(shift):
     rng = np.random.default_rng(47 + shift)
     for i in range(20):
         tree = interleaved_tree(rng)
         draw = value_sampler(rng, coarse=i % 2 == 0)
-        grid = {(leaf, k): draw() for leaf in tree.leaves for k in range(tree.K + 1)}
+        Z = RawProcess(tree, {(leaf, k): draw() for leaf in tree.leaves for k in range(tree.K + 1)})
         expected = {}
         for nid in tree.order:
             j = tree.nodes[nid].depth + shift
             if j <= tree.K:
-                expected[nid] = brute_mean(tree, {leaf: grid[(leaf, j)] for leaf in tree.leaves}, nid)
-        assert hexed(tree.slice_means(grid, shift)) == hexed(expected)
+                expected[nid] = brute_mean(tree, {leaf: Z.values[(leaf, j)] for leaf in tree.leaves}, nid)
+        if shift == 0:
+            got = optional_projection_raw(Z).values
+        else:  # the predictable projection reads the next slice's mean at the parent
+            pred = predictable_projection_raw(Z).values
+            got = {nid: pred[tree.children(nid)[0]] for nid in tree.order[: tree.first_leaf]}
+        assert hexed(got) == hexed(expected)
 
 
 def test_leaf_paths_and_node_spans_match_path_walks():
@@ -357,9 +380,6 @@ def _binary(p=0.5):
             [_root(), TreeNode("a", "r", 1, 1.0, 0.6), TreeNode("b", "r", 1, 1.0, 0.6)],
             "children probabilities sum != 1 under node 'r' (got 1.2)",
         ),
-        # each sibling sum reads 1.0000000000009, within the tolerance; the leaf mass
-        # compounds the two levels' error past it
-        (_binary(0.5 + 4.5e-13), "leaf probabilities sum != 1 (got 1.0000000000018)"),
         # field types: integral floats and bools pass the depth arithmetic but are no depths
         ([_root(), TreeNode("a", "r", 1.0, 1.0, 1.0)], "node 'a' has depth 1.0; depths must be integers"),
         ([_root(), TreeNode("a", "r", True, 1.0, 1.0)], "node 'a' has depth True; depths must be integers"),
@@ -432,7 +452,7 @@ def _binary(p=0.5):
     ids=[
         "empty", "empty-id", "root-depth", "root-prob", "unknown-parent", "nan-time", "two-times", "t0",
         "duplicate", "no-root", "two-roots", "depth-below-parent", "prob-zero", "prob-above-one",
-        "times-not-increasing", "short-leaf", "sibling-sum", "leaf-mass",
+        "times-not-increasing", "short-leaf", "sibling-sum",
         "float-depth", "bool-depth", "float-root-depth", "string-time", "string-branch-prob",
         "first-duplicate", "first-unknown-parent", "first-branch-prob", "first-short-leaf",
         "first-sibling-sum-b", "first-sibling-sum-a", "prob-before-depth", "duplicate-before-roots",
@@ -444,6 +464,17 @@ def test_tree_validation_messages(nodes, message):
     with pytest.raises(ValidationError) as exc:
         ScenarioTree(nodes)
     assert str(exc.value) == message
+
+
+def test_leaf_mass_within_the_compounded_sibling_bound():
+    # each sibling sum reads 1.0000000000009, within SUM_TOL; the leaf mass
+    # compounds the two levels' error past SUM_TOL but within the derived bound
+    nodes = _binary(0.5 + 4.5e-13)
+    tree = ScenarioTree(nodes)
+    mass = math.fsum(tree.prob[leaf] for leaf in tree.leaves)
+    assert mass == 1.0000000000018 and abs(mass - 1.0) > SUM_TOL
+    assert tree.leaves == ("aa", "ab", "ba", "bb")
+
 
 
 def test_numpy_integer_depths_pass():
