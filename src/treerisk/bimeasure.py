@@ -6,14 +6,20 @@ step ahead (stored on the depth-k node, acting at time k+1, reading the left
 limit of the process, which on the tree is the value at the storage node), and
 an optional one acting at the storage node itself, with mass at time zero
 allowed. Increments are stored sparsely; a missing entry means zero.
+
+This module owns the sparse layout: ``node``, the ascending canonical indices
+of the nodes where either field is nonzero, and ``pr`` and ``op``, the two
+fields there (+0.0 where a field stores nothing). ``_layout`` builds it from
+(index, value) pairs per field, for every producer and the file reader.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, compress
 from math import fsum, isfinite
+from typing import Mapping
 
 import numpy as np
 
@@ -23,26 +29,48 @@ from .process import _dfs_rows, _grid_dict, _hold, _new, _paths, _read_grid
 from .scenario import ScenarioTree, _is_int, segment_fsums
 
 DENSITY_NORM_TOL = 1e-9  # how far from 1 a terminal density's mean may be
+_NO_ENTRIES = (np.empty(0, np.intp), np.empty(0))  # an empty field's (index, value) pairs
 
 
-def _clean_increments(
-    tree: ScenarioTree, entries: dict[str, float], *, field: str, leaves: bool
-) -> dict[str, float]:
-    """The nonzero entries as floats; entries must name known nodes, and leaves only where ``leaves``."""
-    end = len(tree.order) if leaves else tree.first_leaf
-    out: dict[str, float] = {}
+def _read_field(tree: ScenarioTree, entries: Mapping, field: str, end: int) -> tuple[np.ndarray, np.ndarray]:
+    """A field's entries as canonical indices and float values, read in one pass. When that
+    fails, the entries are walked in input order and the first fault raises: an unknown node,
+    a node at canonical index ``end`` or beyond (a leaf, for the predictable field), a value
+    ``float`` refuses, a non-finite value."""
+    try:
+        at = np.fromiter(map(tree.index.__getitem__, entries), np.intp, len(entries))
+        val = np.fromiter(map(float, entries.values()), float, len(entries))
+        if at.max(initial=-1) < end and np.isfinite(val).all():
+            return at, val
+    except (KeyError, TypeError, ValueError, OverflowError):
+        pass
     for nid, v in entries.items():
         if tree.position(nid) >= end:
             raise ValidationError(
                 f"{field} increment stored at node '{nid}' (depth {tree.K}); "
                 f"entries are only allowed up to depth {tree.K - 1}"
             )
-        v = float(v)
+        try:
+            v = float(v)
+        except (TypeError, ValueError):
+            raise ValidationError(f"non-numeric {field} increment {v!r} at node '{nid}'") from None
         if not isfinite(v):
             raise ValidationError(f"non-finite {field} increment at node '{nid}'")
-        if v != 0.0:
-            out[nid] = v
-    return out
+
+
+def _layout(tree: ScenarioTree, pr_at, pr_val, op_at, op_val) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (node, pr, op) layout of (canonical index, value) pairs per field; a field's
+    values at one node add up, and nodes where both fields are ±0.0 are dropped."""
+    n = len(tree.order)
+    # each field summed per node from +0.0, so -0.0 becomes +0.0; bincount gives int64 for no entries
+    pr = np.bincount(pr_at, pr_val, n).astype(float, copy=False)
+    op = np.bincount(op_at, op_val, n).astype(float, copy=False)
+    node = np.flatnonzero(pr.astype(bool) | op.astype(bool))
+    return node, pr[node], op[node]
+
+
+def _build(tree: ScenarioTree, pr_at, pr_val, op_at, op_val) -> "BiMeasure":
+    return _new(BiMeasure, tree, *_layout(tree, pr_at, pr_val, op_at, op_val))
 
 
 @dataclass(frozen=True)
@@ -52,6 +80,9 @@ class BiMeasure:
     ``pr_inc`` lives on depths 0..K-1 (an increment stored at a depth-k node
     acts at time k+1); ``op_inc`` lives on all depths, the root included.
     Exact zeros are dropped at construction so equal objects compare equal.
+    The read-only arrays ``node``, ``pr`` and ``op`` hold the layout the
+    module docstring describes; the two dicts hold the nonzero entries in
+    canonical order, built once from them.
     """
 
     tree: ScenarioTree
@@ -59,44 +90,39 @@ class BiMeasure:
     op_inc: dict[str, float]
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "pr_inc",
-            _clean_increments(self.tree, self.pr_inc, field="predictable", leaves=False),
-        )
-        object.__setattr__(
-            self,
-            "op_inc",
-            _clean_increments(self.tree, self.op_inc, field="optional", leaves=True),
-        )
+        tree = self.tree
+        pr = _read_field(tree, self.pr_inc, "predictable", tree.first_leaf)
+        op = _read_field(tree, self.op_inc, "optional", len(tree.order))
+        self._keep(*_layout(tree, *pr, *op))
+
+    def _keep(self, node: np.ndarray, pr: np.ndarray, op: np.ndarray) -> None:
+        ids = list(map(self.tree.order.__getitem__, node.tolist()))
+        prs, ops = pr.tolist(), op.tolist()
+        for field, values in (("predictable", prs), ("optional", ops)):
+            finite = list(map(isfinite, values))
+            if not all(finite):  # an overflow in arithmetic
+                raise ValidationError(f"non-finite {field} increment at node '{ids[finite.index(False)]}'")
+        pr_inc, op_inc = dict(compress(zip(ids, prs), prs)), dict(compress(zip(ids, ops), ops))
+        _hold(self, node=node, pr=pr, op=op, pr_inc=pr_inc, op_inc=op_inc)
 
     @property
     def is_positive(self) -> bool:
-        return (
-            min(self.pr_inc.values(), default=0.0) >= 0.0
-            and min(self.op_inc.values(), default=0.0) >= 0.0
-        )
+        return bool(min(self.pr.min(initial=0.0), self.op.min(initial=0.0)) >= 0.0)
 
     def scale(self, c: float) -> "BiMeasure":
         c = float(c)
-        return BiMeasure(
-            self.tree,
-            {n: c * v for n, v in self.pr_inc.items()},
-            {n: c * v for n, v in self.op_inc.items()},
-        )
+        with np.errstate(all="ignore"):  # an overflow raises in _keep; 0.0 * inf is nan, so skip the zeros
+            pr, op = (np.where(f, f * c, 0.0) for f in (self.pr, self.op))
+        return _build(self.tree, self.node, pr, self.node, op)
 
     def __neg__(self) -> "BiMeasure":
         return self.scale(-1.0)
 
     def __add__(self, other: "BiMeasure") -> "BiMeasure":
         _require_same_tree(self.tree, other.tree)
-        pr = dict(self.pr_inc)
-        for n, v in other.pr_inc.items():
-            pr[n] = pr.get(n, 0.0) + v
-        op = dict(self.op_inc)
-        for n, v in other.op_inc.items():
-            op[n] = op.get(n, 0.0) + v
-        return BiMeasure(self.tree, pr, op)
+        node = np.concatenate((self.node, other.node))
+        pr, op = np.concatenate((self.pr, other.pr)), np.concatenate((self.op, other.op))
+        return _build(self.tree, node, pr, node, op)  # the fields add up where both store
 
     def __sub__(self, other: "BiMeasure") -> "BiMeasure":
         return self + (-other)
@@ -131,9 +157,8 @@ class RawBiMeasure:
 def as_raw(a: BiMeasure) -> RawBiMeasure:
     """Resolve a bi-measure along each path into its raw counterpart."""
     tree = a.tree
-    index, incs = _stored(a)
     nodes = np.zeros((len(tree.order), 2))  # pr and op per canonical node
-    nodes[index] = incs
+    nodes[a.node] = np.column_stack((a.pr, a.op))
     paths = _paths(tree)
     left = np.zeros(paths.shape)
     left[:, 1:] = nodes[paths[:, :-1], 0]  # a predictable increment acts one step after its node
@@ -149,9 +174,9 @@ def pairing(X: AdaptedProcess, a: BiMeasure) -> float:
     P(n) * X(n) * (pr(n) + op(n)).
     """
     _require_same_tree(X.tree, a.tree)
-    index, incs = _stored(a)
+    node = a.node
     with np.errstate(all="ignore"):
-        return fsum((X.tree.node_prob[index] * X.vector[index] * (incs[:, 0] + incs[:, 1])).tolist())
+        return fsum((X.tree.node_prob[node] * X.vector[node] * (a.pr + a.op)).tolist())
 
 
 def raw_pairing(Z: RawProcess, a: RawBiMeasure) -> float:
@@ -164,22 +189,13 @@ def raw_pairing(Z: RawProcess, a: RawBiMeasure) -> float:
     return segment_fsums(terms[:, None])[0]
 
 
-def _stored(a: BiMeasure) -> tuple[np.ndarray, np.ndarray]:
-    """a's stored nodes, each once (the predictable ones, then the optional-only ones):
-    their canonical indices and an (n, 2) array of the pr and op increments (0.0 where absent)."""
-    nodes = {**a.pr_inc, **a.op_inc}
-    index = np.fromiter(map(a.tree.index.__getitem__, nodes), np.intp, len(nodes))
-    pairs = chain.from_iterable(zip(*(map(f.get, nodes, repeat(0.0)) for f in (a.pr_inc, a.op_inc))))
-    return index, np.fromiter(pairs, float, 2 * len(nodes)).reshape(-1, 2)
-
-
 def _path_sums(a: BiMeasure, term=None) -> tuple[np.ndarray, np.ndarray]:
     """The canonical leaf positions whose paths hold an increment and, at each, the fsum
     of term(increment) over both fields along the path: one segment of the tree's
     kernel, pr and op in two columns."""
     tree = a.tree
-    index, incs = _stored(a)
-    [(leaves, sums)] = tree.path_sums(index, incs if term is None else term(incs), [(0, len(index))])
+    incs = np.column_stack((a.pr, a.op))
+    [(leaves, sums)] = tree.path_sums(a.node, incs if term is None else term(incs), [(0, len(a.node))])
     return tree.leaf_paths()[leaves, -1] - tree.first_leaf, sums
 
 
@@ -211,16 +227,9 @@ def variation_norm(a: BiMeasure, p: float = 1.0) -> float:
 
 def jordan(a: BiMeasure) -> tuple[BiMeasure, BiMeasure]:
     """Increment-wise positive and negative parts; a == plus - minus exactly."""
-    plus = BiMeasure(
-        a.tree,
-        {n: v for n, v in a.pr_inc.items() if v > 0.0},
-        {n: v for n, v in a.op_inc.items() if v > 0.0},
-    )
-    minus = BiMeasure(
-        a.tree,
-        {n: -v for n, v in a.pr_inc.items() if v < 0.0},
-        {n: -v for n, v in a.op_inc.items() if v < 0.0},
-    )
+    tree, node = a.tree, a.node
+    plus = _build(tree, node, np.maximum(a.pr, 0.0), node, np.maximum(a.op, 0.0))
+    minus = _build(tree, node, np.maximum(-a.pr, 0.0), node, np.maximum(-a.op, 0.0))
     return plus, minus
 
 
@@ -240,7 +249,7 @@ def dual_projection(a: RawBiMeasure) -> BiMeasure:
     tree = a.tree
     pr = tree.node_means(_dfs_rows(tree, a.left_grid)[1:])  # the depth-(k + 1) slice at depth k
     op = tree.node_means(_dfs_rows(tree, a.right_grid))
-    return BiMeasure(tree, dict(zip(tree.order, pr)), dict(zip(tree.order, op)))
+    return _build(tree, np.arange(len(pr)), np.array(pr), np.arange(len(op)), np.array(op))
 
 
 def normalize_scenario(a: BiMeasure) -> BiMeasure:
@@ -249,11 +258,12 @@ def normalize_scenario(a: BiMeasure) -> BiMeasure:
     The result is a generalized scenario: the density-like dual objects the
     risk representations draw from.
     """
-    for n, v in list(a.pr_inc.items()) + list(a.op_inc.items()):
-        if v < 0.0:
-            raise ValidationError(
-                f"negative increment at node '{n}'; normalization requires a nonnegative bi-measure"
-            )
+    if not a.is_positive:  # name the first negative predictable, then optional, increment
+        first = np.flatnonzero(np.concatenate((a.pr, a.op)) < 0.0)[0] % len(a.node)
+        raise ValidationError(
+            f"negative increment at node '{a.tree.order[a.node[first]]}'; "
+            "normalization requires a nonnegative bi-measure"
+        )
     norm = variation_norm(a, 1.0)
     if norm <= 0.0:
         raise ValidationError("cannot normalize the zero bi-measure")
@@ -275,16 +285,16 @@ def stopping_time_measure(tree: ScenarioTree, tau: dict[str, int]) -> BiMeasure:
         if not _is_int(k) or not 0 <= k <= K:
             raise ValidationError(f"stopping depth {k!r} at leaf '{leaf}' out of range 0..{K}")
     dfs = [tau[leaf] for leaf in tree.leaves_under(tree.root)]
-    spans = zip(*(bound.tolist() for bound in tree.node_spans()))
-    op: dict[str, float] = {}
+    spans = enumerate(zip(*(bound.tolist() for bound in tree.node_spans())))
+    op: list[int] = []
     for k, ids in enumerate(tree.depth_nodes):
         stops = list(accumulate((t == k for t in dfs), initial=0))  # stops among the first d DFS leaves
-        for nid, (lo, hi) in zip(ids, spans):  # ids first: no span is drawn past the level
+        for nid, (i, (lo, hi)) in zip(ids, spans):  # ids first: no span is drawn past the level
             if 0 < stops[hi] - stops[lo] < hi - lo:
                 raise ValidationError(f"stopping decision at depth {k} is not measurable at node '{nid}'")
             if stops[hi] > stops[lo]:
-                op[nid] = 1.0
-    return BiMeasure(tree, {}, op)
+                op.append(i)
+    return _build(tree, *_NO_ENTRIES, np.array(op, np.intp), np.ones(len(op)))
 
 
 def terminal_density_measure(f: StaticRV) -> BiMeasure:
@@ -296,11 +306,12 @@ def terminal_density_measure(f: StaticRV) -> BiMeasure:
     mean = f.expectation()
     if abs(mean - 1.0) > DENSITY_NORM_TOL:
         raise ValidationError(f"density must integrate to 1, got {mean!r}")
-    return BiMeasure(tree, {}, f.values)  # the zero densities are dropped
+    return _build(tree, *_NO_ENTRIES, np.arange(tree.first_leaf, len(tree.order)), f.vector)
 
 
 def increment_vector(a: BiMeasure) -> list[float]:
     """Flatten to the canonical coordinate layout: predictable entries (depths 0..K-1), then optional (all depths)."""
     tree = a.tree
-    interior = tree.order[: tree.first_leaf]
-    return [a.pr_inc.get(n, 0.0) for n in interior] + [a.op_inc.get(n, 0.0) for n in tree.order]
+    fields = np.zeros((2, len(tree.order)))
+    fields[:, a.node] = a.pr, a.op
+    return fields[0, : tree.first_leaf].tolist() + fields[1].tolist()

@@ -25,6 +25,7 @@ from .allocation import allocate, fairness_check
 from .bimeasure import (
     BiMeasure,
     RawBiMeasure,
+    _build,
     as_raw,
     dual_projection,
     normalize_scenario,
@@ -325,13 +326,14 @@ def _cmd_diagnose_lebesgue(ns: argparse.Namespace) -> int:
 
 
 def _random_signed_bimeasure(tree, rng) -> BiMeasure:
-    pr, op = {}, {}
-    for i, nid in enumerate(tree.order):
+    n = len(tree.order)
+    pr, op = np.zeros(n), np.zeros(n)
+    for i in range(n):
         if i < tree.first_leaf and rng.uniform() < 0.7:
-            pr[nid] = float(rng.uniform(-1.0, 1.0))
+            pr[i] = rng.uniform(-1.0, 1.0)
         if rng.uniform() < 0.7:
-            op[nid] = float(rng.uniform(-1.0, 1.0))
-    return BiMeasure(tree, pr, op)
+            op[i] = rng.uniform(-1.0, 1.0)
+    return _build(tree, np.arange(n), pr, np.arange(n), op)
 
 
 def _random_raw_pair(tree, rng) -> tuple[RawProcess, RawBiMeasure]:
@@ -356,13 +358,9 @@ def _cmd_diagnose_identities(ns: argparse.Namespace) -> int:
     for _ in range(samples):
         a = _random_signed_bimeasure(tree, rng)
         signed.append(a)
-        plus = BiMeasure(
-            tree,
-            {n: abs(v) for n, v in a.pr_inc.items()},
-            {n: abs(v) for n, v in a.op_inc.items()},
-        )
+        plus = _build(tree, a.node, np.abs(a.pr), a.node, np.abs(a.op))
         Y = _new(StaticRV, tree, rng.uniform(-1.0, 1.0, size=len(tree.leaves)))
-        if plus.pr_inc or plus.op_inc:
+        if len(plus.node):
             pos = normalize_scenario(plus)
             lhs = fsum((tree.leaf_prob * variation(pos).vector * Y.vector).tolist())
             rhs = pairing(optional_projection_static(Y), pos)

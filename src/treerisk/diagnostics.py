@@ -8,7 +8,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .bimeasure import BiMeasure, _stored, variation
+from .bimeasure import BiMeasure, variation
 from .errors import ValidationError
 from .instances import avar, avar_max_density, worst_case_spec
 from .process import AdaptedProcess, StaticRV, _new, prob_sup_exceedance, terminal_values
@@ -317,13 +317,13 @@ def _battery_sums(a: BiMeasure) -> np.ndarray:
     two columns) gives all four; a leaf no stored node covers reads 0.0.
     """
     tree = a.tree
-    index, signed = _stored(a)
-    k = len(index)
+    signed = np.column_stack((a.pr, a.op))
+    k = len(a.node)
     plus, minus = np.where(signed > 0.0, signed, 0.0), np.where(signed < 0.0, -signed, 0.0)
     terms = np.concatenate([np.abs(signed), plus, minus, signed])
     out = np.zeros((4, len(tree.leaves)))
     bounds = [(s * k, (s + 1) * k) for s in range(4)]
-    for row, (leaves, sums) in zip(out, tree.path_sums(np.tile(index, 4), terms, bounds)):
+    for row, (leaves, sums) in zip(out, tree.path_sums(np.tile(a.node, 4), terms, bounds)):
         row[leaves] = sums
     return out
 

@@ -17,9 +17,9 @@ from typing import Any
 
 import numpy as np
 
-from .bimeasure import BiMeasure
+from .bimeasure import BiMeasure, _layout, _read_field
 from .errors import ValidationError
-from .process import AdaptedProcess, RawProcess, StaticRV
+from .process import AdaptedProcess, RawProcess, StaticRV, _new
 from .riskcore import RiskMeasureSpec
 from .scenario import ScenarioTree
 
@@ -168,9 +168,20 @@ def load_raw_process(path: str | Path, tree: ScenarioTree) -> RawProcess:
 
 
 def _raw_process_from(path: str | Path, doc: dict, tree: ScenarioTree) -> RawProcess:
+    """The document's entries read as columns in one pass; only if that fails, or a field has
+    the wrong type, are the entries walked one by one, so their faults come first."""
     entries = doc.get("entries")
     if not isinstance(entries, list):
         raise FileFormatError(f"{path}: 'entries' must be an array")
+    try:
+        leaf, depth, value = (list(map(itemgetter(key), entries)) for key in ("leaf", "depth", "value"))
+        types = [set(map(type, column)) for column in (leaf, depth, value)]
+        if types[0] <= {str} and types[1] <= {int} and types[2] <= {int, float}:
+            values = dict(zip(zip(leaf, depth), value))
+            if len(values) == len(entries):
+                return RawProcess(tree, values)
+    except (KeyError, TypeError, ValidationError, OverflowError):  # an int beyond the float range overflows
+        pass
     values: dict[tuple[str, int], float] = {}
     for i, row in enumerate(entries):
         if not isinstance(row, dict):
@@ -196,38 +207,68 @@ def dump_raw_process(Z: RawProcess, path: str | Path) -> None:
     _write(path, {"format": "raw_process", "entries": entries})
 
 
-def _measure_from_obj(path: str | Path, obj: Any, tree: ScenarioTree, where: str) -> BiMeasure:
+def _batch_rows(obj: dict, tree: ScenarioTree):
+    """The pr and op rows as canonical indices and float increments, read in one pass, or None
+    when a row needs the walk: the pass takes lists of objects with known string nodes, distinct
+    within a field, pr nodes above depth K, and finite int or float increments."""
+    pr, op = obj.get("pr", []), obj.get("op", [])
+    if type(pr) is not list or type(op) is not list:
+        return None
+    rows, m, n = pr + op, len(pr), len(tree.order)
+    try:
+        incs = list(map(itemgetter("inc"), rows))
+        # a successful lookup means a string id the tree knows
+        at = np.fromiter(map(tree.index.__getitem__, map(itemgetter("node"), rows)), np.intp, len(rows))
+        if not set(map(type, incs)) <= {int, float}:
+            return None
+        val = np.fromiter(incs, float, len(incs))
+    except (KeyError, TypeError, OverflowError):
+        return None
+    repeats = max(np.bincount(field, None, n).max(initial=0) for field in (at[:m], at[m:]))
+    if repeats <= 1 and at[:m].max(initial=-1) < tree.first_leaf and np.isfinite(val).all():
+        return at[:m], val[:m], at[m:], val[m:]
+    return None
+
+
+def _read_measure(path: str | Path, obj: Any, tree: ScenarioTree, where: str):
+    """The (node, pr, op) layout of a bi-measure object, its rows read in one pass; only
+    when that fails are they walked row by row, so the first fault is named."""
     if not isinstance(obj, dict):
         raise FileFormatError(f"{path}: {where} must be an object")
-    pr: dict[str, float] = {}
-    op: dict[str, float] = {}
-    for field, sink in (("pr", pr), ("op", op)):
-        rows = obj.get(field, [])
-        if not isinstance(rows, list):
-            raise FileFormatError(f"{path}: {where}.{field} must be an array")
-        for i, row in enumerate(rows):
-            if not isinstance(row, dict) or "node" not in row or "inc" not in row:
-                raise FileFormatError(
-                    f"{path}: {where}.{field}[{i}] must be an object with 'node' and 'inc'"
-                )
-            nid = row["node"]
-            if not isinstance(nid, str):
-                raise FileFormatError(f"{path}: {where}.{field}[{i}].node must be a string")
-            if nid in sink:
-                raise FileFormatError(f"{path}: duplicate {field} increment at node '{nid}'")
-            sink[nid] = _number(path, row["inc"], "{}.{}[{}].inc", where, field, i)
-    return BiMeasure(tree, pr, op)
+    fields = _batch_rows(obj, tree)
+    if fields is None:
+        walked = []
+        for field in ("pr", "op"):
+            rows = obj.get(field, [])
+            if not isinstance(rows, list):
+                raise FileFormatError(f"{path}: {where}.{field} must be an array")
+            sink: dict[str, float] = {}
+            for i, row in enumerate(rows):
+                if not isinstance(row, dict) or "node" not in row or "inc" not in row:
+                    raise FileFormatError(
+                        f"{path}: {where}.{field}[{i}] must be an object with 'node' and 'inc'"
+                    )
+                nid = row["node"]
+                if not isinstance(nid, str):
+                    raise FileFormatError(f"{path}: {where}.{field}[{i}].node must be a string")
+                if nid in sink:
+                    raise FileFormatError(f"{path}: duplicate {field} increment at node '{nid}'")
+                sink[nid] = _number(path, row["inc"], "{}.{}[{}].inc", where, field, i)
+            walked.append(sink)
+        # the rows' faults come before the nodes' faults
+        fields = (*_read_field(tree, walked[0], "predictable", tree.first_leaf),
+                  *_read_field(tree, walked[1], "optional", len(tree.order)))
+    return _layout(tree, *fields)
 
 
 def load_bimeasure(path: str | Path, tree: ScenarioTree) -> BiMeasure:
     doc = _read_document(path, "bimeasure")
-    return _measure_from_obj(path, doc, tree, "document")
+    return _new(BiMeasure, tree, *_read_measure(path, doc, tree, "document"))
 
 
 def _measure_to_obj(a: BiMeasure) -> dict:
-    key = a.tree.index.__getitem__
     return {
-        field: [{"node": n, "inc": inc[n]} for n in sorted(inc, key=key)]
+        field: [{"node": n, "inc": v} for n, v in inc.items()]  # canonical order
         for field, inc in (("pr", a.pr_inc), ("op", a.op_inc))
     }
 
@@ -237,161 +278,42 @@ def dump_bimeasure(a: BiMeasure, path: str | Path) -> None:
 
 
 def load_spec(path: str | Path, tree: ScenarioTree) -> RiskMeasureSpec:
-    """A spec document, read straight into the spec's node arrays.
+    """A spec document, read element after element into the spec's node arrays.
 
-    The rows are checked as a batch (see :func:`_spec_rows`) and merged once
-    the parsed JSON is freed. If any check fails, the document goes through
-    the per-row path, which builds :class:`BiMeasure` objects, so the
-    message, and which fault is reported first, are those of a row-by-row
-    read.
+    Each element's gamma, measure (inline or by a 'file' reference, read as
+    :func:`load_bimeasure` reads one) and label are checked in that order, and
+    its parsed rows are freed once read; the spec then checks the signs, norms
+    and penalties, element after element.
     """
     doc = _read_document(path, "spec")
     rows = doc.get("elements")
     if not isinstance(rows, list) or not rows:
         raise FileFormatError(f"{path}: 'elements' must be a non-empty array")
     del doc
-    checked = _spec_rows(path, rows, tree)
-    if checked is not None:
-        del rows  # the merge allocates after the parsed JSON is gone
-        idx, vals, counts, gammas, labels = checked
-        merged = _merge_fields(idx, vals, counts, len(tree.order))
-        if merged is not None:
-            return RiskMeasureSpec._from_arrays(tree, *merged, gammas, labels)
-        # a field names a node twice: read again for the per-row message
-        rows = _read_document(path, "spec")["elements"]
-    elements, labels = _spec_elements(path, rows, tree)
-    del rows  # the parsed JSON goes before the spec's build allocates on top of it
-    return RiskMeasureSpec(tree, elements, labels=labels)
-
-
-def _spec_rows(path: str | Path, rows: list, tree: ScenarioTree):
-    """A spec document's rows as flat node index and value arrays, the row count of
-    each field (element after element, pr then op), the penalties and the
-    labels; None when any element needs the per-row checks.
-
-    The batch checks accept exactly the rows the per-row path accepts into
-    nonnegative :class:`BiMeasure` objects, bar a node named twice within a
-    field, which :func:`_merge_fields` finds: objects with a string ``node``
-    the tree knows and an int or float ``inc`` that is finite and
-    nonnegative, ``pr`` only above depth K.
-    """
-    ids, incs, counts, gammas, labels = [], [], [], [], []
     base = Path(path).parent
-    for i, row in enumerate(rows):
-        if type(row) is not dict:
-            return None
-        try:
-            gammas.append(_number(path, row.get("gamma", 0.0), "elements[{}].gamma", i))
-            if "measure" in row:
-                obj = row["measure"]
-            elif type(row.get("file")) is str:
-                obj = _read_document(base / row["file"], "bimeasure")
-            else:
-                return None
-        except FileFormatError:
-            return None
-        labels.append(row.get("label", f"e{i}"))
-        if type(obj) is not dict or type(labels[-1]) is not str:
-            return None
-        for field in ("pr", "op"):
-            field_rows = obj.get(field, [])
-            if type(field_rows) is not list:
-                return None
-            try:
-                ids += map(itemgetter("node"), field_rows)
-                incs += map(itemgetter("inc"), field_rows)
-            except (KeyError, TypeError):
-                return None
-            counts.append(len(field_rows))
-    try:
-        # a successful lookup means a string id the tree knows
-        idx = np.fromiter(map(tree.index.__getitem__, ids), np.intp, len(ids))
-        if not set(map(type, incs)) <= {int, float}:
-            return None
-        vals = np.fromiter(incs, float, len(incs))
-    except (KeyError, TypeError, OverflowError):
-        return None
-    del ids, incs
-    deepest = idx[np.repeat([True, False] * len(labels), counts)].max(initial=-1)
-    if not (np.isfinite(vals).all() and (vals >= 0.0).all() and deepest < tree.first_leaf):
-        return None
-    return idx, vals, counts, gammas, labels
-
-
-def _merge_fields(idx, vals, counts: list[int], n_nodes: int):
-    """Each element's pr and op rows merged into the spec's (node, pr, op, bounds)
-    arrays, or None when a field names a node twice.
-
-    An element's nodes are its pr nodes, then its op-only ones, each in row
-    order, matched through one node-sized buffer that holds 1 + a row's
-    position (0 for none); nodes whose rows are all zero are dropped, as
-    :class:`BiMeasure` drops them. The matching uses no integer comparison:
-    numpy's kernel for one is not otherwise loaded, and loading it adds
-    about 128 KB of resident memory to a small run.
-    """
-    slot = np.zeros(n_nodes, np.intp)
-    zeros = not vals.all()
-    ends = [0, *accumulate(counts)]
-    nodes, prs, ops = [], [], []
-    for lo, mid, hi in zip(ends[0::2], ends[1::2], ends[2::2]):
-        pr_idx, op_idx, op_val = idx[lo:mid], idx[mid:hi], vals[mid:hi]
-        tag = np.arange(1, hi - lo + 1, dtype=np.intp)
-        m = mid - lo
-        # a field's nodes are distinct when each reads back its own tag
-        slot[pr_idx] = tag[:m]
-        distinct = slot[pr_idx].tobytes() == tag[:m].tobytes()
-        at = slot[op_idx]  # each op node's tag among the pr nodes, or 0
-        slot[op_idx] = tag[m:]
-        distinct = distinct and slot[op_idx].tobytes() == tag[m:].tobytes()
-        slot[pr_idx] = 0
-        slot[op_idx] = 0
-        if not distinct:
-            return None
-        shared = at.astype(bool)
-        node = np.concatenate((pr_idx, op_idx[~shared]))
-        pr = np.zeros(len(node))
-        pr[:m] = vals[lo:mid]
-        op = np.zeros(len(node))
-        op[at[shared] - 1] = op_val[shared]
-        op[m:] = op_val[~shared]
-        if zeros:
-            keep = (pr != 0.0) | (op != 0.0)
-            node, pr, op = node[keep], pr[keep], op[keep]
-        nodes.append(node)
-        prs.append(pr)
-        ops.append(op)
-    offsets = [0, *accumulate(map(len, nodes))]
-    return (*map(np.concatenate, (nodes, prs, ops)), tuple(zip(offsets, offsets[1:])))
-
-
-def _spec_elements(
-    path: str | Path, rows: list, tree: ScenarioTree
-) -> tuple[list[tuple[BiMeasure, float]], list[str]]:
-    """A spec document's elements and labels, read and checked row by row."""
-    elements = []
-    labels = []
-    base = Path(path).parent
+    layouts, gammas, labels = [], [], []
     for i, row in enumerate(rows):
         if not isinstance(row, dict):
             raise FileFormatError(f"{path}: elements[{i}] must be an object")
-        gamma = _number(path, row.get("gamma", 0.0), "elements[{}].gamma", i)
+        gammas.append(_number(path, row.get("gamma", 0.0), "elements[{}].gamma", i))
         if "measure" in row:
-            a = _measure_from_obj(path, row["measure"], tree, f"elements[{i}].measure")
+            layouts.append(_read_measure(path, row["measure"], tree, f"elements[{i}].measure"))
         elif "file" in row:
             ref = row["file"]
             if not isinstance(ref, str):
                 raise FileFormatError(f"{path}: elements[{i}].file must be a string")
-            a = load_bimeasure(base / ref, tree)
+            layouts.append(_read_measure(base / ref, _read_document(base / ref, "bimeasure"), tree, "document"))
         else:
             raise FileFormatError(
                 f"{path}: elements[{i}] needs either an inline 'measure' or a 'file' reference"
             )
-        label = row.get("label", f"e{i}")
-        if not isinstance(label, str):
+        labels.append(row.get("label", f"e{i}"))
+        if not isinstance(labels[-1], str):
             raise FileFormatError(f"{path}: elements[{i}].label must be a string")
-        elements.append((a, gamma))
-        labels.append(label)
-    return elements, labels
+        rows[i] = None  # free the element's parsed rows once read
+    offsets = [0, *accumulate(len(node) for node, _, _ in layouts)]
+    node, pr, op = map(np.concatenate, zip(*layouts))
+    return RiskMeasureSpec._from_arrays(tree, node, pr, op, tuple(zip(offsets, offsets[1:])), gammas, labels)
 
 
 def dump_spec(spec: RiskMeasureSpec, path: str | Path) -> None:

@@ -31,7 +31,8 @@ def _require_same_tree(a: ScenarioTree, b: ScenarioTree) -> None:
 def _read(tree: ScenarioTree, entries: Mapping, keys: Sequence, place: Callable, missing: Callable):
     """The values of ``entries`` at ``keys`` as a float64 vector and a dict in that order, read in
     one pass. When it fails, the entries are walked in input order and the first fault raises: a
-    key that ``place(tree, key)`` refuses (else it names its place), a non-finite value, an absent key."""
+    key that ``place(tree, key)`` refuses (else it names its place), a value ``float`` refuses, a
+    non-finite value, an absent key."""
     try:
         floats = list(map(float, map(entries.get, keys)))
         vector = np.array(floats)
@@ -41,7 +42,11 @@ def _read(tree: ScenarioTree, entries: Mapping, keys: Sequence, place: Callable,
         pass
     for key, value in entries.items():
         where = place(tree, key)
-        if not isfinite(float(value)):
+        try:
+            v = float(value)
+        except (TypeError, ValueError):
+            raise ValidationError(f"non-numeric value {value!r} at {where}") from None
+        if not isfinite(v):
             raise ValidationError(f"non-finite value {value!r} at {where}")
     raise ValidationError(missing(next(key for key in keys if key not in entries)))
 
@@ -60,10 +65,16 @@ def _read_grid(tree: ScenarioTree, entries: Mapping, lo: int, label: str):
     K = tree.K
 
     def place(tree: ScenarioTree, key) -> str:
+        if not (isinstance(key, tuple) and len(key) == 2):
+            raise ValidationError(f"{label} keyed on {key!r}, not on a (leaf, depth) pair")
         leaf, k = key
         if tree.index.get(leaf, -1) < tree.first_leaf:
             raise ValidationError(f"{label} keyed on unknown leaf '{leaf}'")
-        if not lo <= k <= K:
+        try:
+            in_range = lo <= k <= K
+        except TypeError:
+            raise ValidationError(f"{label} at ({leaf}, {k!r}) is not at an integer depth") from None
+        if not in_range:
             raise ValidationError(f"{label} at ({leaf}, {k}) out of range {lo}..{K}")
         if k != int(k):
             raise ValidationError(f"{label} at ({leaf}, {k}) is not at an integer depth")
@@ -90,7 +101,7 @@ def _hold(obj, **fields) -> None:
 
 def _new(cls, tree: ScenarioTree, *arrays: np.ndarray):
     """A value of type ``cls`` over arrays in its layout, computed from checked values; only a
-    process or payoff checks them, for the non-finite values an overflow leaves."""
+    process, payoff or bi-measure checks them, for the non-finite values an overflow leaves."""
     obj = object.__new__(cls)
     object.__setattr__(obj, "tree", tree)
     obj._keep(*arrays)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from math import fsum
@@ -22,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bimeasure import BiMeasure, _stored, increment_vector, variation_norm
+from .bimeasure import BiMeasure, increment_vector, variation_norm
 from .convexgeom import SimplexProgram, min_cost_combination
 from .errors import ValidationError
 from .process import AdaptedProcess, StaticRV, _new, _require_same_tree, optional_projection_static
@@ -75,13 +76,12 @@ class RiskMeasureSpec:
     entries in ``_bounds[i]`` = (lo, hi). ``_pr`` and ``_op`` stay apart
     because a path variation adds them as separate terms, and fsum([p, o])
     can differ from fsum([p + o]).
-    Each element's nodes come in input order (its predictable nodes, then the
-    optional-only ones), not sorted; every reduction over them is an fsum or a
-    ``segment_fsums`` (fsum's value bit for bit), neither of which depends on
-    the order of its terms. Building the arrays is O(nnz). A spec built from
-    arrays (as ``fileio.load_spec``, ``worst_case_spec`` and ``avar_spec`` do)
-    makes the elements' :class:`BiMeasure` objects only when ``measures()`` or
-    ``elements`` is first read.
+    Each element's entries are its :class:`BiMeasure`'s ``node``, ``pr`` and
+    ``op`` arrays: ascending canonical nodes, none with both fields zero.
+    Building the arrays is O(nnz). A spec built from arrays (as
+    ``fileio.load_spec``, ``worst_case_spec`` and ``avar_spec`` do) makes the
+    elements' :class:`BiMeasure` objects, over views of its arrays, only when
+    ``measures()`` or ``elements`` is first read.
 
     Each element must have unit expected variation within ``norm_tol``. For
     a nonnegative element that variation is the sum of its weights in exact
@@ -104,24 +104,16 @@ class RiskMeasureSpec:
         elems = [(a, float(g)) for a, g in elements]
         if not elems:
             raise ValidationError("spec needs at least one generating element")
-        # A sequential check meets an element's tree or sign fault only after
-        # the norm and penalty checks of the elements before it.
-        bad = next(
-            (i for i, (a, _) in enumerate(elems) if a.tree is not tree or not a.is_positive),
-            len(elems),
-        )
-        stored = [_stored(a) for a, _ in elems[:bad]]
-        offsets = [0, *accumulate(len(index) for index, _ in stored)]
-        node = np.concatenate([index for index, _ in stored] + [np.empty(0, np.intp)])
-        pr, op = np.concatenate([incs for _, incs in stored] + [np.empty((0, 2))]).T
-        del stored
         measures = tuple(a for a, _ in elems)
-        bounds = tuple(zip(offsets, offsets[1:]))
         gammas = [g for _, g in elems]
-        self._load(tree, node, pr, op, bounds, gammas[:bad], norm_tol, measures.__getitem__)
+        # an element's tree fault comes after the checks of the elements before it
+        bad = next((i for i, a in enumerate(measures) if a.tree is not tree), len(elems))
+        offsets = [0, *accumulate(len(a.node) for a in measures[:bad])]
+        empty = (np.empty(0, np.intp), np.empty(0), np.empty(0))
+        node, pr, op = map(np.concatenate, zip(empty, *((a.node, a.pr, a.op) for a in measures[:bad])))
+        self._load(tree, node, pr, op, tuple(zip(offsets, offsets[1:])), gammas[:bad], norm_tol)
         if bad < len(elems):
-            _require_same_tree(tree, elems[bad][0].tree)
-            raise ValidationError(f"generating element {bad} has negative increments")
+            _require_same_tree(tree, measures[bad].tree)
         self._measures = measures
         self._set_penalties(gammas, labels)
 
@@ -137,17 +129,16 @@ class RiskMeasureSpec:
         labels: Sequence[str],
         norm_tol: float = 1e-9,
     ) -> "RiskMeasureSpec":
-        """A spec over arrays laid out as the class docstring says, already checked:
-        canonical indices distinct within each element, finite nonnegative
-        increments, ``pr`` zero at depth K. Norms and penalties are checked here."""
+        """A spec over arrays laid out as the class docstring says, with finite increments
+        and ``pr`` zero at depth K. Signs, norms and penalties are checked here."""
         spec = cls.__new__(cls)
-        spec._load(tree, node, pr, op, bounds, gammas, norm_tol, spec._build_measure)
+        spec._load(tree, node, pr, op, bounds, gammas, norm_tol)
         spec._set_penalties(gammas, labels)
         return spec
 
-    def _load(self, tree, node, pr, op, bounds, gammas, norm_tol, measure) -> None:
-        """Take the arrays as the family; check each element's unit variation, then its
-        penalty, element after element. ``measure(i)`` gives element i for the exact check."""
+    def _load(self, tree, node, pr, op, bounds, gammas, norm_tol) -> None:
+        """Take the arrays as the family; check each element's signs, its unit variation,
+        then its penalty, element after element."""
         prob = tree.node_prob
         with np.errstate(over="ignore"):  # overflow gives inf, as Python floats do
             weight = prob[node]
@@ -163,9 +154,13 @@ class RiskMeasureSpec:
         self._weight = weight
         terms = memoryview(weight)
         normal = weight.min(initial=1.0) * tree.leaf_prob.min() >= _NORMAL_FLOOR
+        negative = np.flatnonzero(np.minimum(pr, op) < 0.0)
+        signed = bisect_right(self._starts, negative[0]) - 1 if len(negative) else len(bounds)
         for i, ((lo, hi), g) in enumerate(zip(bounds, gammas)):
+            if i == signed:
+                raise ValidationError(f"generating element {i} has negative increments")
             if not (normal and _unit_norm_certified(terms[lo:hi], tree.K, norm_tol)):
-                norm = variation_norm(measure(i), 1.0)
+                norm = variation_norm(self._measure(i), 1.0)
                 if abs(norm - 1.0) > norm_tol:
                     raise ValidationError(
                         f"generating element {i} must have unit expected variation, got {norm!r}"
@@ -186,16 +181,13 @@ class RiskMeasureSpec:
         self.gammas = tuple(g - shift for g in gammas)
         self.is_coherent = all(g == 0.0 for g in self.gammas)
 
-    def _build_measure(self, i: int) -> BiMeasure:
+    def _measure(self, i: int) -> BiMeasure:
         lo, hi = self._bounds[i]
-        ids = [self.tree.order[n] for n in self._node[lo:hi].tolist()]
-        pr = {n: v for n, v in zip(ids, self._pr[lo:hi].tolist()) if v}
-        op = {n: v for n, v in zip(ids, self._op[lo:hi].tolist()) if v}
-        return BiMeasure(self.tree, pr, op)
+        return _new(BiMeasure, self.tree, self._node[lo:hi], self._pr[lo:hi], self._op[lo:hi])
 
     @functools.cached_property
     def _measures(self) -> tuple[BiMeasure, ...]:
-        return tuple(map(self._build_measure, range(len(self._bounds))))
+        return tuple(map(self._measure, range(len(self._bounds))))
 
     @functools.cached_property
     def _variations(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:

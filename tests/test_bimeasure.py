@@ -82,6 +82,74 @@ class TestConstruction:
         assert not BiMeasure(t1, {}, {"d": -1.0}).is_positive
 
 
+NAN, INF = math.nan, math.inf
+
+# BiMeasure faults on uniform_binomial(1) (root; leaves d and u), each with its
+# exact message. The predictable field is read before the optional one; within
+# a field the first faulty entry in input order is named, and for one entry an
+# unknown node comes before a leaf, a leaf before its value.
+BIMEASURE_FAULTS = {
+    "unknown-pr-node": (lambda t: BiMeasure(t, {"zz": 1.0}, {}), "unknown node id 'zz'"),
+    "unknown-op-node": (lambda t: BiMeasure(t, {}, {"root": 1.0, "zz": 1.0}), "unknown node id 'zz'"),
+    "pr-at-leaf": (
+        lambda t: BiMeasure(t, {"u": 1.0}, {}),
+        "predictable increment stored at node 'u' (depth 1); entries are only allowed up to depth 0",
+    ),
+    "zero-pr-at-leaf": (
+        lambda t: BiMeasure(t, {"d": 0.0}, {}),
+        "predictable increment stored at node 'd' (depth 1); entries are only allowed up to depth 0",
+    ),
+    "leaf-before-value": (
+        lambda t: BiMeasure(t, {"u": NAN}, {}),
+        "predictable increment stored at node 'u' (depth 1); entries are only allowed up to depth 0",
+    ),
+    "pr-inf": (lambda t: BiMeasure(t, {"root": INF}, {}), "non-finite predictable increment at node 'root'"),
+    "pr-nan-string": (lambda t: BiMeasure(t, {"root": "nan"}, {}), "non-finite predictable increment at node 'root'"),
+    "op-nan": (lambda t: BiMeasure(t, {}, {"d": 1.0, "u": NAN}), "non-finite optional increment at node 'u'"),
+    "op-numpy-inf": (lambda t: BiMeasure(t, {}, {"root": np.float64(-INF)}), "non-finite optional increment at node 'root'"),
+    # values float() refuses
+    "pr-string": (lambda t: BiMeasure(t, {"root": "x"}, {}), "non-numeric predictable increment 'x' at node 'root'"),
+    "pr-none": (lambda t: BiMeasure(t, {"root": None}, {}), "non-numeric predictable increment None at node 'root'"),
+    "op-list": (lambda t: BiMeasure(t, {}, {"d": 1.0, "u": [1.0]}), "non-numeric optional increment [1.0] at node 'u'"),
+    "leaf-before-non-numeric": (
+        lambda t: BiMeasure(t, {"d": None}, {}),
+        "predictable increment stored at node 'd' (depth 1); entries are only allowed up to depth 0",
+    ),
+    # two faults in one field: input order decides
+    "leaf-before-unknown": (
+        lambda t: BiMeasure(t, {"u": 1.0, "zz": 1.0}, {}),
+        "predictable increment stored at node 'u' (depth 1); entries are only allowed up to depth 0",
+    ),
+    "unknown-before-leaf": (lambda t: BiMeasure(t, {"zz": 1.0, "u": 1.0}, {}), "unknown node id 'zz'"),
+    "value-before-unknown": (
+        lambda t: BiMeasure(t, {}, {"u": INF, "zz": 1.0}),
+        "non-finite optional increment at node 'u'",
+    ),
+    "unknown-before-value": (lambda t: BiMeasure(t, {}, {"zz": 1.0, "d": NAN}), "unknown node id 'zz'"),
+    "late-value-before-early-node": (
+        lambda t: BiMeasure(t, {}, {"u": NAN, "d": INF}),
+        "non-finite optional increment at node 'u'",
+    ),
+    # the predictable field is read in full first
+    "pr-before-op": (
+        lambda t: BiMeasure(t, {"root": 1.0, "d": 1.0}, {"zz": 1.0}),
+        "predictable increment stored at node 'd' (depth 1); entries are only allowed up to depth 0",
+    ),
+    "pr-value-before-op-node": (
+        lambda t: BiMeasure(t, {"root": NAN}, {"zz": 1.0}),
+        "non-finite predictable increment at node 'root'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BIMEASURE_FAULTS, ids=str)
+def test_bimeasure_messages(case):
+    build, message = BIMEASURE_FAULTS[case]
+    with pytest.raises(ValidationError) as caught:
+        build(uniform_binomial(1))
+    assert str(caught.value) == message
+
+
 class TestPairing:
     def test_optional_leaf_mass(self, t1):
         assert pairing(mart_x(t1), dirac_d(t1)) == -1.0
@@ -336,6 +404,22 @@ class TestNormalize:
         with pytest.raises(ValidationError, match="d"):
             normalize_scenario(BiMeasure(t1, {}, {"d": -1.0}))
 
+    @pytest.mark.parametrize(
+        "pr, op, node",
+        [
+            ({}, {"d": -1.0, "u": -1.0}, "d"),
+            ({"root": 1.0}, {"d": 1.0, "u": -2.0}, "u"),
+            ({"u": -1.0}, {"d": -1.0, "uu": 1.0}, "u"),  # the predictable field first
+            ({"root": 1.0, "d": -0.5}, {"root": -1.0}, "d"),
+        ],
+    )
+    def test_signed_message(self, t2, pr, op, node):
+        with pytest.raises(ValidationError) as caught:
+            normalize_scenario(BiMeasure(t2, pr, op))
+        assert str(caught.value) == (
+            f"negative increment at node '{node}'; normalization requires a nonnegative bi-measure"
+        )
+
     def test_zero_rejected(self, t1):
         with pytest.raises(ValidationError):
             normalize_scenario(BiMeasure(t1, {}, {}))
@@ -462,3 +546,121 @@ class TestIncrementVector:
         a = BiMeasure(t2, {"root": 0.5}, {"dd": 1.0})
         b = BiMeasure(t2, {"root": 0.5}, {"dd": 1.0, "uu": 0.0})
         assert increment_vector(a) == increment_vector(b)
+
+
+def _arrays(a):
+    """A bi-measure's layout as plain lists, float.hex for the values."""
+    return a.node.tolist(), [v.hex() for v in a.pr.tolist()], [v.hex() for v in a.op.tolist()]
+
+
+def _reference(tree, pr, op):
+    """The layout of two node -> value dicts, by hand: the canonical indices where either
+    field is nonzero, and each field there (+0.0 where it holds nothing or a zero)."""
+    nodes = sorted(tree.index[n] for n in {**pr, **op} if pr.get(n, 0.0) != 0.0 or op.get(n, 0.0) != 0.0)
+    ids = [tree.order[i] for i in nodes]
+    return nodes, [(pr.get(n, 0.0) or 0.0).hex() for n in ids], [(op.get(n, 0.0) or 0.0).hex() for n in ids]
+
+
+def _shuffled(rng, entries):
+    keys = list(entries)
+    rng.shuffle(keys)
+    return {k: entries[k] for k in keys}
+
+
+def _coarse_fields(tree, rng):
+    """Sparse node -> value dicts in shuffled order, with ±0.0 and values near 1e12 and 1e-12."""
+    draw = value_sampler(rng, coarse=True)
+    pr = {n: draw() for n in tree.order[: tree.first_leaf] if rng.uniform() < 0.6}
+    op = {n: draw() for n in tree.order if rng.uniform() < 0.6}
+    return _shuffled(rng, pr), _shuffled(rng, op)
+
+
+class TestOneLayout:
+    """BiMeasure keeps (node, pr, op) arrays in canonical order; every route gives the same bits."""
+
+    def test_layout_matches_the_reference(self):
+        rng = np.random.default_rng(181)
+        for _ in range(20):
+            tree = interleaved_tree(rng)
+            pr, op = _coarse_fields(tree, rng)
+            a = BiMeasure(tree, pr, op)
+            assert _arrays(a) == _reference(tree, pr, op)
+            nonzero = [n for n in tree.order if pr.get(n, 0.0) != 0.0]
+            assert list(a.pr_inc.items()) == [(n, pr[n]) for n in nonzero]
+            nonzero = [n for n in tree.order if op.get(n, 0.0) != 0.0]
+            assert list(a.op_inc.items()) == [(n, op[n]) for n in nonzero]
+            for array in (a.node, a.pr, a.op):
+                assert not array.flags.writeable
+            assert a.node.dtype == np.intp and a.pr.dtype == a.op.dtype == np.float64
+            # the arrays are attributes, not fields: the fields stay (tree, pr_inc, op_inc)
+            import dataclasses
+
+            assert [f.name for f in dataclasses.fields(a)] == ["tree", "pr_inc", "op_inc"]
+
+    def test_dicts_files_and_spec_views_agree(self, tmp_path):
+        from treerisk import RiskMeasureSpec
+        from treerisk.fileio import dump_bimeasure, dump_spec, load_bimeasure, load_spec
+
+        rng = np.random.default_rng(191)
+        for trial in range(12):
+            tree = interleaved_tree(rng, max_depth=4)
+            scenarios = [random_scenario(tree, rng) for _ in range(3)]
+            spec = RiskMeasureSpec(tree, [(a, 0.0) for a in scenarios])
+            dump_spec(spec, tmp_path / "spec.json")
+            loaded = load_spec(tmp_path / "spec.json", tree)
+            for i, a in enumerate(scenarios):
+                reordered = BiMeasure(tree, _shuffled(rng, a.pr_inc), _shuffled(rng, a.op_inc))
+                dump_bimeasure(reordered, tmp_path / "a.json")
+                reloaded = load_bimeasure(tmp_path / "a.json", tree)
+                view = loaded.measures()[i]
+                assert _arrays(reordered) == _arrays(reloaded) == _arrays(view) == _arrays(a)
+                assert view == a
+                for mine, spec_array in zip((view.node, view.pr, view.op), (loaded._node, loaded._pr, loaded._op)):
+                    assert np.shares_memory(mine, spec_array)  # views, no copy
+
+    def test_arithmetic_matches_dict_reference(self):
+        rng = np.random.default_rng(193)
+        for _ in range(20):
+            tree = interleaved_tree(rng)
+            (pa, oa), (pb, ob) = _coarse_fields(tree, rng), _coarse_fields(tree, rng)
+            a, b = BiMeasure(tree, pa, oa), BiMeasure(tree, pb, ob)
+
+            def add(f, g):
+                return {n: f.get(n, 0.0) + g.get(n, 0.0) for n in {**f, **g}}
+
+            def neg(f):
+                return {n: -v for n, v in f.items()}
+
+            c = float(rng.choice([-2.5, 0.5, 3e-12, -1e12]))
+            assert _arrays(a + b) == _reference(tree, add(pa, pb), add(oa, ob))
+            assert _arrays(a - b) == _reference(tree, add(pa, neg(pb)), add(oa, neg(ob)))
+            assert _arrays(a.scale(c)) == _reference(tree, {n: c * v for n, v in pa.items()}, {n: c * v for n, v in oa.items()})
+            assert _arrays(-a) == _reference(tree, neg(pa), neg(oa))
+            plus, minus = jordan(a)
+            assert _arrays(plus) == _reference(
+                tree, {n: v for n, v in pa.items() if v > 0.0}, {n: v for n, v in oa.items() if v > 0.0}
+            )
+            assert _arrays(minus) == _reference(
+                tree, {n: -v for n, v in pa.items() if v < 0.0}, {n: -v for n, v in oa.items() if v < 0.0}
+            )
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (
+                lambda t: BiMeasure(t, {"root": 1e300, "u": 1.0}, {"dd": -1e300}).scale(1e10),
+                "non-finite predictable increment at node 'root'",
+            ),
+            (
+                lambda t: (lambda a: a + a)(BiMeasure(t, {"u": 1.0}, {"d": 1.0, "uu": 1.7e308, "dd": 1e308})),
+                "non-finite optional increment at node 'dd'",
+            ),
+            # nothing stored in a field stays nothing when scaled by inf
+            (lambda t: BiMeasure(t, {"u": 1.0}, {"root": 1.0}).scale(math.inf), "non-finite predictable increment at node 'u'"),
+            (lambda t: BiMeasure(t, {}, {"ud": 1.0, "d": 2.0}).scale(math.nan), "non-finite optional increment at node 'd'"),
+        ],
+    )
+    def test_arithmetic_overflow_names_the_first_node(self, t2, build, message):
+        with pytest.raises(ValidationError) as caught:
+            build(t2)
+        assert str(caught.value) == message

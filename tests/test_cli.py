@@ -176,6 +176,64 @@ class TestMalformedFiles:
             load_bimeasure(p, t1)
 
 
+def _entry(leaf, depth, value=0.0):
+    return {"leaf": leaf, "depth": depth, "value": value}
+
+
+_GRID = [_entry(leaf, k) for leaf in ("d", "u") for k in (0, 1)]
+
+# Raw process documents on uniform_binomial(1) with two faults each: the file
+# checks run entry after entry, then the process checks run in input order.
+RAW_PROCESS_FILES = {
+    "nan-then-leaf-type": (
+        [_entry("d", 0, math.nan), _entry(1, 0)],
+        "{path}: field 'entries[0].value' must be finite, got nan",
+    ),
+    "leaf-type-then-nan": ([_entry(1, 0), _entry("d", 0, math.nan)], "{path}: entries[0].leaf must be a string"),
+    "unknown-leaf-then-string-value": (
+        [_entry("zz", 0, 1.0), _entry("d", 0, "x")],
+        "{path}: field 'entries[1].value' must be a number, got 'x'",
+    ),
+    "duplicate-then-depth-type": (
+        [_entry("d", 0), _entry("d", 0), _entry("d", 1.5)],
+        "{path}: duplicate entry for (d, 0)",
+    ),
+    "depth-type-then-duplicate": (
+        [_entry("d", True), _entry("d", 0), _entry("d", 0)],
+        "{path}: entries[0].depth must be an integer",
+    ),
+    "missing-field-then-bool": (
+        [{"leaf": "d", "depth": 0}, _entry("d", 1, True)],
+        "{path}: entries[0] missing field 'value'",
+    ),
+    "not-object-then-overflow": ([3, _entry("d", 0, 10**400)], "{path}: entries[0] must be an object"),
+    "overflow-then-not-object": (
+        [_entry("d", 0, 10**400), 3],
+        "{path}: field 'entries[0].value' is an integer beyond the float range",
+    ),
+    "depth-range-then-unknown-leaf": (
+        [*_GRID, _entry("u", 5), _entry("zz", 0)],
+        "raw process at (u, 5) out of range 0..1",
+    ),
+    "unknown-leaf-then-depth-range": (
+        [*_GRID, _entry("zz", 0), _entry("u", 5)],
+        "raw process keyed on unknown leaf 'zz'",
+    ),
+    "interior-node-then-missing": ([_entry("root", 0), _entry("d", 0)], "raw process keyed on unknown leaf 'root'"),
+    "missing-cell": (_GRID[:3], "raw process is missing at (u, 1)"),
+}
+
+
+@pytest.mark.parametrize("case", RAW_PROCESS_FILES, ids=str)
+def test_raw_process_file_messages(tmp_path, t1, case):
+    entries, message = RAW_PROCESS_FILES[case]
+    p = tmp_path / "z.json"
+    p.write_text(json.dumps({"format": "raw_process", "entries": entries}))
+    with pytest.raises(ValidationError) as err:
+        load_raw_process(p, t1)
+    assert str(err.value) == message.format(path=p)
+
+
 def _element(op='[{"node": "du", "inc": 4.0}]', pr="[]", extra=""):
     return '{"measure": {"pr": %s, "op": %s}%s}' % (pr, op, extra)
 
@@ -445,8 +503,8 @@ class TestSpecDocuments:
         p = tmp_path / "spec.json"
         dump_spec(worst_case_spec(t2), p)
         built = []
-        init = BiMeasure.__post_init__
-        monkeypatch.setattr(BiMeasure, "__post_init__", lambda a: built.append(1) or init(a))
+        keep = BiMeasure._keep  # every BiMeasure, from dicts or from arrays, is laid out here
+        monkeypatch.setattr(BiMeasure, "_keep", lambda a, *arrays: built.append(1) or keep(a, *arrays))
         spec = load_spec(p, t2)
         rho_eval(spec, AdaptedProcess.zero(t2))
         static_rho_coherent_direct(spec, StaticRV.constant(t2, 1.0))

@@ -454,6 +454,64 @@ VALUE_TYPE_FAULTS = {
         lambda t: _raw_bimeasure(t, left=[(("u", 1), None)], right=[(("ghost", 0), NAN)]),
         "left increment is missing at (u, 1)",
     ),
+    # values float() refuses, and grid keys that are no (leaf, depth) pair
+    "adapted-none": (
+        lambda t: AdaptedProcess(t, {"root": None, "d": 0.0, "u": 1.0}),
+        "non-numeric value None at node 'root'",
+    ),
+    "adapted-list": (
+        lambda t: AdaptedProcess(t, {"root": 0.0, "d": [1.0], "u": 1.0}),
+        "non-numeric value [1.0] at node 'd'",
+    ),
+    "adapted-string": (lambda t: AdaptedProcess(t, {"root": 0.0, "d": 0.0, "u": "x"}), "non-numeric value 'x' at node 'u'"),
+    "adapted-non-numeric-before-key": (
+        lambda t: AdaptedProcess(t, {"u": None, "ghost": 1.0, "root": 0.0, "d": 0.0}),
+        "non-numeric value None at node 'u'",
+    ),
+    "adapted-key-before-non-numeric": (
+        lambda t: AdaptedProcess(t, {"ghost": 1.0, "u": None, "root": 0.0, "d": 0.0}),
+        "process value given for unknown node 'ghost'",
+    ),
+    "static-none": (lambda t: StaticRV(t, {"d": None, "u": 1.0}), "non-numeric value None at leaf 'd'"),
+    "static-list": (lambda t: StaticRV(t, {"d": 1.0, "u": []}), "non-numeric value [] at leaf 'u'"),
+    "static-string": (lambda t: StaticRV(t, {"d": "x", "u": 1.0}), "non-numeric value 'x' at leaf 'd'"),
+    "raw-short-key": (
+        lambda t: RawProcess(t, _grid(t, edits=[(("u",), 1.0)])),
+        "raw process keyed on ('u',), not on a (leaf, depth) pair",
+    ),
+    "raw-long-key": (
+        lambda t: RawProcess(t, {("u", 0, 1): 1.0}),
+        "raw process keyed on ('u', 0, 1), not on a (leaf, depth) pair",
+    ),
+    "raw-string-key": (lambda t: RawProcess(t, {"u0": 1.0}), "raw process keyed on 'u0', not on a (leaf, depth) pair"),
+    "raw-string-depth": (
+        lambda t: RawProcess(t, _grid(t, edits=[(("u", "1"), 1.0)])),
+        "raw process at (u, '1') is not at an integer depth",
+    ),
+    "raw-none-depth": (
+        lambda t: RawProcess(t, _grid(t, edits=[(("d", None), 1.0)])),
+        "raw process at (d, None) is not at an integer depth",
+    ),
+    "raw-unknown-leaf-before-depth": (
+        lambda t: RawProcess(t, _grid(t, edits=[(("uu", "1"), 1.0)])),
+        "raw process keyed on unknown leaf 'uu'",
+    ),
+    "raw-string-value": (
+        lambda t: RawProcess(t, _grid(t, edits=[(("u", 1), "x")])),
+        "non-numeric value 'x' at raw process (u, 1)",
+    ),
+    "raw-list-value": (
+        lambda t: RawProcess(t, _grid(t, edits=[(("d", 0), [0.0])])),
+        "non-numeric value [0.0] at raw process (d, 0)",
+    ),
+    "left-string-value": (
+        lambda t: _raw_bimeasure(t, left=[(("u", 1), "x")]),
+        "non-numeric value 'x' at left increment (u, 1)",
+    ),
+    "right-none-value": (
+        lambda t: _raw_bimeasure(t, right=[(("d", 0), {})]),
+        "non-numeric value {} at right increment (d, 0)",
+    ),
     # computed values: the first non-finite one in canonical order is named
     "adapted-constant": (lambda t: AdaptedProcess.constant(t, INF), "non-finite value inf at node 'root'"),
     "adapted-sum-overflow": (

@@ -306,6 +306,31 @@ class TestUnitNormCheck:
                 RiskMeasureSpec(t1, elements)
 
 
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            (["heavy", "signed"], "generating element 0 must have unit expected variation, got 2.0"),
+            (["signed", "heavy"], "generating element 0 has negative increments"),
+            (["good", "heavy", "signed"], "generating element 1 must have unit expected variation, got 2.0"),
+            (["good", "signed", "heavy"], "generating element 1 has negative increments"),
+            (["good", "signed", "foreign"], "generating element 1 has negative increments"),
+            (["good", "foreign", "signed"], "tree mismatch: operands were built on different scenario trees"),
+            (["zero", "signed"], "generating element 0 must have unit expected variation, got 0.0"),
+        ],
+    )
+    def test_fault_messages_exact(self, t1, t2, names, message):
+        measures = {
+            "good": BiMeasure(t1, {}, {"d": 2.0}),
+            "heavy": BiMeasure(t1, {}, {"d": 4.0}),
+            "signed": BiMeasure(t1, {"root": 0.5}, {"u": -0.5, "d": 1.0}),
+            "zero": BiMeasure(t1, {}, {}),
+            "foreign": BiMeasure(t2, {}, {"dd": 4.0}),
+        }
+        with pytest.raises(ValidationError) as caught:
+            RiskMeasureSpec(t1, [(measures[n], 0.0) for n in names])
+        assert str(caught.value) == message
+
+
 class TestSpecValidation:
     def test_empty_rejected(self, t1):
         with pytest.raises(ValidationError):
