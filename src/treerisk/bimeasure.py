@@ -54,6 +54,8 @@ def _read_field(tree: ScenarioTree, entries: Mapping, field: str, end: int) -> t
             v = float(v)
         except (TypeError, ValueError):
             raise ValidationError(f"non-numeric {field} increment {v!r} at node '{nid}'") from None
+        except OverflowError:
+            raise ValidationError(f"{field} increment at node '{nid}' is an integer beyond the float range") from None
         if not isfinite(v):
             raise ValidationError(f"non-finite {field} increment at node '{nid}'")
 
@@ -249,7 +251,7 @@ def dual_projection(a: RawBiMeasure) -> BiMeasure:
     tree = a.tree
     pr = tree.node_means(_dfs_rows(tree, a.left_grid)[1:])  # the depth-(k + 1) slice at depth k
     op = tree.node_means(_dfs_rows(tree, a.right_grid))
-    return _build(tree, np.arange(len(pr)), np.array(pr), np.arange(len(op)), np.array(op))
+    return _build(tree, np.arange(len(pr)), pr, np.arange(len(op)), op)
 
 
 def normalize_scenario(a: BiMeasure) -> BiMeasure:

@@ -129,7 +129,7 @@ def _load_values(path: str | Path, doc: dict, build):
     if set(map(type, values.values())) <= {int, float}:
         try:
             return build(values)
-        except (ValidationError, OverflowError):  # an int beyond the float range overflows
+        except ValidationError:
             pass
     return build({k: _number(path, v, "values['{}']", k) for k, v in values.items()})
 
@@ -180,7 +180,7 @@ def _raw_process_from(path: str | Path, doc: dict, tree: ScenarioTree) -> RawPro
             values = dict(zip(zip(leaf, depth), value))
             if len(values) == len(entries):
                 return RawProcess(tree, values)
-    except (KeyError, TypeError, ValidationError, OverflowError):  # an int beyond the float range overflows
+    except (KeyError, TypeError, ValidationError):
         pass
     values: dict[tuple[str, int], float] = {}
     for i, row in enumerate(entries):

@@ -46,6 +46,8 @@ def _read(tree: ScenarioTree, entries: Mapping, keys: Sequence, place: Callable,
             v = float(value)
         except (TypeError, ValueError):
             raise ValidationError(f"non-numeric value {value!r} at {where}") from None
+        except OverflowError:
+            raise ValidationError(f"value at {where} is an integer beyond the float range") from None
         if not isfinite(v):
             raise ValidationError(f"non-finite value {value!r} at {where}")
     raise ValidationError(missing(next(key for key in keys if key not in entries)))
@@ -113,9 +115,9 @@ def _paths(tree: ScenarioTree) -> np.ndarray:
     return tree.leaf_paths()[tree.node_spans()[0][tree.first_leaf :]]
 
 
-def _dfs_rows(tree: ScenarioTree, grid: np.ndarray) -> list[list[float]]:
+def _dfs_rows(tree: ScenarioTree, grid: np.ndarray) -> np.ndarray:
     """The columns of an (L, K + 1) grid as rows over the DFS leaves, as ``node_means`` reads them."""
-    return grid[tree.leaf_paths()[:, -1] - tree.first_leaf].T.tolist()
+    return grid[tree.leaf_paths()[:, -1] - tree.first_leaf].T
 
 
 @dataclass(frozen=True)
@@ -249,13 +251,13 @@ def optional_projection_static(Y: StaticRV) -> AdaptedProcess:
     one-step martingale identity up to rounding.
     """
     tree = Y.tree
-    [y] = _dfs_rows(tree, Y.vector[:, None])
-    return _new(AdaptedProcess, tree, np.array(tree.node_means([y] * (tree.K + 1))))
+    rows = np.broadcast_to(_dfs_rows(tree, Y.vector[:, None]), (tree.K + 1, len(tree.leaves)))
+    return _new(AdaptedProcess, tree, tree.node_means(rows))
 
 
 def optional_projection_raw(Z: RawProcess) -> AdaptedProcess:
     """Optional projection: at a depth-k node, the conditional mean of the depth-k raw slice."""
-    return _new(AdaptedProcess, Z.tree, np.array(Z.tree.node_means(_dfs_rows(Z.tree, Z.grid))))
+    return _new(AdaptedProcess, Z.tree, Z.tree.node_means(_dfs_rows(Z.tree, Z.grid)))
 
 
 def predictable_projection_raw(Z: RawProcess) -> AdaptedProcess:
@@ -267,9 +269,8 @@ def predictable_projection_raw(Z: RawProcess) -> AdaptedProcess:
     """
     tree = Z.tree
     rows = _dfs_rows(tree, Z.grid)
-    [root_mean] = tree.node_means(rows[:1])
-    ahead = np.array(tree.node_means(rows[1:]))  # at each node above depth K, the next slice's mean
-    return _new(AdaptedProcess, tree, np.concatenate(([root_mean], ahead[tree.parent[1:]])))
+    ahead = tree.node_means(rows[1:])  # at each node above depth K, the next slice's mean
+    return _new(AdaptedProcess, tree, np.concatenate((tree.node_means(rows[:1]), ahead[tree.parent[1:]])))
 
 
 def prob_sup_exceedance(X: AdaptedProcess, Y: AdaptedProcess, eps: float) -> float:

@@ -146,7 +146,7 @@ class RiskMeasureSpec:
         self.tree = tree
         self.norm_tol = norm_tol
         self._bounds = bounds
-        self._starts = tuple(lo for lo, _ in bounds)  # the bounds tile the arrays
+        self._starts = np.array([lo for lo, _ in bounds], np.intp)  # the bounds tile the arrays
         self._prob = prob
         self._node = node
         self._pr = pr

@@ -6,7 +6,7 @@ from bisect import bisect_left
 from functools import cached_property
 from itertools import groupby
 from math import frexp, fsum, isfinite, ldexp
-from operator import mul, sub
+from operator import mul
 from numbers import Real
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -55,22 +55,22 @@ class ScenarioTree:
     recursions over the tree, ``branch_prob``, ``prob`` (a dict, the product
     of the branch probabilities along the path) and ``node_prob`` (the same
     probabilities as a read-only float64 array; ``leaf_prob`` is its leaves'
-    part). The leaves close the
-    order from position ``first_leaf`` on. A depth-first pass, children in id
-    order, lays the leaves out so that every subtree owns a contiguous range
-    of that DFS leaf order; the ranges are held once, per canonical index, and
-    read by ``leaves_under`` (the range as a slice, in DFS order, which differs
-    from the canonical order of ``leaves`` when ids interleave subtrees),
-    ``node_spans`` and ``node_means``. ``nodes``, each id's row rebuilt from
-    the columns on first read, serves ``path``, ``children`` and
-    ``require_node``, which walk the nodes themselves: an independent reference
-    for these layouts.
+    part). The leaves close the order from position ``first_leaf`` on. A
+    depth-first pass, children in id order, lays the leaves out so that every
+    subtree owns a contiguous range of that DFS leaf order; the ranges are held
+    once, per canonical index, and read by ``leaves_under`` (the range as a
+    slice, in DFS order, which differs from the canonical order of ``leaves``
+    when ids interleave subtrees), ``node_spans`` and ``node_means``.
+    ``nodes``, each id's row rebuilt from the columns on first read, serves
+    ``path``, ``children`` and ``require_node``, which walk the nodes
+    themselves: an independent reference for these layouts.
 
-    ``node_means`` is the one conditional-mean loop: given rows of values
-    over the DFS leaves, it returns E[rows[k] | node] at each node of depth
-    k < len(rows), in canonical order. A range whose values all compare
-    equal gives its first DFS value, so a leaf gives its own value; any other
-    range gives the fsum of P(l) v(l) over it, divided by P(node).
+    ``node_means`` is the one conditional-mean kernel: given (m, L) rows over
+    the DFS leaves, it returns E[rows[k] | node] at each node of depth k < m,
+    in canonical order: a range whose values all compare equal gives its first
+    DFS value (a leaf its own), any other the fsum of P(l) v(l) over P(node).
+    Rows of ``_FSUMS_CUTOFF`` terms or more take one segmented pass over every
+    node's range (one ``segment_fsums``, one min == max); smaller ones a loop.
 
     Path reads have one layout, built from ``parent`` on first use: ``leaf_paths``
     holds each DFS leaf's path as canonical indices.
@@ -224,7 +224,7 @@ class ScenarioTree:
         self.node_prob.flags.writeable = False
         self.leaf_prob = self.node_prob[first:]
         self._dfs_leaves = tuple(map(order.__getitem__, level))
-        self._dfs_prob = tuple(map(prob.__getitem__, level))
+        self._dfs_prob = self.node_prob[level]
         self._spans = (lo, hi)
         self._leaf_paths = None
         self._node_spans = None
@@ -284,21 +284,39 @@ class ScenarioTree:
             self._node_spans = tuple(np.array(bound, np.intp) for bound in self._spans)
         return self._node_spans
 
-    def node_means(self, rows: Sequence[Sequence[float]]) -> list[float]:
-        """At each node of depth k < len(rows), in canonical order, E[rows[k] | node].
-
-        Each row holds one value per DFS leaf; a constant range gives its first value exactly.
-        """
-        prob, dfs_prob, spans = self.prob, self._dfs_prob, zip(*self._spans)
+    def node_means(self, rows: np.ndarray) -> np.ndarray:
+        """E[rows[k] | node] at each node of depth k < len(rows), in canonical order, from an (m, L)
+        float64 array of rows over the DFS leaves; the class docstring gives the contract."""
+        if rows.size >= _FSUMS_CUTOFF:
+            node, start = self._mean_ranges
+            n = start.searchsorted(rows.size)  # the nodes above depth len(rows)
+            node, start, values = node[:n], start[:n], rows.ravel()
+            try:
+                sums = segment_fsums((self._dfs_prob * rows).ravel(), start)
+            except OverflowError:  # an fsum overflowed: the loop below skips the constant ranges
+                pass
+            else:
+                constant = np.minimum.reduceat(values, start) == np.maximum.reduceat(values, start)
+                out = np.empty(n)
+                with np.errstate(over="ignore"):  # as Python's / does; the value's _keep names the node
+                    out[node] = np.where(constant, values[start], sums / self.node_prob[node])
+                return out
+        prob, dfs_prob, spans = self.prob, self._dfs_prob.tolist(), zip(*self._spans)
         out = []
-        for row, ids in zip(rows, self.depth_nodes):
+        for row, ids in zip(rows.tolist(), self.depth_nodes):
             for p, (lo, hi) in zip(map(prob.__getitem__, ids), spans):  # ids first: no span is drawn past the level
                 values = row[lo:hi]
                 if values.count(values[0]) == len(values):
                     out.append(values[0])
                 else:
                     out.append(fsum(map(mul, dfs_prob[lo:hi], values)) / p)
-        return out
+        return np.array(out)
+
+    @cached_property
+    def _mean_ranges(self) -> tuple[np.ndarray, np.ndarray]:
+        """The nodes by level, each level in DFS order, and where their ranges start in (K + 1, L) rows."""
+        start = np.flatnonzero(np.diff(self.leaf_paths().T, prepend=-1))  # row k: one run per depth-k node
+        return self.leaf_paths().T.ravel()[start], start
 
     def path_sums(
         self, node: np.ndarray, terms: np.ndarray, bounds: Iterable[tuple[int, int]]
@@ -357,20 +375,19 @@ class ScenarioTree:
 _FSUMS_CUTOFF = 1500
 
 
-def segment_fsums(terms: np.ndarray, starts: Sequence[int] | None = None) -> list[float]:
+def segment_fsums(terms: np.ndarray, starts: Sequence[int] | np.ndarray | None = None) -> list[float]:
     """Per segment, what math.fsum returns for its terms, bit for bit and error for error: the
     columns of a 2-D ``terms``, or the runs of a 1-D ``terms`` from each of ``starts`` to the next."""
-    ends = None if starts is None else [*starts[1:], len(terms)]
     if terms.size >= _FSUMS_CUTOFF:  # smaller calls make no numpy call
-        sizes = [len(terms)] if ends is None else list(map(sub, ends, starts))
-        M = max(sizes).bit_length()
-        big = max(terms.max(), -terms.min()) if min(sizes) > 0 else 0.0
+        sizes = np.array([len(terms)]) if starts is None else np.append(starts[1:], len(terms)) - starts
+        M = int(sizes.max()).bit_length()
+        big = max(terms.max(), -terms.min()) if sizes.min() > 0 else 0.0
     if terms.size < _FSUMS_CUTOFF or not ldexp(1.0, -900) <= big < ldexp(1.0, 999 - M):
-        if ends is None:
+        if starts is None:
             return list(map(fsum, terms.T.tolist()))
         flat = memoryview(terms)
-        return [fsum(flat[lo:hi]) for lo, hi in zip(starts, ends)]
-    fold = (lambda f, x: f.reduce(x)) if ends is None else (lambda f, x: f.reduceat(x, starts))
+        return [fsum(flat[lo:hi]) for lo, hi in zip(starts, [*starts[1:], len(terms)])]
+    fold = (lambda f, x: f.reduce(x)) if starts is None else (lambda f, x: f.reduceat(x, starts))
     e, r, sums = frexp(big)[1], terms, []
     for sigma in ldexp(1.0, M + e), ldexp(1.0, 2 * M + e - 53):
         q = r + sigma
@@ -386,7 +403,7 @@ def segment_fsums(terms: np.ndarray, starts: Sequence[int] | None = None) -> lis
     ok = (a > 0.0) & (~fold(np.logical_or, r) | (t + ldexp(1.0, 3 * M + e - 106) < below))
     out = s.tolist()
     for i in np.flatnonzero(~ok).tolist():
-        out[i] = fsum((terms[:, i] if ends is None else terms[starts[i] : ends[i]]).tolist())
+        out[i] = fsum((terms[:, i] if starts is None else terms[starts[i] : starts[i] + sizes[i]]).tolist())
     return out
 
 

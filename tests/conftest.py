@@ -62,9 +62,9 @@ def chain_tree():
     return ScenarioTree(nodes)
 
 
-def random_tree(rng, max_depth=3, max_branch=3):
+def random_tree(rng, max_depth=3, max_branch=3, min_depth=1):
     """Random tree with rng-driven branching and positive normalized probabilities."""
-    depth = int(rng.integers(1, max_depth + 1))
+    depth = int(rng.integers(min_depth, max_depth + 1))
     rows = [("root", None, 1.0)]
     frontier = ["root"]
     for _ in range(depth):
@@ -85,14 +85,14 @@ def random_tree(rng, max_depth=3, max_branch=3):
     return ScenarioTree(nodes)
 
 
-def interleaved_tree(rng, max_depth=3, max_branch=3):
+def interleaved_tree(rng, max_depth=3, max_branch=3, min_depth=1):
     """A random_tree shape with ids shuffled within each depth.
 
     random_tree names children after their parent, so canonical (depth, id)
     order groups every subtree; here canonical order interleaves subtrees and
     differs from the depth-first leaf order.
     """
-    base = random_tree(rng, max_depth=max_depth, max_branch=max_branch)
+    base = random_tree(rng, max_depth=max_depth, max_branch=max_branch, min_depth=min_depth)
     name = {base.root: "root"}
     for k in range(1, base.K + 1):
         ids = base.depth_nodes[k]
@@ -106,10 +106,21 @@ def interleaved_tree(rng, max_depth=3, max_branch=3):
     return ScenarioTree(nodes)
 
 
-def brute_mean(tree, leaf_values, nid):
-    """E[V | nid] over the leaves whose paths pass nid; a constant subtree gives its first DFS value."""
-    # sorting on paths, children in id order, puts the leaves in depth-first order
-    under = sorted((leaf for leaf in tree.leaves if nid in tree.path(leaf)), key=tree.path)
+def brute_under(tree):
+    """Each node's leaves in depth-first order, gathered along the leaves' paths in one walk."""
+    under = {nid: [] for nid in tree.order}
+    for leaf in sorted(tree.leaves, key=tree.path):
+        for nid in tree.path(leaf):
+            under[nid].append(leaf)
+    return under
+
+
+def brute_mean(tree, leaf_values, nid, under=None):
+    """E[V | nid] over the leaves whose paths pass nid; a constant subtree gives its first DFS value.
+    ``under``, the node's leaves in depth-first order (``brute_under``), is found when not given."""
+    if under is None:
+        # sorting on paths, children in id order, puts the leaves in depth-first order
+        under = sorted((leaf for leaf in tree.leaves if nid in tree.path(leaf)), key=tree.path)
     values = [leaf_values[leaf] for leaf in under]
     if all(v == values[0] for v in values):
         return values[0]

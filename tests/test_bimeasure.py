@@ -111,6 +111,15 @@ BIMEASURE_FAULTS = {
     "pr-string": (lambda t: BiMeasure(t, {"root": "x"}, {}), "non-numeric predictable increment 'x' at node 'root'"),
     "pr-none": (lambda t: BiMeasure(t, {"root": None}, {}), "non-numeric predictable increment None at node 'root'"),
     "op-list": (lambda t: BiMeasure(t, {}, {"d": 1.0, "u": [1.0]}), "non-numeric optional increment [1.0] at node 'u'"),
+    # ints beyond the float range, named as the file readers name them
+    "pr-huge-int": (
+        lambda t: BiMeasure(t, {"root": 10**400}, {}),
+        "predictable increment at node 'root' is an integer beyond the float range",
+    ),
+    "op-huge-int": (
+        lambda t: BiMeasure(t, {}, {"d": 1.0, "u": -(10**400)}),
+        "optional increment at node 'u' is an integer beyond the float range",
+    ),
     "leaf-before-non-numeric": (
         lambda t: BiMeasure(t, {"d": None}, {}),
         "predictable increment stored at node 'd' (depth 1); entries are only allowed up to depth 0",

@@ -512,6 +512,27 @@ VALUE_TYPE_FAULTS = {
         lambda t: _raw_bimeasure(t, right=[(("d", 0), {})]),
         "non-numeric value {} at right increment (d, 0)",
     ),
+    # ints beyond the float range, named as the file readers name them
+    "adapted-huge-int": (
+        lambda t: AdaptedProcess(t, {"root": 10**400, "d": 0.0, "u": 0.0}),
+        "value at node 'root' is an integer beyond the float range",
+    ),
+    "static-huge-int": (
+        lambda t: StaticRV(t, {"d": 0.0, "u": -(10**400)}),
+        "value at leaf 'u' is an integer beyond the float range",
+    ),
+    "raw-huge-int": (
+        lambda t: RawProcess(t, _grid(t, edits=[(("u", 1), 10**400)])),
+        "value at raw process (u, 1) is an integer beyond the float range",
+    ),
+    "right-huge-int": (
+        lambda t: _raw_bimeasure(t, right=[(("d", 0), 10**400)]),
+        "value at right increment (d, 0) is an integer beyond the float range",
+    ),
+    "huge-int-before-key": (
+        lambda t: AdaptedProcess(t, {"u": 10**400, "ghost": 1.0, "root": 0.0, "d": 0.0}),
+        "value at node 'u' is an integer beyond the float range",
+    ),
     # computed values: the first non-finite one in canonical order is named
     "adapted-constant": (lambda t: AdaptedProcess.constant(t, INF), "non-finite value inf at node 'root'"),
     "adapted-sum-overflow": (

@@ -1,6 +1,7 @@
 """Tree construction, validation, and probability bookkeeping."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,20 +9,25 @@ import pytest
 from treerisk import (
     AdaptedProcess,
     BiMeasure,
+    RawBiMeasure,
     RawProcess,
     ScenarioTree,
+    StaticRV,
     TreeNode,
     ValidationError,
     as_raw,
     build_tree,
+    dual_projection,
     optional_projection_raw,
+    optional_projection_static,
     predictable_projection_raw,
     uniform_binomial,
 )
+from treerisk import scenario
 from treerisk.fileio import dump_tree, load_tree
-from treerisk.scenario import SUM_TOL
+from treerisk.scenario import _FSUMS_CUTOFF, SUM_TOL
 
-from conftest import brute_mean, hexed, interleaved_tree, random_tree, value_sampler
+from conftest import brute_mean, brute_under, hexed, interleaved_tree, random_tree, value_sampler
 
 TOL = 1e-12
 
@@ -237,7 +243,90 @@ def test_conditional_mean_matches_brute_force():
             for nid in tree.order
             if tree.nodes[nid].depth < depth
         ]
-        assert list(map(float.hex, tree.node_means(rows))) == list(map(float.hex, expected))
+        assert list(map(float.hex, tree.node_means(np.array(rows)).tolist())) == list(map(float.hex, expected))
+
+
+def large_interleaved(rng):
+    """An interleaved depth-8 tree with at least _FSUMS_CUTOFF leaves: even one row of values
+    takes node_means' segmented route."""
+    while True:
+        tree = interleaved_tree(rng, max_depth=8, max_branch=3, min_depth=8)
+        if len(tree.leaves) >= _FSUMS_CUTOFF:
+            return tree
+
+
+def hexes(values):
+    return list(map(float.hex, values))
+
+
+def test_conditional_mean_above_the_cutoff_matches_brute_force():
+    rng = np.random.default_rng(19)
+    for i in range(4):
+        tree = large_interleaved(rng)
+        under = brute_under(tree)
+        dfs = under[tree.root]
+        draw = value_sampler(rng, coarse=i % 2 == 0)
+        rows = [[draw() for _ in dfs] for _ in range(tree.K + 1)]
+        slices = [dict(zip(dfs, row)) for row in rows]
+        expected = [brute_mean(tree, slices[k], nid, under[nid]) for k, ids in enumerate(tree.depth_nodes) for nid in ids]
+        for m in (1, tree.K, tree.K + 1):  # the means at the nodes above depth m, a canonical prefix
+            got = tree.node_means(np.array(rows[:m])).tolist()
+            assert hexes(got) == hexes(expected[: len(got)]) and len(got) == sum(map(len, tree.depth_nodes[:m]))
+
+
+def _regular_tree(depth, probs):
+    """Every node above ``depth`` has the children nid + 'a', nid + 'b', ... with the branch
+    probabilities ``probs(nid)`` (the root's nid is '')."""
+    rows, level = [TreeNode("root", None, 0, 0.0, 1.0)], [""]
+    for k in range(1, depth + 1):
+        level = [nid + "abc"[j] for nid in level for j in range(len(probs(nid)))]
+        rows += [TreeNode(nid, nid[:-1] or "root", k, float(k), probs(nid[:-1])["abc".index(nid[-1])]) for nid in level]
+    return ScenarioTree(rows)
+
+
+def test_segmented_route_matches_the_loop(monkeypatch):
+    """The same large rows through both routes of node_means, the loop's taken by raising the cutoff."""
+    rng = np.random.default_rng(29)
+    ternary = _regular_tree(7, lambda nid: (0.3, 0.3, 0.4 + 1e-13))  # its leaf mass exceeds 1
+    cases = [(ternary, np.full((1, len(ternary.leaves)), sys.float_info.max))]  # the root's fsum overflows
+    # value_sampler's coarse draws; values beyond the sum kernel's range, subnormal or cancelling
+    pools = [-1.0, 0.5, 2.0, 0.0, -0.0, 3e12, -2e-12], [1e300, -1e300, 1e-310, -1e-310, 0.5, -0.5]
+    for tree in uniform_binomial(11), large_interleaved(rng), ternary:
+        shape = (tree.K + 1, len(tree.leaves))
+        fine = rng.uniform(-1.0, 1.0, shape) * rng.choice([1e-12, 1.0, 1e12], shape)
+        for rows in (*(rng.choice(pool, shape) for pool in pools), fine):
+            cases += [(tree, rows[:m]) for m in (1, tree.K, tree.K + 1)]
+    assert all(rows.size >= _FSUMS_CUTOFF for _, rows in cases)
+    fast = [hexes(tree.node_means(rows).tolist()) for tree, rows in cases]
+    assert fast[0] == [sys.float_info.max.hex()]  # a constant range gives its value, with no sum
+    monkeypatch.setattr(scenario, "_FSUMS_CUTOFF", 2**62)
+    assert fast == [hexes(tree.node_means(rows).tolist()) for tree, rows in cases]
+
+
+def test_overflowing_means_name_their_node():
+    """Leaf values at the float maximum under a node whose leaves outweigh it: the mean overflows
+    at the divide, each projection names the first such node, and numpy gives no warning."""
+    # under 'a' the sibling probabilities sum to 1 + 8e-13, within the tree's tolerance
+    tree = _regular_tree(10, lambda nid: (0.5 + 4e-13,) * 2 if nid.startswith("a") else (0.5, 0.5))
+    top = sys.float_info.max
+    y = {leaf: 0.0 if leaf[0] == "b" else top for leaf in tree.leaves}
+    y[tree.leaves_under("a")[0]] = np.nextafter(top, 0.0)  # so the range under 'a' is not constant
+    cells = {(leaf, k): v for leaf, v in y.items() for k in range(tree.K + 1)}
+    Z = RawProcess(tree, cells)
+    assert (tree.K + 1) * len(tree.leaves) >= _FSUMS_CUTOFF
+    faults = [
+        (lambda: optional_projection_static(StaticRV(tree, y)), "non-finite value inf at node 'a'"),
+        (lambda: optional_projection_raw(Z), "non-finite value inf at node 'a'"),
+        (lambda: predictable_projection_raw(Z), "non-finite value inf at node 'aa'"),
+        (
+            lambda: dual_projection(RawBiMeasure(tree, {c: v for c, v in cells.items() if c[1] >= 1}, cells)),
+            "non-finite predictable increment at node 'a'",
+        ),
+    ]
+    for project, message in faults:
+        with pytest.raises(ValidationError) as caught:
+            project()
+        assert str(caught.value) == message
 
 
 def test_path_sums_match_brute_force():
