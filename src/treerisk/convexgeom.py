@@ -2,26 +2,28 @@
 
 The solver answers one question: can a target vector be written as a convex
 combination of given columns, and if so, what is the cheapest combination
-under per-column costs. Arithmetic is exact rational internally (floats
-convert to fractions without rounding), pivoting follows Bland's smallest
-index rule, so runs are deterministic and cycling is impossible.
+under per-column costs. Arithmetic is exact, pivoting follows Bland's
+smallest index rule, so runs are deterministic and cycling is impossible.
 
-The tableau is dense, the arithmetic is not. A pivot divides the pivot row
-once, then updates only that row's nonzero columns, and only in the rows with
-a nonzero entry in the entering column. Every skipped update would subtract
-an exact zero. The reduced costs are summed once per phase over the basic
-rows with a nonzero cost, and from then on each pivot updates them as one
-more row. A reduced cost depends only on the basis, and the arithmetic is
-exact, so every reduced cost, ratio and tie is the same rational number that
-re-summing all m rows on each iteration would give. Bland's rule therefore
-makes the same pivots, and the weights, cost and residual are the same.
+The tableau holds fraction-free integer rows: each program row, target entry
+included, is scaled by the lcm of its denominators (powers of two for float
+inputs). A row's denominator is its own basic entry, kept positive. A pivot
+on entry p of row i flips row i's sign if p < 0, and each other row with an f
+!= 0 in the entering column becomes ``other * p - f * row`` over its gcd with
+its rhs; rows with a zero there stay untouched. The reduced costs are one
+more such row, their common denominator stored last, summed once per phase.
+The ratio test and Bland's tie-break cross-multiply rhs[i] / a_i, in which a
+row's denominator cancels. So every reduced cost, ratio and tie is the same
+rational a tableau of fractions holds, and Bland's rule makes the same
+pivots. ``Fraction`` appears only at the edges: the inputs, the phase-1
+infeasibility, the re-target, the weights, the cost and the residual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite
+from math import gcd, isfinite, lcm
 from typing import Sequence
 
 from .errors import ValidationError
@@ -68,55 +70,62 @@ class SimplexSolution:
     residual: float
 
 
-def _pivot(rows, rhs, basis, i, j, red=None):
-    """Make column j basic in row i, and update the reduced costs ``red`` when given.
+def _put(rows, rhs, k, row, r):
+    """Store ``row`` and its rhs ``r`` as row k, divided by their gcd."""
+    g = gcd(*row, r)
+    rows[k] = [x // g for x in row] if g > 1 else row
+    rhs[k] = r // g
 
-    Only row i's nonzero columns change, and only in rows with a nonzero in column j.
-    """
-    row = rows[i]
-    piv = row[j]
-    terms = [(c, x / piv) for c, x in enumerate(row) if x]
-    for c, x in terms:
-        row[c] = x
-    rhs[i] /= piv
+
+def _pivot(rows, rhs, basis, i, j, red=None):
+    """Make column j basic in row i; update the reduced costs ``red`` when given.
+    Only rows (and ``red``) with a nonzero in column j change."""
+    row, b = rows[i], rhs[i]
+    if row[j] < 0:  # only when an artificial is driven out
+        row, b = rows[i], rhs[i] = [-x for x in row], -b
+    p = row[j]
+    terms = [(c, x) for c, x in enumerate(row) if x]
     for k, other in enumerate(rows):
         f = other[j]
         if f and k != i:
+            other = [x * p for x in other]
             for c, x in terms:
                 other[c] -= f * x
-            rhs[k] -= f * rhs[i]
+            _put(rows, rhs, k, other, rhs[k] * p - f * b)
     if red is not None and red[j]:
         f = red[j]
+        red[:] = [x * p for x in red]
         for c, x in terms:
             red[c] -= f * x
+        g = gcd(*red)
+        red[:] = [x // g for x in red]
     basis[i] = j
 
 
 def _run_simplex(rows, rhs, basis, costs):
     """Minimize over the canonical tableau; Bland's rule on both choices.
 
-    ``costs`` has one entry per tableau column. The reduced costs
-    c_j - sum_i c_basis(i) rows[i][j] are summed once, then kept by the pivots.
+    ``costs`` has one entry per tableau column. The reduced costs c_j - sum_i
+    c_basis(i) rows[i][j] / rows[i][basis(i)] are summed once over a common
+    denominator, stored last, then kept by the pivots.
     """
-    red = list(costs)
+    den = lcm(*(row[bi] for row, bi in zip(rows, basis) if costs[bi]))
+    red = [c * den for c in costs] + [den]
     for row, bi in zip(rows, basis):
-        cb = costs[bi]
-        if cb:
+        if costs[bi]:
+            f = costs[bi] * den // row[bi]
             for j, x in enumerate(row):
                 if x:
-                    red[j] -= cb * x
+                    red[j] -= f * x
     while True:
         enter = next((j for j, r in enumerate(red) if r < 0), -1)
         if enter < 0:
             return
         leave = -1
-        best = None
         for i, row in enumerate(rows):
-            if row[enter] > 0:
-                ratio = rhs[i] / row[enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+            a = row[enter]
+            if a > 0 and (leave < 0 or (d := rhs[i] * a_b - r_b * a) < 0 or (d == 0 and basis[i] < basis[leave])):
+                leave, r_b, a_b = i, rhs[i], a
         if leave < 0:
             # Not reachable from min_cost_combination: the phase-1 objective is a
             # sum of nonnegative artificials, so bounded below by 0, and in phase 2
@@ -128,23 +137,16 @@ def _run_simplex(rows, rhs, basis, costs):
 
 def _solve_exact(A, b, costs, ftol, depth=0):
     """A: (m rows) x (n cols) Fractions, b: m Fractions. Returns (lam, cost) or None."""
-    m = len(A)
-    n = len(costs)
-
-    rows = []
-    rhs = []
-    for i in range(m):
-        if b[i] < 0:
-            rows.append([-x for x in A[i]] + [Fraction(0)] * m)
-            rhs.append(-b[i])
-        else:
-            rows.append(list(A[i]) + [Fraction(0)] * m)
-            rhs.append(b[i])
-        rows[i][n + i] = Fraction(1)
+    m, n = len(A), len(costs)
+    rows, rhs = [None] * m, [None] * m
+    for i, (a, t) in enumerate(zip(A, b)):
+        s = lcm(t.denominator, *(x.denominator for x in a)) * (-1 if t < 0 else 1)
+        row = [x.numerator * (s // x.denominator) for x in a] + [0] * m
+        row[n + i] = abs(s)
+        _put(rows, rhs, i, row, t.numerator * (s // t.denominator))
     basis = [n + i for i in range(m)]
-    phase1_costs = [Fraction(0)] * n + [Fraction(1)] * m
-    _run_simplex(rows, rhs, basis, phase1_costs)
-    infeas = sum(phase1_costs[basis[i]] * rhs[i] for i in range(m))
+    _run_simplex(rows, rhs, basis, [0] * n + [1] * m)
+    infeas = sum(Fraction(rhs[i], rows[i][bi]) for i, bi in enumerate(basis) if bi >= n)
     if infeas > ftol:
         return None
 
@@ -153,11 +155,7 @@ def _solve_exact(A, b, costs, ftol, depth=0):
         # Optimize over the nearest exactly reachable target instead.
         if depth > 0:
             return None
-        lam0 = [Fraction(0)] * n
-        for i, bi in enumerate(basis):
-            if bi < n:
-                lam0[bi] = rhs[i]
-        support = [(j, w) for j, w in enumerate(lam0) if w]
+        support = [(bi, Fraction(rhs[i], rows[i][bi])) for i, bi in enumerate(basis) if bi < n and rhs[i]]
         b2 = [sum((row[j] * w for j, w in support), Fraction(0)) for row in A]
         return _solve_exact(A, b2, costs, ftol, depth=1)
 
@@ -172,12 +170,14 @@ def _solve_exact(A, b, costs, ftol, depth=0):
             _pivot(rows, rhs, basis, i, piv_col)
         i += 1
 
-    rows = [r[:n] for r in rows]
-    _run_simplex(rows, rhs, basis, costs)
+    for k, row in enumerate(rows):
+        _put(rows, rhs, k, row[:n], rhs[k])
+    scale = lcm(*(c.denominator for c in costs))
+    _run_simplex(rows, rhs, basis, [c.numerator * (scale // c.denominator) for c in costs])
     lam = [Fraction(0)] * n
     for i, bi in enumerate(basis):
         if bi < n:
-            lam[bi] = rhs[i]
+            lam[bi] = Fraction(rhs[i], rows[i][bi])
     cost = sum(costs[j] * w for j, w in enumerate(lam) if w)
     return lam, cost
 

@@ -47,7 +47,9 @@ class ScenarioTree:
     finite time, one per depth; the time grid starts at 0 and increases;
     every node above depth K has children; each node's children (nodes taken
     in input order) have branch probabilities summing to 1 within ``SUM_TOL``;
-    the leaves' probabilities sum to 1 within the bound that implies.
+    no node's path probability (the product of the branch probabilities along
+    its path) underflows to 0.0; the leaves' probabilities sum to 1 within the
+    bound that implies.
 
     ``index`` maps each node id to its position in the canonical (depth, id)
     ``order``, the order of the columns the tree keeps: ``parent`` (an
@@ -68,7 +70,9 @@ class ScenarioTree:
     ``node_means`` is the one conditional-mean kernel: given (m, L) rows over
     the DFS leaves, it returns E[rows[k] | node] at each node of depth k < m,
     in canonical order: a range whose values all compare equal gives its first
-    DFS value (a leaf its own), any other the fsum of P(l) v(l) over P(node).
+    DFS value (a leaf its own), any other the fsum of P(l) v(l) over P(node);
+    an fsum that overflows raises :class:`ValidationError` naming the first
+    such node in canonical order.
     Rows of ``_FSUMS_CUTOFF`` terms or more take one segmented pass over every
     node's range (one ``segment_fsums``, one min == max); smaller ones a loop.
 
@@ -192,6 +196,9 @@ class ScenarioTree:
         prob = [1.0] * n
         for c in range(1, n):
             prob[c] = prob[parent[c]] * branch[c]
+        if 0.0 in prob:  # a product of branch probabilities underflowed
+            nid = ids[min(perm[c] for c in range(n) if not prob[c])]
+            raise ValidationError(f"path probability of node '{nid}' underflows to 0.0")
         first = starts[K]
         mass = fsum(prob[first:])
         # Each P(child) = fl(P(n) b(child)) carries one rounding and each sibling
@@ -293,7 +300,7 @@ class ScenarioTree:
             node, start, values = node[:n], start[:n], rows.ravel()
             try:
                 sums = segment_fsums((self._dfs_prob * rows).ravel(), start)
-            except OverflowError:  # an fsum overflowed: the loop below skips the constant ranges
+            except OverflowError:  # the loop below skips the constant ranges and names the overflowing node
                 pass
             else:
                 constant = np.minimum.reduceat(values, start) == np.maximum.reduceat(values, start)
@@ -304,12 +311,15 @@ class ScenarioTree:
         prob, dfs_prob, spans = self.prob, self._dfs_prob.tolist(), zip(*self._spans)
         out = []
         for row, ids in zip(rows.tolist(), self.depth_nodes):
-            for p, (lo, hi) in zip(map(prob.__getitem__, ids), spans):  # ids first: no span is drawn past the level
+            for nid, (lo, hi) in zip(ids, spans):  # ids first: no span is drawn past the level
                 values = row[lo:hi]
                 if values.count(values[0]) == len(values):
                     out.append(values[0])
-                else:
-                    out.append(fsum(map(mul, dfs_prob[lo:hi], values)) / p)
+                    continue
+                try:
+                    out.append(fsum(map(mul, dfs_prob[lo:hi], values)) / prob[nid])
+                except OverflowError:  # a partial sum passed the float maximum
+                    raise ValidationError(f"non-finite conditional mean at node '{nid}'") from None
         return np.array(out)
 
     @cached_property

@@ -1139,6 +1139,25 @@ class TestDeterminismAndErrors:
         assert out == ""
         assert err == "error: project expects a 'static' or 'raw_process' document, got 'process'\n"
 
+    def test_overflowing_projection_exits_1(self, capsys, tmp_path):
+        # three levels of branch probabilities 0.3, 0.3, 0.4 + 1e-13: the leaf mass exceeds 1, so the
+        # root's weighted sum of leaf values at the float maximum and its predecessor overflows
+        rows, level = [TreeNode("root", None, 0, 0.0, 1.0)], [""]
+        for k in range(1, 4):
+            level = [nid + c for nid in level for c in "abc"]
+            rows += [TreeNode(nid, nid[:-1] or "root", k, float(k), 0.4 + 1e-13 if nid[-1] == "c" else 0.3)
+                     for nid in level]
+        tree = ScenarioTree(rows)
+        top = sys.float_info.max
+        y = {leaf: np.nextafter(top, 0.0) if i % 2 else top for i, leaf in enumerate(tree.leaves)}
+        dump_tree(tree, tmp_path / "tree.json")
+        dump_static(StaticRV(tree, y), tmp_path / "y.json")
+        code, out, err = run_cli(
+            capsys, "project", "--tree", str(tmp_path / "tree.json"), "--process", str(tmp_path / "y.json")
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: non-finite conditional mean at node 'root'\n"
+
     def test_module_entry_point(self, workdir):
         _, p = workdir
         result = subprocess.run(

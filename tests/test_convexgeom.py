@@ -1,6 +1,7 @@
 """Exact-rational simplex for minimum-cost convex combinations."""
 
 import itertools
+import math
 import sys
 from fractions import Fraction
 
@@ -400,3 +401,72 @@ def test_sparse_pivots_match_dense_twin(monkeypatch):
             outcomes["retarget" if sparse.residual > 0.0 else "exact"] += 1
             outcomes["tol0"] += tol == 0.0
     assert min(outcomes.values()) >= 10, outcomes
+
+
+def extreme_corpus(count=96, seed=2029):
+    """Seeded programs whose entries span the float range: 1e+-300, the smallest
+    subnormal 5e-324, and 1e-200 beside 1e200 in the first coordinate, so the
+    lcm scaling makes integer rows of thousands of bits. Targets are vertices,
+    float mixtures of the columns other than the one holding 1e200 (their
+    entries drawn from the pool's values of magnitude at most 1, so some are
+    reachable only within tol and are re-targeted), midpoints and random
+    points; half the vertices and half the mixtures run at tol 0."""
+    rng = np.random.default_rng(seed)
+    pool = np.array([1e300, -1e300, 1e200, -1e200, 1e-300, 5e-324, -5e-324, 1e-200, 0.0, 0.5, 1.0])
+    corpus = []
+    for case in range(count):
+        n, d = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+        kind = case % 4
+        cols = rng.choice(pool[4:] if kind == 1 else pool, size=(n, d))
+        cols[0, 0], cols[1, 0] = 1e-200, 1e200
+        costs = rng.choice(pool, size=n)
+        if kind == 0:
+            target = cols[rng.integers(n)].copy()
+        elif kind == 1:
+            lam = rng.dirichlet(np.ones(n))
+            lam[1] = 0.0
+            target = lam / lam.sum() @ cols
+        elif kind == 2:
+            target = 0.5 * cols[rng.integers(n)] + 0.5 * cols[rng.integers(n)]
+        else:
+            target = rng.choice(pool, size=d)
+        tol = 0.0 if case % 8 in (1, 4) else 1e-9
+        corpus.append(
+            (SimplexProgram(columns=[tuple(c) for c in cols], target=tuple(target), costs=tuple(costs)), tol)
+        )
+    return corpus
+
+
+def test_integer_rows_match_dense_twin_at_extreme_magnitudes(monkeypatch):
+    """The dense twin's pivots and bits across the float range, and after every
+    pivot each row holds ints, a positive basic entry and gcd 1 with its rhs."""
+    dense_seq, int_seq, widest = [], [], [0]
+
+    def dense_spy(rows, rhs, basis, i, j):
+        dense_seq.append((i, basis[i], j))
+        _dense_pivot(rows, rhs, basis, i, j)
+
+    def int_spy(rows, rhs, basis, i, j, red=None):
+        int_seq.append((i, basis[i], j))
+        assert int_seq == dense_seq[: len(int_seq)]
+        int_pivot(rows, rhs, basis, i, j, red)
+        for row, r, bi in zip(rows, rhs, basis):
+            assert all(type(x) is int for x in row) and type(r) is int
+            assert row[bi] > 0
+            assert math.gcd(*row, r) == 1
+            widest[0] = max(widest[0], *(abs(x).bit_length() for x in row))
+
+    _dense_pivot, int_pivot = _pivot, convexgeom._pivot
+    monkeypatch.setattr(sys.modules[__name__], "_pivot", dense_spy)
+    monkeypatch.setattr(convexgeom, "_pivot", int_spy)
+    outcomes = {"none": 0, "exact": 0, "retarget": 0}
+    for prog, tol in extreme_corpus():
+        dense_seq.clear()
+        int_seq.clear()
+        dense = dense_min_cost_combination(prog, tol)
+        got = min_cost_combination(prog, tol=tol)
+        assert int_seq == dense_seq
+        assert _hexed(got) == _hexed(dense)
+        outcomes["none" if got is None else "retarget" if got.residual > 0.0 else "exact"] += 1
+    assert min(outcomes.values()) >= 5, outcomes
+    assert widest[0] >= 2000

@@ -537,6 +537,13 @@ def _binary(p=0.5):
             [*_binary()[:3], *_binary(0.6)[3:5], *_binary(0.5 + 4.5e-13)[5:]],
             "children probabilities sum != 1 under node 'a' (got 1.2)",
         ),
+        # two path probabilities underflow: the first in input order is named
+        (
+            [_root(), TreeNode("a", "r", 1, 1.0, 1e-200), TreeNode("b", "r", 1, 1.0, 1.0),
+             TreeNode("ac", "a", 2, 2.0, 1.0), TreeNode("ab", "a", 2, 2.0, 1e-200),
+             TreeNode("aa", "a", 2, 2.0, 1e-200), TreeNode("ba", "b", 2, 2.0, 1.0)],
+            "path probability of node 'ab' underflows to 0.0",
+        ),
     ],
     ids=[
         "empty", "empty-id", "root-depth", "root-prob", "unknown-parent", "nan-time", "two-times", "t0",
@@ -546,7 +553,7 @@ def _binary(p=0.5):
         "first-duplicate", "first-unknown-parent", "first-branch-prob", "first-short-leaf",
         "first-sibling-sum-b", "first-sibling-sum-a", "prob-before-depth", "duplicate-before-roots",
         "parent-before-time", "prob-before-time", "times-before-short-leaf", "short-leaf-before-sibling-sum",
-        "sibling-sum-before-leaf-mass",
+        "sibling-sum-before-leaf-mass", "first-path-prob-underflow",
     ],
 )
 def test_tree_validation_messages(nodes, message):
