@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Any
@@ -39,8 +39,28 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     return obj
 
 
+def _keys(items: Any) -> int:
+    return sum(map(len, items)) if type(items) is list and set(map(type, items)) <= {dict} else 0
+
+
+def _key_count(doc: dict) -> int:
+    """The keys of ``doc`` and of the objects the formats hold, each object counted once.
+
+    An array with an item that is no object adds nothing, which only lowers the count: the
+    length of a list or a string in an object's place could make up for a merged key."""
+    rows = doc.get("elements")
+    rows = rows if type(rows) is list else []
+    measures = [row["measure"] for row in rows if type(row) is dict and type(row.get("measure")) is dict]
+    tables = [[doc.get("values")], *map(doc.get, ("nodes", "entries", "pr", "op")), rows, measures]
+    tables += [m.get(field) for m in measures for field in ("pr", "op")]
+    return len(doc) + sum(map(_keys, tables))
+
+
 def _read_document(path: str | Path, expected: str | None) -> dict:
-    """Parse the document at ``path``; check its format tag unless ``expected`` is None."""
+    """Parse the document at ``path``; check its format tag unless ``expected`` is None.
+
+    Each key takes one ':', so no key repeats when the counted keys match the text's colons;
+    otherwise (a ':' in a string, an uncounted object, a parse error) each object is checked."""
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
@@ -49,7 +69,12 @@ def _read_document(path: str | Path, expected: str | None) -> dict:
     except UnicodeDecodeError as exc:
         raise FileFormatError(f"{p}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
+        doc = json.loads(text)
+    except (ValueError, RecursionError):
+        doc = None
+    try:
+        if type(doc) is not dict or _key_count(doc) != text.count(":"):
+            doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{p}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # a duplicate key, an over-long integer, deep nesting
@@ -81,11 +106,31 @@ def _write(path: str | Path, doc: dict) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
+def _tree_columns(rows: list) -> list | None:
+    """The (id, parent, depth, time, p) rows read as columns, or None for the walk to name the
+    first faulty row: the root comes first without 'p', and every other row has all five."""
+    try:
+        ids, depths, times = (list(map(itemgetter(key), rows)) for key in ("id", "depth", "time"))
+        parents, probs = list(map(dict.get, rows, repeat("parent"))), list(map(itemgetter("p"), rows[1:]))
+        types = [set(map(type, column)) for column in (ids, parents[1:], depths, times + probs)]
+        if (types[0] | types[1] <= {str} and types[2] <= {int} and types[3] <= {int, float}
+                and parents[0] is None and "p" not in rows[0]):
+            times, probs = list(map(float, times)), [1.0, *map(float, probs)]
+            if math.isfinite(sum(times) + sum(probs)):  # a sum past the float range goes to the walk
+                return list(zip(ids, parents, depths, times, probs))
+    except (KeyError, TypeError, OverflowError):  # a missing field, a row that is no object, a huge int
+        pass
+    return None
+
+
 def load_tree(path: str | Path) -> ScenarioTree:
     doc = _read_document(path, "tree")
     rows = doc.get("nodes")
     if not isinstance(rows, list) or not rows:
         raise FileFormatError(f"{path}: 'nodes' must be a non-empty array")
+    node_rows = _tree_columns(rows)
+    if node_rows is not None:
+        return ScenarioTree(node_rows)
     node_rows = []
     for i, row in enumerate(rows):
         if not isinstance(row, dict):
