@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import accumulate
 from math import fsum, isfinite
 from typing import Mapping
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .process import AdaptedProcess, RawProcess, StaticRV, _require_same_tree
-from .process import _dfs_rows, _grid_dict, _hold, _new, _paths, _read_grid
+from .process import _Arrays, _dfs_rows, _grid_dict, _hold, _new, _paths, _read_grid
 from .scenario import ScenarioTree, _is_int, segment_fsums
 
 DENSITY_NORM_TOL = 1e-9  # how far from 1 a terminal density's mean may be
@@ -76,7 +76,7 @@ def _build(tree: ScenarioTree, pr_at, pr_val, op_at, op_val) -> "BiMeasure":
 
 
 @dataclass(frozen=True)
-class BiMeasure:
+class BiMeasure(_Arrays):
     """Sparse predictable/optional increment pair over one tree.
 
     ``pr_inc`` lives on depths 0..K-1 (an increment stored at a depth-k node
@@ -84,28 +84,29 @@ class BiMeasure:
     Exact zeros are dropped at construction so equal objects compare equal.
     The read-only arrays ``node``, ``pr`` and ``op`` hold the layout the
     module docstring describes; the two dicts hold the nonzero entries in
-    canonical order, built once from them.
+    canonical order, built from the arrays on first read, then kept.
     """
 
     tree: ScenarioTree
     pr_inc: dict[str, float]
     op_inc: dict[str, float]
+    _DICTS = {"pr_inc": lambda a: a._nonzero(a.pr), "op_inc": lambda a: a._nonzero(a.op)}
 
     def __post_init__(self):
-        tree = self.tree
-        pr = _read_field(tree, self.pr_inc, "predictable", tree.first_leaf)
-        op = _read_field(tree, self.op_inc, "optional", len(tree.order))
+        tree, fields = self.tree, vars(self)
+        pr = _read_field(tree, fields.pop("pr_inc"), "predictable", tree.first_leaf)
+        op = _read_field(tree, fields.pop("op_inc"), "optional", len(tree.order))
         self._keep(*_layout(tree, *pr, *op))
 
     def _keep(self, node: np.ndarray, pr: np.ndarray, op: np.ndarray) -> None:
-        ids = list(map(self.tree.order.__getitem__, node.tolist()))
-        prs, ops = pr.tolist(), op.tolist()
-        for field, values in (("predictable", prs), ("optional", ops)):
-            finite = list(map(isfinite, values))
-            if not all(finite):  # an overflow in arithmetic
-                raise ValidationError(f"non-finite {field} increment at node '{ids[finite.index(False)]}'")
-        pr_inc, op_inc = dict(compress(zip(ids, prs), prs)), dict(compress(zip(ids, ops), ops))
-        _hold(self, node=node, pr=pr, op=op, pr_inc=pr_inc, op_inc=op_inc)
+        for field, values in (("predictable", pr), ("optional", op)):
+            finite = np.isfinite(values)
+            if not finite.all():  # an overflow in arithmetic
+                raise ValidationError(f"non-finite {field} increment at node '{self.tree.order[node[finite.argmin()]]}'")
+        _hold(self, node=node, pr=pr, op=op)
+
+    def _nonzero(self, field: np.ndarray) -> dict[str, float]:
+        return {self.tree.order[i]: v for i, v in zip(self.node.tolist(), field.tolist()) if v}
 
     @property
     def is_positive(self) -> bool:
@@ -131,29 +132,29 @@ class BiMeasure:
 
 
 @dataclass(frozen=True)
-class RawBiMeasure:
+class RawBiMeasure(_Arrays):
     """Increment pair resolved per leaf, over the constant filtration.
 
     ``left_inc`` is keyed on (leaf, k) for k = 1..K and pairs against the
     previous process value; ``right_inc`` is keyed on k = 0..K and pairs
     against the current one. Coverage must be complete. ``left_grid`` and
     ``right_grid`` hold them as (L, K + 1) grids, one row per leaf in
-    canonical leaf order; the left grid's column 0 holds 0.0.
+    canonical leaf order; the left grid's column 0 holds 0.0. The two dicts
+    are built from the grids on first read, then kept.
     """
 
     tree: ScenarioTree
     left_inc: dict[tuple[str, int], float]
     right_inc: dict[tuple[str, int], float]
+    _DICTS = {"left_inc": _grid_dict("left_grid", 1), "right_inc": _grid_dict("right_grid", 0)}
 
     def __post_init__(self):
-        left, left_inc = _read_grid(self.tree, self.left_inc, 1, "left increment")
-        right, right_inc = _read_grid(self.tree, self.right_inc, 0, "right increment")
-        _hold(self, left_grid=left, right_grid=right, left_inc=left_inc, right_inc=right_inc)
+        tree, fields = self.tree, vars(self)
+        left = _read_grid(tree, fields.pop("left_inc"), 1, "left increment")
+        self._keep(left, _read_grid(tree, fields.pop("right_inc"), 0, "right increment"))
 
     def _keep(self, left: np.ndarray, right: np.ndarray) -> None:
-        tree = self.tree
-        _hold(self, left_grid=left, right_grid=right, left_inc=_grid_dict(tree, left, 1),
-              right_inc=_grid_dict(tree, right, 0))
+        _hold(self, left_grid=left, right_grid=right)
 
 
 def as_raw(a: BiMeasure) -> RawBiMeasure:
@@ -302,9 +303,8 @@ def stopping_time_measure(tree: ScenarioTree, tau: dict[str, int]) -> BiMeasure:
 def terminal_density_measure(f: StaticRV) -> BiMeasure:
     """Terminal optional mass weighted by a probability density on the leaves."""
     tree = f.tree
-    for leaf in tree.leaves:
-        if f.values[leaf] < 0.0:
-            raise ValidationError(f"density is negative at leaf '{leaf}'")
+    if f.vector.min() < 0.0:
+        raise ValidationError(f"density is negative at leaf '{tree.leaves[(f.vector < 0.0).argmax()]}'")
     mean = f.expectation()
     if abs(mean - 1.0) > DENSITY_NORM_TOL:
         raise ValidationError(f"density must integrate to 1, got {mean!r}")

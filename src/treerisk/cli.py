@@ -200,15 +200,13 @@ def _cmd_project(ns: argparse.Namespace) -> int:
     if isinstance(source, StaticRV):
         M = optional_projection_static(source)
         doc = ReportDoc(command="project", columns=["node", "optional"])
-        for nid in tree.order:
-            doc.rows.append([nid, M.values[nid]])
+        doc.rows.extend(map(list, zip(tree.order, M.vector.tolist())))
         doc.summary["input"] = "static"
     else:
         opt = optional_projection_raw(source)
         pred = predictable_projection_raw(source)
         doc = ReportDoc(command="project", columns=["node", "optional", "predictable"])
-        for nid in tree.order:
-            doc.rows.append([nid, opt.values[nid], pred.values[nid]])
+        doc.rows.extend(map(list, zip(tree.order, opt.vector.tolist(), pred.vector.tolist())))
         doc.summary["input"] = "raw_process"
     _emit(doc, ns)
     return 0
@@ -276,7 +274,7 @@ def _cmd_instances(ns: argparse.Namespace) -> int:
         exit_code = 2
     doc.rows.append([f"avar[{ns.alpha:g}]", avar(Y, ns.alpha)])
     doc.rows.append([f"entropic[{ns.beta:g}]", entropic(Y, ns.beta)])
-    doc.rows.append(["worst_case", max(-Y.values[leaf] for leaf in tree.leaves)])
+    doc.rows.append(["worst_case", max(-v for v in Y.vector.tolist())])
     doc.summary["status"] = "ok" if exit_code == 0 else "undefined-quantity"
     _emit(doc, ns)
     return exit_code

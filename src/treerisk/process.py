@@ -1,12 +1,13 @@
 """Adapted and scenario-resolved processes, running suprema, projections.
 
-Every value type keeps its values in read-only float64 arrays in the tree's
-order, and in plain dicts with the same keys in the same order, built once
-from the arrays. An ``AdaptedProcess.vector`` is in canonical node order and a
-``StaticRV.vector`` in canonical leaf order (``tree.leaves``). A
-``RawProcess.grid`` and ``RawBiMeasure``'s ``left_grid`` and ``right_grid``
-have shape (L, K + 1), row i for ``tree.leaves[i]`` and column k for depth k;
-left increments act from depth 1 on, so column 0 of a left grid holds 0.0.
+Every value type keeps its values only in read-only float64 arrays in the
+tree's order; its dict fields, the same values in the same order, are each
+built from the arrays on first read, then kept. An ``AdaptedProcess.vector``
+is in canonical node order and a ``StaticRV.vector`` in canonical leaf order
+(``tree.leaves``). A ``RawProcess.grid`` and ``RawBiMeasure``'s ``left_grid``
+and ``right_grid`` have shape (L, K + 1), row i for ``tree.leaves[i]`` and
+column k for depth k; left increments act from depth 1 on, so column 0 of a
+left grid holds 0.0.
 ``node_means`` reads the depth-first leaf order, taken by one gather.
 """
 
@@ -29,15 +30,14 @@ def _require_same_tree(a: ScenarioTree, b: ScenarioTree) -> None:
 
 
 def _read(tree: ScenarioTree, entries: Mapping, keys: Sequence, place: Callable, missing: Callable):
-    """The values of ``entries`` at ``keys`` as a float64 vector and a dict in that order, read in
-    one pass. When it fails, the entries are walked in input order and the first fault raises: a
-    key that ``place(tree, key)`` refuses (else it names its place), a value ``float`` refuses, a
+    """The values of ``entries`` at ``keys`` as a float64 vector in that order, read in one pass.
+    When it fails, the entries are walked in input order and the first fault raises: a key that
+    ``place(tree, key)`` refuses (else it names its place), a value ``float`` refuses, a
     non-finite value, an absent key."""
     try:
-        floats = list(map(float, map(entries.get, keys)))
-        vector = np.array(floats)
+        vector = np.fromiter(map(float, map(entries.get, keys)), float, len(keys))
         if len(entries) == len(keys) and np.isfinite(vector).all():
-            return vector, dict(zip(keys, floats))
+            return vector
     except (TypeError, ValueError, OverflowError):
         pass
     for key, value in entries.items():
@@ -63,7 +63,7 @@ def _require_finite(vector: np.ndarray, names: Sequence[str], where: str) -> Non
 
 def _read_grid(tree: ScenarioTree, entries: Mapping, lo: int, label: str):
     """The (L, K + 1) grid of values keyed on (leaf, k), k = lo..K (columns below lo hold
-    0.0), and their dict, as ``_read`` gives them."""
+    0.0), read as ``_read`` reads them."""
     K = tree.K
 
     def place(tree: ScenarioTree, key) -> str:
@@ -83,22 +83,34 @@ def _read_grid(tree: ScenarioTree, entries: Mapping, lo: int, label: str):
         return f"{label} ({leaf}, {k})"
 
     keys = list(product(tree.leaves, range(lo, K + 1)))
-    flat, values = _read(tree, entries, keys, place, lambda key: f"{label} is missing at ({key[0]}, {key[1]})")
+    flat = _read(tree, entries, keys, place, lambda key: f"{label} is missing at ({key[0]}, {key[1]})")
     grid = np.zeros((len(tree.leaves), K + 1))
     grid[:, lo:] = flat.reshape(len(tree.leaves), K + 1 - lo)
-    return grid, values
+    return grid
 
 
-def _grid_dict(tree: ScenarioTree, grid: np.ndarray, lo: int) -> dict[tuple[str, int], float]:
-    return dict(zip(product(tree.leaves, range(lo, tree.K + 1)), grid[:, lo:].ravel().tolist()))
+def _grid_dict(field: str, lo: int) -> Callable:
+    """The ``_DICTS`` builder of a grid ``field``: its values keyed on (leaf, k), k = lo..K."""
+    return lambda obj: dict(zip(product(obj.tree.leaves, range(lo, obj.tree.K + 1)),
+                                getattr(obj, field)[:, lo:].ravel().tolist()))
 
 
-def _hold(obj, **fields) -> None:
-    """Set the fields of a frozen value; its arrays become read-only."""
-    for name, value in fields.items():
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
+def _hold(obj, **arrays: np.ndarray) -> None:
+    """Set the arrays of a frozen value, read-only."""
+    for name, value in arrays.items():
+        value.flags.writeable = False
         object.__setattr__(obj, name, value)
+
+
+class _Arrays:
+    """A value whose data are its arrays: a dict field ``name`` is built by ``_DICTS[name]`` on first
+    read, then kept. Other names, and any name while ``__dict__`` is empty (``copy``, ``pickle``), raise."""
+
+    def __getattr__(self, name: str):
+        build = type(self)._DICTS.get(name)
+        if build is None or not vars(self):
+            raise AttributeError(f"'{type(self).__name__}' object has no attribute '{name}'", name=name, obj=self)
+        return vars(self).setdefault(name, build(self))
 
 
 def _new(cls, tree: ScenarioTree, *arrays: np.ndarray):
@@ -121,22 +133,21 @@ def _dfs_rows(tree: ScenarioTree, grid: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _Vector:
+class _Vector(_Arrays):
     """One value per key of the tree's ``order`` or ``leaves`` (``_KEYS``), held in ``vector``;
     ``_place``, ``_MISSING`` and ``_AT`` word the faults of a given key, an absent key and a value."""
 
     tree: ScenarioTree
     values: dict[str, float]
+    _DICTS = {"values": lambda X: dict(zip(getattr(X.tree, X._KEYS), X.vector.tolist()))}
 
     def __post_init__(self):
         keys = getattr(self.tree, self._KEYS)
-        vector, values = _read(self.tree, self.values, keys, self._place, self._MISSING.format)
-        _hold(self, vector=vector, values=values)
+        _hold(self, vector=_read(self.tree, vars(self).pop("values"), keys, self._place, self._MISSING.format))
 
     def _keep(self, vector: np.ndarray) -> None:
-        keys = getattr(self.tree, self._KEYS)
-        _require_finite(vector, keys, self._AT)
-        _hold(self, vector=vector, values=dict(zip(keys, vector.tolist())))
+        _require_finite(vector, getattr(self.tree, self._KEYS), self._AT)
+        _hold(self, vector=vector)
 
     @classmethod
     def constant(cls, tree: ScenarioTree, c: float):
@@ -204,7 +215,7 @@ class StaticRV(_Vector):
 
 
 @dataclass(frozen=True)
-class RawProcess:
+class RawProcess(_Arrays):
     """A time-indexed value per leaf, with no measurability tied to the tree.
 
     Raw processes live over the constant filtration in which every leaf is
@@ -215,13 +226,13 @@ class RawProcess:
 
     tree: ScenarioTree
     values: dict[tuple[str, int], float]
+    _DICTS = {"values": _grid_dict("grid", 0)}
 
     def __post_init__(self):
-        grid, values = _read_grid(self.tree, self.values, 0, "raw process")
-        _hold(self, grid=grid, values=values)
+        _hold(self, grid=_read_grid(self.tree, vars(self).pop("values"), 0, "raw process"))
 
     def _keep(self, grid: np.ndarray) -> None:
-        _hold(self, grid=grid, values=_grid_dict(self.tree, grid, 0))
+        _hold(self, grid=grid)
 
     @classmethod
     def from_adapted(cls, X: AdaptedProcess) -> "RawProcess":

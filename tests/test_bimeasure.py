@@ -673,3 +673,95 @@ class TestOneLayout:
         with pytest.raises(ValidationError) as caught:
             build(t2)
         assert str(caught.value) == message
+
+
+def _nonzero(tree, field):
+    """The dict the eager constructor kept: the field's nonzero entries as floats, in canonical order."""
+    return {n: float(field[n]) for n in tree.order if n in field and field[n] != 0.0}
+
+
+class TestDictsBuiltOnFirstRead:
+    """A bi-measure's arrays are its only data: its dicts are built from them when first read, then kept."""
+
+    def test_no_dicts_until_read_then_the_same_ones(self):
+        rng = np.random.default_rng(229)
+        for _ in range(10):
+            tree = interleaved_tree(rng)
+            pr, op = _coarse_fields(tree, rng)
+            a = BiMeasure(tree, pr, op)
+            b = random_bimeasure(tree, rng)
+            plus, minus = jordan(b)
+            measures = [
+                (a, _nonzero(tree, pr), _nonzero(tree, op)),
+                (a + b, _nonzero(tree, {n: pr.get(n, 0.0) + b.pr_inc.get(n, 0.0) for n in tree.order}),
+                 _nonzero(tree, {n: op.get(n, 0.0) + b.op_inc.get(n, 0.0) for n in tree.order})),
+                (plus, _nonzero(tree, {n: max(v, 0.0) for n, v in b.pr_inc.items()}),
+                 _nonzero(tree, {n: max(v, 0.0) for n, v in b.op_inc.items()})),
+                (minus, _nonzero(tree, {n: max(-v, 0.0) for n, v in b.pr_inc.items()}),
+                 _nonzero(tree, {n: max(-v, 0.0) for n, v in b.op_inc.items()})),
+            ]
+            for m, pr_inc, op_inc in measures:
+                assert "pr_inc" not in vars(m) and "op_inc" not in vars(m)
+                first = m.op_inc
+                assert "pr_inc" not in vars(m) and m.op_inc is first
+                assert hexed(m.pr_inc) == hexed(pr_inc) and hexed(first) == hexed(op_inc)
+                assert m.pr_inc is m.pr_inc
+            raw = random_raw_bimeasure(tree, rng)
+            for r in (raw, as_raw(a)):
+                assert "left_inc" not in vars(r) and "right_inc" not in vars(r)
+                left = r.left_inc
+                assert "right_inc" not in vars(r) and r.left_inc is left
+                assert r.right_inc is r.right_inc
+                assert [v.hex() for v in r.left_grid[:, 1:].ravel().tolist()] == [v.hex() for v in left.values()]
+
+    def test_dropped_zeros_and_negative_zeros_as_the_eager_dicts(self, t2):
+        a = BiMeasure(t2, {"root": 1, "u": 0.0, "d": -0.0}, {"uu": -2.5, "dd": 0.0, "ud": -0.0, "root": np.float64(3)})
+        assert hexed(a.pr_inc) == [("root", (1.0).hex())]
+        assert hexed(a.op_inc) == [("root", (3.0).hex()), ("uu", (-2.5).hex())]
+        assert a.node.tolist() == [0, 6] and [v.hex() for v in a.pr.tolist()] == [(1.0).hex(), (0.0).hex()]
+        assert BiMeasure(t2, {"u": -0.0}, {}).pr_inc == {} == BiMeasure(t2, {}, {}).op_inc
+        left = {(leaf, k): -0.0 if k == 1 else 1.0 for leaf in t2.leaves for k in (1, 2)}
+        right = {(leaf, k): -0.0 for leaf in t2.leaves for k in (np.int64(0), 1.0, 2)}
+        r = RawBiMeasure(t2, left, right)
+        assert hexed(r.left_inc) == hexed(left)
+        assert hexed(r.right_inc) == [((leaf, k), (-0.0).hex()) for leaf in t2.leaves for k in range(3)]
+        assert all(type(k) is int for _, k in r.right_inc)
+
+    def test_the_callers_mappings_are_dropped(self, t1):
+        pr, op = {"root": 1.0}, {"u": 2.0, "d": 0.0}
+        left = {("d", 1): 1.0, ("u", 1): 2.0}
+        right = {(leaf, k): 3.0 for leaf in ("d", "u") for k in (0, 1)}
+        a, r = BiMeasure(t1, pr, op), RawBiMeasure(t1, left, right)
+        assert set(vars(a)) == {"tree", "node", "pr", "op"} and set(vars(r)) == {"tree", "left_grid", "right_grid"}
+        pr["root"], op["d"], left[("d", 1)] = 5.0, 5.0, 5.0
+        del right[("u", 0)]
+        assert a.pr_inc == {"root": 1.0} and a.op_inc == {"u": 2.0}
+        assert r.left_inc == {("d", 1): 1.0, ("u", 1): 2.0}
+        assert r.right_inc == {(leaf, k): 3.0 for leaf in ("d", "u") for k in (0, 1)}
+
+    def test_eq_repr_hash_copy_pickle_and_replace_as_before(self, t2):
+        import copy
+        import dataclasses
+        import pickle
+
+        a = BiMeasure(t2, {"root": 0.5, "u": -1.0}, {"dd": 1.0, "uu": 0.0})
+        assert a == BiMeasure(t2, {"u": -1.0, "root": 0.5}, {"dd": 1.0}) and a != a.scale(2.0)
+        assert repr(a) == f"BiMeasure(tree={t2!r}, pr_inc={{'root': 0.5, 'u': -1.0}}, op_inc={{'dd': 1.0}})"
+        r = as_raw(a)
+        assert repr(r) == f"RawBiMeasure(tree={t2!r}, left_inc={r.left_inc!r}, right_inc={r.right_inc!r})"
+        for value in (a, as_raw(a)):
+            with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+                hash(value)
+        duplicates = (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v)), dataclasses.replace)
+        for read in (False, True):
+            for value, model in zip((a.scale(3.0), as_raw(a)), (a.scale(3.0), as_raw(a))):
+                fields = [f.name for f in dataclasses.fields(value)][1:]
+                eager = [getattr(model, f) for f in fields]
+                if read:  # the duplicate then carries the dicts
+                    for f in fields:
+                        getattr(value, f)
+                for duplicate in duplicates:
+                    twin = duplicate(value)
+                    assert [hexed(getattr(twin, f)) for f in fields] == [hexed(d) for d in eager]
+                    if twin.tree is t2:
+                        assert twin == value

@@ -1550,3 +1550,99 @@ print("numpy.ma" in sys.modules)
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
+
+
+@pytest.fixture
+def dict_builds(monkeypatch):
+    """The (type, field) of each dict field a value builds from its arrays while the test runs."""
+    from treerisk.process import _Arrays
+
+    builds = []
+    fallback = _Arrays.__getattr__
+
+    def counting(self, name):
+        value = fallback(self, name)
+        builds.append((type(self).__name__, name))
+        return value
+
+    monkeypatch.setattr(_Arrays, "__getattr__", counting)
+    return builds
+
+
+def test_computation_paths_build_no_dicts(tmp_path, capsys, dict_builds):
+    """The library and the CLI compute on the arrays: only a dump or an explicit read builds a dict."""
+    from treerisk import (
+        avar,
+        avar_crash_schedule,
+        avar_max_density,
+        decomposition_battery,
+        entropic,
+        es_tce,
+        fairness_check,
+        lebesgue_probe,
+        optional_projection_raw,
+        optional_projection_static,
+        predictable_projection_raw,
+        stopped_worst_case,
+        var_alpha,
+        worst_case_crash_schedule,
+    )
+    from treerisk.errors import UndefinedQuantityError
+
+    from conftest import random_bimeasure, random_raw_process
+
+    rng = np.random.default_rng(233)
+    tree = random_tree(rng, max_depth=3, min_depth=3)
+    spec, coherent = random_spec(tree, rng, 4), random_spec(tree, rng, 4, coherent=True)
+    X, Y, Z = random_process(tree, rng), random_static(tree, rng), random_raw_process(tree, rng)
+    book = [random_process(tree, rng) for _ in range(3)]
+    p = {name: str(tmp_path / f"{name}.json") for name in ("tree", "spec", "coherent", "x", "y", "z", "b0", "b1", "b2")}
+    dump_tree(tree, p["tree"])
+    dump_spec(spec, p["spec"])
+    dump_spec(coherent, p["coherent"])
+    dump_process(X, p["x"])
+    dump_static(Y, p["y"])
+    dump_raw_process(Z, p["z"])
+    for i, B in enumerate(book):
+        dump_process(B, p[f"b{i}"])
+    measures = [random_bimeasure(tree, rng) for _ in range(3)]
+    assert dict_builds  # the dumps read the dicts
+    dict_builds.clear()
+
+    rho_eval(spec, X)
+    static_rho(spec, Y)
+    static_rho_coherent_direct(coherent, Y)
+    M = optional_projection_static(Y)
+    optional_projection_raw(Z)
+    predictable_projection_raw(Z)
+    for alpha in (0.1, 0.5):
+        var_alpha(Y, alpha)
+        avar(Y, alpha)
+        avar_max_density(Y, alpha)
+        try:
+            es_tce(Y, alpha)
+        except UndefinedQuantityError:
+            pass
+    entropic(Y, 1.0)
+    stopped_worst_case(tree, X)
+    result = allocate(coherent, book)
+    fairness_check(result, coherent, book, samples=20, seed=3)
+    decomposition_battery(measures)
+    lebesgue_probe(worst_case_crash_schedule(range(1, 5)))
+    lebesgue_probe(avar_crash_schedule(range(1, 5), 0.25))
+    commands = [
+        ("eval", "--tree", p["tree"], "--spec", p["spec"], "--process", p["x"]),
+        ("static-eval", "--tree", p["tree"], "--spec", p["coherent"], "--process", p["y"]),
+        ("project", "--tree", p["tree"], "--process", p["y"]),
+        ("project", "--tree", p["tree"], "--process", p["z"]),
+        ("instances", "--tree", p["tree"], "--process", p["y"], "--alpha", "0.1"),
+        ("allocate", "--tree", p["tree"], "--spec", p["coherent"], "--process", p["b0"], "--process", p["b1"],
+         "--process", p["b2"], "--seed", "5"),
+    ]
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 2) and out and not err, argv
+    assert dict_builds == []
+
+    assert M.values is M.values  # an explicit read builds the dict, once
+    assert dict_builds == [("AdaptedProcess", "values")]

@@ -609,3 +609,128 @@ class TestValueLayout:
         with pytest.raises(ValidationError, match="process is missing a value at node 'd'"):
             AdaptedProcess(t1, values)
         assert dict(values) == {"root": 0.0, "u": 1.0}
+
+
+def _hex_items(values):
+    """A dict's keys with their types and its values as float.hex, in order: tells -0.0 from 0.0,
+    an int depth from a float one, and shows every bit."""
+    return [
+        (key, tuple(map(type, key)) if isinstance(key, tuple) else type(key), float.hex(v))
+        for key, v in values.items()
+    ]
+
+
+def _sample_values(tree, rng):
+    """(value, the dict the eager constructors kept) for values read from mappings, holding ±0.0
+    and ints, and for values computed from arrays."""
+    draw = value_sampler(rng, coarse=True)
+    cells = [(leaf, k) for leaf in tree.leaves for k in range(tree.K + 1)]
+    nodes = {nid: draw() for nid in reversed(tree.order)}
+    nodes[tree.order[0]] = -0.0
+    leaves = {leaf: int(rng.integers(-3, 4)) for leaf in tree.leaves}
+    grid = {cell: draw() for cell in cells}
+    X, Y, Z = AdaptedProcess(tree, nodes), StaticRV(tree, leaves), RawProcess(tree, grid)
+    M, S = optional_projection_static(Y), X.scale(-1.0)
+    return [
+        (X, {nid: float(nodes[nid]) for nid in tree.order}),
+        (Y, {leaf: float(leaves[leaf]) for leaf in tree.leaves}),
+        (Z, {cell: float(grid[cell]) for cell in cells}),
+        (S, dict(zip(tree.order, S.vector.tolist()))),
+        (M, dict(zip(tree.order, M.vector.tolist()))),
+        (terminal_values(X), {leaf: float(nodes[leaf]) for leaf in tree.leaves}),
+        (RawProcess.from_adapted(X), {(leaf, k): float(nodes[tree.path(leaf)[k]]) for leaf, k in cells}),
+    ]
+
+
+def _arrays_hex(value):
+    array = value.vector if isinstance(value, (AdaptedProcess, StaticRV)) else value.grid
+    return [v.hex() for v in array.ravel().tolist()]
+
+
+class TestDictsBuiltOnFirstRead:
+    """A value's arrays are its only data: ``values`` is built from them when first read, then kept."""
+
+    def test_no_dict_until_read_then_the_same_one(self):
+        rng = np.random.default_rng(211)
+        for _ in range(10):
+            tree = interleaved_tree(rng)
+            for value, eager in _sample_values(tree, rng):
+                assert "values" not in vars(value)
+                values = value.values
+                assert "values" in vars(value) and value.values is values
+                assert _hex_items(values) == _hex_items(eager)
+
+    def test_zeros_and_integral_depth_keys_as_the_eager_dicts(self, t1):
+        Z = RawProcess(t1, {("d", 0.0): 1.0, ("d", np.int64(1)): 2.0, ("u", 0): -0.0, ("u", 1): 4})
+        assert _hex_items(Z.values) == _hex_items({("d", 0): 1.0, ("d", 1): 2.0, ("u", 0): -0.0, ("u", 1): 4.0})
+        X = AdaptedProcess(t1, {"u": 0, "d": -0.0, "root": np.float64(-0.0)})
+        assert _hex_items(X.values) == _hex_items({"root": -0.0, "d": -0.0, "u": 0.0})
+
+    def test_the_callers_mapping_is_dropped(self, t1):
+        nodes, cells = {"root": 0.0, "u": 1.0, "d": -1.0}, {("d", 0): 1.0, ("d", 1): 2.0, ("u", 0): 3.0, ("u", 1): 4.0}
+        X, Z = AdaptedProcess(t1, nodes), RawProcess(t1, cells)
+        assert set(vars(X)) == {"tree", "vector"} and set(vars(Z)) == {"tree", "grid"}
+        nodes["u"], cells[("u", 1)] = 9.0, 9.0
+        del nodes["d"], cells[("d", 0)]
+        assert X.values == {"root": 0.0, "d": -1.0, "u": 1.0}
+        assert Z.values == {("d", 0): 1.0, ("d", 1): 2.0, ("u", 0): 3.0, ("u", 1): 4.0}
+
+    def test_eq_repr_and_hash_as_before(self, t1):
+        X = AdaptedProcess(t1, {"root": 0.0, "u": 1.0, "d": -1.0})
+        same = AdaptedProcess.zero(t1) + X
+        assert X == same and X != X.shift(1.0) and X != StaticRV(t1, {"u": 1.0, "d": -1.0})
+        assert repr(X) == f"AdaptedProcess(tree={t1!r}, values={{'root': 0.0, 'd': -1.0, 'u': 1.0}})"
+        Z = RawProcess(t1, {("d", 0): 1.0, ("d", 1): 2.0, ("u", 0): 3.0, ("u", 1): 4.0})
+        assert repr(Z) == f"RawProcess(tree={t1!r}, values={Z.values!r})"
+        for value in (AdaptedProcess.zero(t1), StaticRV.constant(t1, 1.0), Z):
+            with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+                hash(value)
+
+    def test_copy_pickle_and_replace_round_trip(self):
+        import copy
+        import dataclasses
+        import pickle
+
+        rng = np.random.default_rng(223)
+        tree = interleaved_tree(rng)
+        duplicates = (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v)), dataclasses.replace)
+        for read in (False, True):
+            for value, eager in _sample_values(tree, rng):
+                if read:  # the duplicate then carries the dict
+                    getattr(value, "values")
+                for duplicate in duplicates:
+                    twin = duplicate(value)
+                    assert type(twin) is type(value) and _arrays_hex(twin) == _arrays_hex(value)
+                    assert _hex_items(twin.values) == _hex_items(eager)
+                    if twin.tree is tree:
+                        assert twin == value
+
+    def test_other_names_raise_and_an_empty_instance_never_recurses(self, t1):
+        X = AdaptedProcess.zero(t1)
+        with pytest.raises(AttributeError, match="'AdaptedProcess' object has no attribute 'nope'"):
+            X.nope
+        for cls in (AdaptedProcess, StaticRV, RawProcess, RawBiMeasure):
+            empty = object.__new__(cls)
+            for name in ("values", "vector", "grid", "tree", "__setstate__"):
+                assert not hasattr(empty, name)
+
+    def test_values_hold_no_second_copy(self):
+        """A dict beside each vector once held about 100 KB per 2 047-node process."""
+        import gc
+        import tracemalloc
+
+        tree = uniform_binomial(10)
+        rng = np.random.default_rng(227)
+        mappings = [dict(zip(tree.order, rng.normal(size=len(tree.order)).tolist())) for _ in range(64)]
+        payoffs = [StaticRV(tree, dict(zip(tree.leaves, rng.normal(size=len(tree.leaves)).tolist()))) for _ in range(64)]
+        optional_projection_static(payoffs[0])  # the tree's cached layouts are built before the count
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = [AdaptedProcess(tree, m) for m in mappings] + [optional_projection_static(Y) for Y in payoffs]
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 2 * sum(X.vector.nbytes for X in kept)
