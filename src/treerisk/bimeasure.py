@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate
 from math import fsum, isfinite
-from typing import Mapping
+from typing import Sequence
 
 import numpy as np
 
@@ -32,19 +32,21 @@ DENSITY_NORM_TOL = 1e-9  # how far from 1 a terminal density's mean may be
 _NO_ENTRIES = (np.empty(0, np.intp), np.empty(0))  # an empty field's (index, value) pairs
 
 
-def _read_field(tree: ScenarioTree, entries: Mapping, field: str, end: int) -> tuple[np.ndarray, np.ndarray]:
-    """A field's entries as canonical indices and float values, read in one pass. When that
-    fails, the entries are walked in input order and the first fault raises: an unknown node,
-    a node at canonical index ``end`` or beyond (a leaf, for the predictable field), a value
-    ``float`` refuses, a non-finite value."""
+def _read_fields(tree: ScenarioTree, nodes: Sequence, values: Sequence, m: int):
+    """(node, value) entries, the predictable field's ``m`` first and then the optional field's, as
+    canonical indices and floats per field, read in one pass. When that fails, the entries are
+    walked in input order and the first fault raises: an unknown node, a predictable increment
+    at a leaf, a value ``float`` refuses, a non-finite value."""
     try:
-        at = np.fromiter(map(tree.index.__getitem__, entries), np.intp, len(entries))
-        val = np.fromiter(map(float, entries.values()), float, len(entries))
-        if at.max(initial=-1) < end and np.isfinite(val).all():
-            return at, val
+        at = np.fromiter(map(tree.index.__getitem__, nodes), np.intp, len(nodes))
+        val = np.fromiter(values, float, len(values))  # None reads nan, which the walk refuses
+        # no predictable increment at a leaf, every value finite (count_nonzero outruns a reduction)
+        if not np.count_nonzero(at[:m] >= tree.first_leaf) and np.count_nonzero(np.isfinite(val)) == len(val):
+            return at[:m], val[:m], at[m:], val[m:]
     except (KeyError, TypeError, ValueError, OverflowError):
         pass
-    for nid, v in entries.items():
+    for i, (nid, v) in enumerate(zip(nodes, values)):
+        field, end = ("predictable", tree.first_leaf) if i < m else ("optional", len(tree.order))
         if tree.position(nid) >= end:
             raise ValidationError(
                 f"{field} increment stored at node '{nid}' (depth {tree.K}); "
@@ -93,10 +95,8 @@ class BiMeasure(_Arrays):
     _DICTS = {"pr_inc": lambda a: a._nonzero(a.pr), "op_inc": lambda a: a._nonzero(a.op)}
 
     def __post_init__(self):
-        tree, fields = self.tree, vars(self)
-        pr = _read_field(tree, fields.pop("pr_inc"), "predictable", tree.first_leaf)
-        op = _read_field(tree, fields.pop("op_inc"), "optional", len(tree.order))
-        self._keep(*_layout(tree, *pr, *op))
+        tree, (pr, op) = self.tree, map(vars(self).pop, ("pr_inc", "op_inc"))
+        self._keep(*_layout(tree, *_read_fields(tree, [*pr, *op], [*pr.values(), *op.values()], len(pr))))
 
     def _keep(self, node: np.ndarray, pr: np.ndarray, op: np.ndarray) -> None:
         for field, values in (("predictable", pr), ("optional", op)):

@@ -17,7 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from .bimeasure import BiMeasure, _layout, _read_field
+from .bimeasure import BiMeasure, _layout, _read_fields
 from .errors import ValidationError
 from .process import AdaptedProcess, RawProcess, StaticRV, _new
 from .riskcore import RiskMeasureSpec
@@ -43,8 +43,9 @@ def _keys(items: Any) -> int:
     return sum(map(len, items)) if type(items) is list and set(map(type, items)) <= {dict} else 0
 
 
-def _key_count(doc: dict) -> int:
-    """The keys of ``doc`` and of the objects the formats hold, each object counted once.
+def _key_count(doc: dict, text: str) -> int:
+    """The keys of ``doc`` and of the objects the formats hold, each object counted once, and the
+    colons of its elements' labels if ``text`` has no escape (then a string has its text's colons).
 
     An array with an item that is no object adds nothing, which only lowers the count: the
     length of a list or a string in an object's place could make up for a merged key."""
@@ -53,14 +54,15 @@ def _key_count(doc: dict) -> int:
     measures = [row["measure"] for row in rows if type(row) is dict and type(row.get("measure")) is dict]
     tables = [[doc.get("values")], *map(doc.get, ("nodes", "entries", "pr", "op")), rows, measures]
     tables += [m.get(field) for m in measures for field in ("pr", "op")]
-    return len(doc) + sum(map(_keys, tables))
+    labels = sum(row["label"].count(":") for row in rows if type(row) is dict and type(row.get("label")) is str)
+    return len(doc) + sum(map(_keys, tables)) + (labels if labels and "\\" not in text else 0)
 
 
 def _read_document(path: str | Path, expected: str | None) -> dict:
     """Parse the document at ``path``; check its format tag unless ``expected`` is None.
 
-    Each key takes one ':', so no key repeats when the counted keys match the text's colons;
-    otherwise (a ':' in a string, an uncounted object, a parse error) each object is checked."""
+    Each key takes one ':', so no key repeats when the count matches the text's colons; otherwise
+    (a ':' in a string but a label, an uncounted object, a parse error) each object is checked."""
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
@@ -73,7 +75,7 @@ def _read_document(path: str | Path, expected: str | None) -> dict:
     except (ValueError, RecursionError):
         doc = None
     try:
-        if type(doc) is not dict or _key_count(doc) != text.count(":"):
+        if type(doc) is not dict or _key_count(doc, text) != text.count(":"):
             doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{p}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
@@ -106,21 +108,68 @@ def _write(path: str | Path, doc: dict) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def _tree_columns(rows: list) -> list | None:
-    """The (id, parent, depth, time, p) rows read as columns, or None for the walk to name the
-    first faulty row: the root comes first without 'p', and every other row has all five."""
-    try:
-        ids, depths, times = (list(map(itemgetter(key), rows)) for key in ("id", "depth", "time"))
-        parents, probs = list(map(dict.get, rows, repeat("parent"))), list(map(itemgetter("p"), rows[1:]))
-        types = [set(map(type, column)) for column in (ids, parents[1:], depths, times + probs)]
-        if (types[0] | types[1] <= {str} and types[2] <= {int} and types[3] <= {int, float}
-                and parents[0] is None and "p" not in rows[0]):
-            times, probs = list(map(float, times)), [1.0, *map(float, probs)]
-            if math.isfinite(sum(times) + sum(probs)):  # a sum past the float range goes to the walk
-                return list(zip(ids, parents, depths, times, probs))
-    except (KeyError, TypeError, OverflowError):  # a missing field, a row that is no object, a huge int
-        pass
-    return None
+# Row tables: name -> (type, need), a type being the allowed types and their name (a _NUM is finite,
+# kept as given; a _KEY is a string the caller looks up, and the one pass leaves it to that lookup),
+# a need True (required), None (optional) or the message if needed under a parent.
+_STR, _KEY, _OR_NULL = ({str}, "a string"), ({str}, "a string"), ({str, type(None)}, "a string or null")
+_INT, _NUM = ({int}, "an integer"), ({int, float}, "")
+_TREE = {"id": (_STR, True), "parent": (_OR_NULL, None), "depth": (_INT, True), "time": (_NUM, True),
+         "p": (_NUM, "('{id}') missing branch probability 'p'")}
+_ENTRY = {"leaf": (_STR, True), "depth": (_INT, True), "value": (_NUM, True)}
+_INC = {"node": (_KEY, True), "inc": (_NUM, True)}
+
+
+def _columns(path: str | Path, arrays: list, table: dict, walk: bool = False, shape: str = "") -> list[list]:
+    """The rows of the (where, rows, repeated) ``arrays``, one array after another, as ``table``'s columns,
+    read in one pass. When that fails, or ``walk`` is set, the rows are walked in input order and the first
+    fault raises: no array, no object or a missing field (``shape`` names both), a typed field, a repeat
+    in its array of the fields that are no number (``repeated`` formats it), a number, a missing needed
+    field. Finding none, the walk returns the columns."""
+    if not walk and all(type(rows) is list for _, rows, _ in arrays):
+        try:  # one array is read in place, several are joined
+            return _pass(sum((rows for _, rows, _ in arrays[1:]), arrays[0][1]), table)
+        except (KeyError, TypeError, ValueError, OverflowError):
+            pass
+    columns = [[] for _ in table]
+    for where, rows, repeated in arrays:
+        if type(rows) is not list:
+            raise FileFormatError(f"{path}: {where} must be an array")
+        seen = set()
+        for i, row in enumerate(rows):
+            if type(row) is not dict:
+                raise FileFormatError(f"{path}: {where}[{i}] {shape or 'must be an object'}")
+            for name in (name for name, (_, need) in table.items() if need is True and name not in row):
+                raise FileFormatError(f"{path}: {where}[{i}] {shape or f'missing field {name!r}'}")
+            for name, (kind, _) in table.items():
+                if kind is not _NUM and type(row.get(name)) not in kind[0]:
+                    raise FileFormatError(f"{path}: {where}[{i}].{name} must be {kind[1]}")
+            key = tuple(row.get(name) for name, (kind, _) in table.items() if kind is not _NUM)
+            if repeated and key in seen:
+                raise FileFormatError(f"{path}: {repeated.format(*key)}")
+            seen.add(key)
+            for column, (name, (kind, need)) in zip(columns, table.items()):
+                if kind is _NUM and name in row:
+                    _number(path, row[name], "{}[{}].{}", where, i, name)
+                elif type(need) is str and row.get("parent") is not None:
+                    raise FileFormatError(f"{path}: {where}[{i}] {need.format(**row)}")
+                column.append(row.get(name, 1.0 if type(need) is str else None))  # 1.0: the root's p
+    return columns
+
+
+def _pass(rows: list, table: dict) -> list[list]:
+    """The columns of well-formed rows; a fault raises one of the errors ``_columns`` catches."""
+    columns = {}
+    for name, (kind, need) in table.items():
+        column = list(map(itemgetter(name), rows) if need is True else map(dict.get, rows, repeat(name)))
+        if type(need) is str:  # the root, the first row with a null parent, may leave it out
+            root = columns["parent"].index(None)
+            column[root] = rows[root].get(name, 1.0)
+        types = kind[0] if kind is _KEY else set(map(type, column))  # a key is left to the lookup
+        if not types <= kind[0] or kind is _NUM and not math.isfinite(
+                sum(map(float, column) if int in types else column)):  # a float sum: ints may not cancel
+            raise TypeError(name)
+        columns[name] = column
+    return list(columns.values())
 
 
 def load_tree(path: str | Path) -> ScenarioTree:
@@ -128,31 +177,8 @@ def load_tree(path: str | Path) -> ScenarioTree:
     rows = doc.get("nodes")
     if not isinstance(rows, list) or not rows:
         raise FileFormatError(f"{path}: 'nodes' must be a non-empty array")
-    node_rows = _tree_columns(rows)
-    if node_rows is not None:
-        return ScenarioTree(node_rows)
-    node_rows = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, dict):
-            raise FileFormatError(f"{path}: nodes[{i}] must be an object")
-        for key in ("id", "depth", "time"):
-            if key not in row:
-                raise FileFormatError(f"{path}: nodes[{i}] missing field '{key}'")
-        nid = row["id"]
-        if not isinstance(nid, str):
-            raise FileFormatError(f"{path}: nodes[{i}].id must be a string")
-        parent = row.get("parent")
-        if parent is not None and not isinstance(parent, str):
-            raise FileFormatError(f"{path}: nodes[{i}].parent must be a string or null")
-        depth = row["depth"]
-        if isinstance(depth, bool) or not isinstance(depth, int):
-            raise FileFormatError(f"{path}: nodes[{i}].depth must be an integer")
-        time = _number(path, row["time"], "nodes[{}].time", i)
-        p = _number(path, row["p"], "nodes[{}].p", i) if "p" in row else 1.0
-        if parent is not None and "p" not in row:
-            raise FileFormatError(f"{path}: nodes[{i}] ('{nid}') missing branch probability 'p'")
-        node_rows.append((nid, parent, depth, time, p))
-    return ScenarioTree(node_rows)
+    ids, parents, depths, times, probs = _columns(path, [("nodes", rows, "")], _TREE)
+    return ScenarioTree(zip(ids, parents, depths, map(float, times), map(float, probs)))
 
 
 def dump_tree(tree: ScenarioTree, path: str | Path) -> None:
@@ -213,37 +239,14 @@ def load_raw_process(path: str | Path, tree: ScenarioTree) -> RawProcess:
 
 
 def _raw_process_from(path: str | Path, doc: dict, tree: ScenarioTree) -> RawProcess:
-    """The document's entries read as columns in one pass; only if that fails, or a field has
-    the wrong type, are the entries walked one by one, so their faults come first."""
     entries = doc.get("entries")
     if not isinstance(entries, list):
         raise FileFormatError(f"{path}: 'entries' must be an array")
-    try:
-        leaf, depth, value = (list(map(itemgetter(key), entries)) for key in ("leaf", "depth", "value"))
-        types = [set(map(type, column)) for column in (leaf, depth, value)]
-        if types[0] <= {str} and types[1] <= {int} and types[2] <= {int, float}:
-            values = dict(zip(zip(leaf, depth), value))
-            if len(values) == len(entries):
-                return RawProcess(tree, values)
-    except (KeyError, TypeError, ValidationError):
-        pass
-    values: dict[tuple[str, int], float] = {}
-    for i, row in enumerate(entries):
-        if not isinstance(row, dict):
-            raise FileFormatError(f"{path}: entries[{i}] must be an object")
-        for key in ("leaf", "depth", "value"):
-            if key not in row:
-                raise FileFormatError(f"{path}: entries[{i}] missing field '{key}'")
-        leaf = row["leaf"]
-        depth = row["depth"]
-        if not isinstance(leaf, str):
-            raise FileFormatError(f"{path}: entries[{i}].leaf must be a string")
-        if isinstance(depth, bool) or not isinstance(depth, int):
-            raise FileFormatError(f"{path}: entries[{i}].depth must be an integer")
-        key = (leaf, depth)
-        if key in values:
-            raise FileFormatError(f"{path}: duplicate entry for ({leaf}, {depth})")
-        values[key] = _number(path, row["value"], "entries[{}].value", i)
+    arrays = [("entries", entries, "duplicate entry for ({}, {})")]
+    leaf, depth, value = _columns(path, arrays, _ENTRY)
+    values = dict(zip(zip(leaf, depth), value))
+    if len(values) < len(entries):
+        _columns(path, arrays, _ENTRY, walk=True)  # names the first repeated entry
     return RawProcess(tree, values)
 
 
@@ -252,57 +255,20 @@ def dump_raw_process(Z: RawProcess, path: str | Path) -> None:
     _write(path, {"format": "raw_process", "entries": entries})
 
 
-def _batch_rows(obj: dict, tree: ScenarioTree):
-    """The pr and op rows as canonical indices and float increments, read in one pass, or None
-    when a row needs the walk: the pass takes lists of objects with known string nodes, distinct
-    within a field, pr nodes above depth K, and finite int or float increments."""
-    pr, op = obj.get("pr", []), obj.get("op", [])
-    if type(pr) is not list or type(op) is not list:
-        return None
-    rows, m, n = pr + op, len(pr), len(tree.order)
-    try:
-        incs = list(map(itemgetter("inc"), rows))
-        # a successful lookup means a string id the tree knows
-        at = np.fromiter(map(tree.index.__getitem__, map(itemgetter("node"), rows)), np.intp, len(rows))
-        if not set(map(type, incs)) <= {int, float}:
-            return None
-        val = np.fromiter(incs, float, len(incs))
-    except (KeyError, TypeError, OverflowError):
-        return None
-    repeats = max(np.bincount(field, None, n).max(initial=0) for field in (at[:m], at[m:]))
-    if repeats <= 1 and at[:m].max(initial=-1) < tree.first_leaf and np.isfinite(val).all():
-        return at[:m], val[:m], at[m:], val[m:]
-    return None
-
-
 def _read_measure(path: str | Path, obj: Any, tree: ScenarioTree, where: str):
-    """The (node, pr, op) layout of a bi-measure object, its rows read in one pass; only
-    when that fails are they walked row by row, so the first fault is named."""
+    """The (node, pr, op) layout of a bi-measure object: its pr rows, op rows, then their nodes."""
     if not isinstance(obj, dict):
         raise FileFormatError(f"{path}: {where} must be an object")
-    fields = _batch_rows(obj, tree)
-    if fields is None:
-        walked = []
-        for field in ("pr", "op"):
-            rows = obj.get(field, [])
-            if not isinstance(rows, list):
-                raise FileFormatError(f"{path}: {where}.{field} must be an array")
-            sink: dict[str, float] = {}
-            for i, row in enumerate(rows):
-                if not isinstance(row, dict) or "node" not in row or "inc" not in row:
-                    raise FileFormatError(
-                        f"{path}: {where}.{field}[{i}] must be an object with 'node' and 'inc'"
-                    )
-                nid = row["node"]
-                if not isinstance(nid, str):
-                    raise FileFormatError(f"{path}: {where}.{field}[{i}].node must be a string")
-                if nid in sink:
-                    raise FileFormatError(f"{path}: duplicate {field} increment at node '{nid}'")
-                sink[nid] = _number(path, row["inc"], "{}.{}[{}].inc", where, field, i)
-            walked.append(sink)
-        # the rows' faults come before the nodes' faults
-        fields = (*_read_field(tree, walked[0], "predictable", tree.first_leaf),
-                  *_read_field(tree, walked[1], "optional", len(tree.order)))
+    arrays = [(f"{where}.{f}", obj.get(f, []), f"duplicate {f} increment at node '{{}}'") for f in ("pr", "op")]
+    rows = lambda walk: _columns(path, arrays, _INC, walk, "must be an object with 'node' and 'inc'")
+    (nodes, incs), n = rows(False), len(tree.order)
+    try:
+        fields = _read_fields(tree, nodes, incs, len(arrays[0][1]))
+    except (ValidationError, TypeError):  # TypeError: a node that is an array or an object
+        rows(True)  # the rows' faults, a node that is no string among them, come before the nodes' faults
+        raise
+    if any(np.count_nonzero(np.bincount(at, None, n)) < len(at) for at in fields[::2]):
+        rows(True)  # fewer distinct nodes than rows: names the first repeated node
     return _layout(tree, *fields)
 
 

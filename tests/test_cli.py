@@ -160,14 +160,16 @@ class TestMalformedFiles:
     def test_missing_format(self, tmp_path, t1):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"values": {}}))
-        with pytest.raises(FileFormatError):
+        with pytest.raises(FileFormatError) as err:
             load_static(p, t1)
+        assert str(err.value) == f"{p}: expected format 'static', found None"
 
     def test_non_numeric_value(self, tmp_path, t1):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"format": "static", "values": {"u": "x", "d": 0.0}}))
-        with pytest.raises(FileFormatError):
+        with pytest.raises(FileFormatError) as err:
             load_static(p, t1)
+        assert str(err.value) == f"{p}: field 'values['u']' must be a number, got 'x'"
 
     def test_duplicate_increment(self, tmp_path, t1):
         doc = {
@@ -177,8 +179,38 @@ class TestMalformedFiles:
         }
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(doc))
-        with pytest.raises(FileFormatError):
+        with pytest.raises(FileFormatError) as err:
             load_bimeasure(p, t1)
+        assert str(err.value) == f"{p}: duplicate op increment at node 'u'"
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"op": {"u": 1.0}}, "document.op must be an array"),
+            ({"op": [["u", 1.0]]}, "document.op[0] must be an object with 'node' and 'inc'"),
+            ({"op": [{"node": "u"}]}, "document.op[0] must be an object with 'node' and 'inc'"),
+            ({"pr": [{"node": 1, "inc": 1.0}]}, "document.pr[0].node must be a string"),
+            ({"pr": [{"node": "root", "inc": 1.0}, {"node": "root", "inc": 0.0}]},
+             "duplicate pr increment at node 'root'"),
+            ({"op": [{"node": "u", "inc": 1.0}, {"node": "d", "inc": "1.0"}]},
+             "field 'document.op[1].inc' must be a number, got '1.0'"),
+            ({"op": [{"node": "u", "inc": math.inf}]}, "field 'document.op[0].inc' must be finite, got inf"),
+            # the pr rows come before the op rows, and every row before a node
+            ({"pr": [{"node": "u", "inc": 1.0}], "op": {}}, "document.op must be an array"),
+            ({"pr": [{"node": "d", "inc": 1.0}, {"node": "d", "inc": 1.0}], "op": [3]},
+             "duplicate pr increment at node 'd'"),
+            ({"pr": [{"node": "root", "inc": 1.0}, {"node": "root", "inc": 1.0}], "op": [{"node": "zz", "inc": 1.0}]},
+             "duplicate pr increment at node 'root'"),
+            ({"pr": [{"node": "zz", "inc": 1.0}], "op": [{"node": "u", "inc": 1.0}, {"node": "u", "inc": 1.0}]},
+             "duplicate op increment at node 'u'"),
+        ],
+    )
+    def test_standalone_bimeasure_messages(self, tmp_path, t1, fields, message):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"format": "bimeasure", **fields}))
+        with pytest.raises(FileFormatError) as err:
+            load_bimeasure(p, t1)
+        assert str(err.value) == f"{p}: {message}"
 
 
 def _entry(leaf, depth, value=0.0):
@@ -1424,6 +1456,32 @@ class TestKeyCountProof:
         load_spec(tmp_path / "s.json", t2)
         assert len(parses) == 2  # the spec and the measure it reads
 
+    def test_worst_case_labels_parse_once(self, tmp_path, parses):
+        """The colons of the elements' labels (worst_case_spec's leaf:<id>) count into the proof."""
+        tree = uniform_binomial(3)
+        spec = worst_case_spec(tree)
+        dump_spec(spec, tmp_path / "s.json")
+        parses.clear()
+        back = load_spec(tmp_path / "s.json", tree)
+        assert len(parses) == 1
+        assert back.labels == spec.labels
+        assert all(":" in label for label in back.labels)
+
+    @pytest.mark.parametrize("escape", [False, True])
+    def test_labelled_spec_with_a_repeated_key_is_refused(self, tmp_path, escape):
+        """A repeat is refused beside labelled elements; with one label's ':' written as \\u003a, the
+        parsed label holds a colon its text lacks, which would make up for the merged key."""
+        tree = uniform_binomial(3)
+        dump_spec(worst_case_spec(tree), tmp_path / "s.json")
+        text = (tmp_path / "s.json").read_text()
+        if escape:
+            text = text.replace('"leaf:', '"leaf\\u003a', 1)
+        p = tmp_path / "bad.json"
+        p.write_text(text.replace('"gamma": ', '"gamma": 1.0, "gamma": ', 1))
+        with pytest.raises(FileFormatError) as err:
+            load_spec(p, tree)
+        assert str(err.value) == f"{p}: invalid JSON: duplicate key 'gamma'"
+
     def test_colon_in_a_string_parses_twice(self, tmp_path, parses):
         values, paths = _colon_files(tmp_path, escape=False)
         parses.clear()
@@ -1526,6 +1584,171 @@ def test_key_count_proof_agrees_with_the_hook(tmp_path_factory, document, escape
     with mock.patch.object(fileio, "_key_count", return_value=-1):  # no count matches: the hook reads all
         hooked = outcome()
     assert outcome() == hooked
+
+
+def test_rows_whose_numbers_sum_past_the_float_range_load(tmp_path):
+    """Finite numbers whose sum overflows fail the one-pass check; the row walk finds no fault,
+    and the rows load as given."""
+    rows = [
+        {"id": "r", "parent": None, "depth": 0, "time": 0},
+        {"id": "a", "parent": "r", "depth": 1, "time": 1e308, "p": 1.0},
+        {"id": "b", "parent": "a", "depth": 2, "time": 1.7e308, "p": 1.0},
+    ]
+    (tmp_path / "tree.json").write_text(json.dumps({"format": "tree", "nodes": rows}))
+    tree = load_tree(tmp_path / "tree.json")
+    assert tree.order == ("r", "a", "b")
+    assert [float.hex(t) for t in tree.times] == [float.hex(t) for t in (0.0, 1e308, 1.7e308)]
+    entries = [{"leaf": "b", "depth": k, "value": 1e308} for k in range(3)]
+    (tmp_path / "raw.json").write_text(json.dumps({"format": "raw_process", "entries": entries}))
+    assert hexed(load_raw_process(tmp_path / "raw.json", tree).grid.ravel()) == [float.hex(1e308)] * 3
+    doc = {
+        "format": "bimeasure",
+        "pr": [{"node": "r", "inc": 1e308}, {"node": "a", "inc": 1.7e308}],
+        "op": [{"node": "a", "inc": 1e308}, {"node": "b", "inc": 1.7e308}],
+    }
+    (tmp_path / "m.json").write_text(json.dumps(doc))
+    a = load_bimeasure(tmp_path / "m.json", tree)
+    assert a.pr_inc == {"r": 1e308, "a": 1.7e308}
+    assert a.op_inc == {"a": 1e308, "b": 1.7e308}
+
+
+@pytest.mark.parametrize(
+    "fmt, fields, message",
+    [
+        ("tree", {"nodes": [{"id": "root", "parent": None, "depth": 0, "time": 0}, _node("d", time=10**400),
+                            _node("u", time=-(10**400))]}, "field 'nodes[1].time' is an integer beyond the float range"),
+        ("raw_process", {"entries": [_entry("d", 0, 10**400), _entry("d", 1, -(10**400)), _entry("u", 0, 1),
+                                     _entry("u", 1, 2)]}, "field 'entries[0].value' is an integer beyond the float range"),
+        ("bimeasure", {"op": [{"node": "d", "inc": -(10**400)}, {"node": "u", "inc": 10**400}]},
+         "field 'document.op[0].inc' is an integer beyond the float range"),
+    ],
+)
+def test_integers_beyond_the_float_range_are_refused_when_they_cancel(tmp_path, t1, fmt, fields, message):
+    """Integers that sum to a finite value exactly are still each beyond the float range."""
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps({"format": fmt, **fields}))
+    load = {"tree": load_tree, "raw_process": lambda p: load_raw_process(p, t1), "bimeasure": lambda p: load_bimeasure(p, t1)}
+    with pytest.raises(FileFormatError) as err:
+        load[fmt](p)
+    assert str(err.value) == f"{p}: {message}"
+
+
+def test_clean_rows_are_read_in_one_pass(tmp_path, t2, monkeypatch):
+    """Rows without a fault are read as columns: each read makes one pass that succeeds, and the
+    row walk runs for none of the formats."""
+    calls = []
+    columns, one_pass = fileio._columns, fileio._pass
+    monkeypatch.setattr(fileio, "_columns", lambda *args, **kw: calls.append("read") or columns(*args, **kw))
+    monkeypatch.setattr(fileio, "_pass", lambda *args: [one_pass(*args), calls.append("pass")][0])
+    X = AdaptedProcess(t2, {nid: float(i) for i, nid in enumerate(t2.order)})
+    a = BiMeasure(t2, pr_inc={"root": -0.5, "d": 0.25}, op_inc={"uu": 1.0})
+    root_last = tmp_path / "root-last.json"
+    root_last.write_text(json.dumps({"format": "tree", "nodes": [_node("d"), _node("u"), _ROOT]}))
+    dump_tree(t2, tmp_path / "tree.json")
+    dump_raw_process(RawProcess.from_adapted(X), tmp_path / "raw.json")
+    dump_bimeasure(a, tmp_path / "m.json")
+    dump_spec(worst_case_spec(t2), tmp_path / "spec.json")
+    load_tree(tmp_path / "tree.json")
+    load_tree(root_last)
+    load_raw_process(tmp_path / "raw.json", t2)
+    load_bimeasure(tmp_path / "m.json", t2)
+    load_spec(tmp_path / "spec.json", t2)
+    assert calls == ["read", "pass"] * (1 + 1 + 1 + 1 + len(t2.leaves))
+
+
+def _t2_rows():
+    """Valid rows on uniform_binomial(2): per format, its (where, rows) arrays in reading order."""
+    nodes = [{"id": "root", "parent": None, "depth": 0, "time": 0.0}]
+    for nid in ("d", "u", "dd", "du", "ud", "uu"):
+        nodes.append({"id": nid, "parent": nid[:-1] or "root", "depth": len(nid), "time": float(len(nid)), "p": 0.5})
+    entries = [{"leaf": leaf, "depth": k, "value": k + 0.5} for leaf in ("dd", "du", "ud", "uu") for k in range(3)]
+    pr = [{"node": nid, "inc": 0.25} for nid in ("root", "d", "u")]
+    op = [{"node": row["id"], "inc": 0.5} for row in nodes]
+    return {"tree": [("nodes", nodes)], "raw_process": [("entries", entries)],
+            "bimeasure": [("document.pr", pr), ("document.op", op)]}
+
+
+_FIELDS = {  # per format: the required fields, the typed (no number) ones, the numbers
+    "tree": (("id", "depth", "time"), ("id", "parent", "depth"), ("time", "p")),
+    "raw_process": (("leaf", "depth", "value"), ("leaf", "depth"), ("value",)),
+    "bimeasure": (("node", "inc"), ("node",), ("inc",)),
+}
+_WRONG = {"id": 5, "parent": ["root"], "leaf": 1, "node": 1}  # a wrong type of each string field
+_TYPE_NAMES = {"id": "a string", "leaf": "a string", "node": "a string", "parent": "a string or null"}
+
+
+@st.composite
+def _faulty_rows(draw):
+    """A valid tree, raw process or bi-measure on uniform_binomial(2) with one fault from the
+    pinned catalogue in each of one to three rows; returns the format, its arrays and the
+    message of the earliest faulty row (a bi-measure's pr rows come before its op rows)."""
+    fmt = draw(st.sampled_from(sorted(_FIELDS)))
+    valid = _t2_rows()[fmt]
+    arrays = [(where, [dict(row) for row in rows]) for where, rows in valid]
+    flat = [(a, i) for a, (_, rows) in enumerate(arrays) for i in range(len(rows))]
+    picks = sorted(draw(st.lists(st.sampled_from(flat), min_size=1, max_size=3, unique=True)))
+    required, typed, numbers = _FIELDS[fmt]
+    shaped = "must be an object with 'node' and 'inc'" if fmt == "bimeasure" else None
+    messages = []
+    for a, i in picks:
+        where, rows = arrays[a]
+        row, at = rows[i], f"{where}[{i}]"
+        kinds = ["no-object", "missing", "type", "non-finite", "oversized"]
+        kinds += ["repeat"] if fmt != "tree" and i > 0 else []
+        kinds += ["missing-p"] if fmt == "tree" and i > 0 else []
+        kind = draw(st.sampled_from(kinds))
+        if kind == "no-object":
+            rows[i] = draw(st.sampled_from([[row[required[0]]], 3, None, "row"]))
+            messages.append(f"{at} {shaped or 'must be an object'}")
+        elif kind == "missing":
+            field = draw(st.sampled_from(required))
+            del row[field]
+            messages.append(f"{at} {shaped or f'missing field {field!r}'}")
+        elif kind == "missing-p":
+            del row["p"]
+            messages.append(f"{at} ('{row['id']}') missing branch probability 'p'")
+        elif kind == "type":
+            field = draw(st.sampled_from(typed + numbers))
+            if field in numbers:
+                row[field] = draw(st.sampled_from([True, None, "x", [1.0]]))
+                messages.append(f"field '{at}.{field}' must be a number, got {row[field]!r}")
+            elif field == "depth":
+                row[field] = draw(st.sampled_from([True, "1", 1.0, None]))
+                messages.append(f"{at}.depth must be an integer")
+            else:
+                row[field] = _WRONG[field]
+                messages.append(f"{at}.{field} must be {_TYPE_NAMES[field]}")
+        elif kind == "non-finite":
+            field, value = draw(st.sampled_from(numbers)), draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+            row[field] = value
+            messages.append(f"field '{at}.{field}' must be finite, got {value!r}")
+        elif kind == "oversized":
+            field = draw(st.sampled_from(numbers))
+            row[field] = draw(st.sampled_from([10**400, -(10**400)]))
+            messages.append(f"field '{at}.{field}' is an integer beyond the float range")
+        else:  # a copy of an earlier row's key in the same array, as the valid rows hold it
+            earlier = valid[a][1][draw(st.integers(0, i - 1))]
+            row.update({field: earlier[field] for field in typed})
+            key = ", ".join(str(earlier[field]) for field in typed)
+            field = where.rsplit(".", 1)[-1]
+            messages.append(f"duplicate entry for ({key})" if fmt == "raw_process" else
+                            f"duplicate {field} increment at node '{key}'")
+    return fmt, arrays, messages[0]
+
+
+@given(document=_faulty_rows())
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+def test_first_faulty_row_is_named_in_every_row_format(tmp_path_factory, document):
+    fmt, arrays, message = document
+    fields = {where.rsplit(".", 1)[-1]: rows for where, rows in arrays}
+    path = tmp_path_factory.mktemp("doc") / "doc.json"
+    path.write_text(json.dumps({"format": fmt, **fields}))
+    tree = uniform_binomial(2)
+    load = {"tree": load_tree, "raw_process": lambda p: load_raw_process(p, tree),
+            "bimeasure": lambda p: load_bimeasure(p, tree)}[fmt]
+    with pytest.raises(FileFormatError) as err:
+        load(path)
+    assert str(err.value) == f"{path}: {message}"
 
 
 def test_spec_route_imports_no_numpy_ma(tmp_path):
