@@ -192,40 +192,35 @@ def raw_pairing(Z: RawProcess, a: RawBiMeasure) -> float:
     return segment_fsums(terms[:, None])[0]
 
 
-def _path_sums(a: BiMeasure, term=None) -> tuple[np.ndarray, np.ndarray]:
-    """The canonical leaf positions whose paths hold an increment and, at each, the fsum
-    of term(increment) over both fields along the path: one segment of the tree's
-    kernel, pr and op in two columns."""
-    tree = a.tree
-    incs = np.column_stack((a.pr, a.op))
-    [(leaves, sums)] = tree.path_sums(a.node, incs if term is None else term(incs), [(0, len(a.node))])
-    return tree.leaf_paths()[leaves, -1] - tree.first_leaf, sums
-
-
-def _leaf_sums(a: BiMeasure, term=None) -> StaticRV:
-    """The path sums of ``_path_sums`` as a payoff, 0.0 on the leaves no increment covers."""
-    at, sums = _path_sums(a, term)
-    vector = np.zeros(len(a.tree.leaves))
-    vector[at] = sums
-    return _new(StaticRV, a.tree, vector)
+def _leaf_sums(a: BiMeasure, *maps) -> np.ndarray:
+    """Shape (len(maps), L) over the canonical leaves: row s holds, per leaf, the fsum of maps[s] of
+    the increments (pr and op in two columns) along its path, 0.0 where no increment lies on it. One
+    ``path_sums`` call, one segment of a's nodes per map; a single map's terms go in uncopied."""
+    tree, k, m = a.tree, len(a.node), len(maps)
+    incs = np.array((a.pr, a.op)).T
+    node, terms = (a.node, maps[0](incs)) if m == 1 else (np.tile(a.node, m), np.concatenate([f(incs) for f in maps]))
+    sums = tree.path_sums(node, terms, [(s * k, s * k + k) for s in range(m)])
+    out, at = np.zeros((m, len(tree.leaves))), tree.leaf_paths()[:, -1][sums[0][0]] - tree.first_leaf
+    for row, (_, s) in zip(out, sums):
+        row[at] = s
+    return out
 
 
 def variation(a: BiMeasure) -> StaticRV:
     """Pathwise total variation: the sum of absolute increments seen along each leaf's path."""
-    return _leaf_sums(a, np.abs)
+    return _new(StaticRV, a.tree, _leaf_sums(a, np.abs)[0])
 
 
 def variation_norm(a: BiMeasure, p: float = 1.0) -> float:
     """L^p norm of the pathwise variation under the leaf measure (p = inf gives the max)."""
-    at, var = _path_sums(a, np.abs)
+    var = _leaf_sums(a, np.abs)[0]
     if p == math.inf:
-        return max(var.tolist(), default=0.0)
+        return max(var.tolist())
     p = float(p)
     if not p >= 1.0:
         raise ValidationError(f"norm order must satisfy p >= 1, got {p!r}")
-    prob = a.tree.leaf_prob[at]
-    total = fsum(q * v**p for q, v in zip(prob.tolist(), var.tolist()))
-    return total ** (1.0 / p)
+    at = var.nonzero()[0]  # the covered leaves; the others would add 0.0 to the fsum
+    return fsum(q * v**p for q, v in zip(a.tree.leaf_prob[at].tolist(), var[at].tolist())) ** (1.0 / p)
 
 
 def jordan(a: BiMeasure) -> tuple[BiMeasure, BiMeasure]:
@@ -238,7 +233,7 @@ def jordan(a: BiMeasure) -> tuple[BiMeasure, BiMeasure]:
 
 def terminal_increment(a: BiMeasure) -> StaticRV:
     """Signed sum of all increments along each path: the net terminal mass a_T - a_0."""
-    return _leaf_sums(a)
+    return _new(StaticRV, a.tree, _leaf_sums(a, np.asarray)[0])
 
 
 def dual_projection(a: RawBiMeasure) -> BiMeasure:

@@ -8,7 +8,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .bimeasure import BiMeasure, variation
+from .bimeasure import BiMeasure, _leaf_sums, variation
 from .errors import ValidationError
 from .instances import avar, avar_max_density, worst_case_spec
 from .process import AdaptedProcess, StaticRV, _new, prob_sup_exceedance, terminal_values
@@ -286,7 +286,8 @@ def decomposition_battery(measures: Sequence[BiMeasure]) -> DecompositionReport:
         if a.tree is not tree:
             raise ValidationError("tree mismatch inside the battery input")
 
-    sums = np.array([_battery_sums(a) for a in measures])
+    parts = np.abs, lambda x: np.where(x > 0.0, x, 0.0), lambda x: np.where(x < 0.0, -x, 0.0), np.asarray
+    sums = np.array([_leaf_sums(a, *parts) for a in measures])  # Var(a), Var(a+), Var(a-), a_T - a_0
     var, var_p, var_m, term = sums.transpose(1, 0, 2)  # each (element, leaf)
     bound_slack = np.max(np.abs(term) - var, axis=1)
     addv = np.max(np.abs(var - (var_p + var_m)), axis=1)
@@ -308,24 +309,6 @@ def decomposition_battery(measures: Sequence[BiMeasure]) -> DecompositionReport:
         sup_variation=float(var_envelope.max()),
         sup_terminal=float(term_envelope.max()),
     )
-
-
-def _battery_sums(a: BiMeasure) -> np.ndarray:
-    """Shape (4, L) over the DFS leaves: Var(a), Var(a+), Var(a-) and a_T - a_0.
-
-    One path_sums call with four segments over a's stored nodes (pr and op in
-    two columns) gives all four; a leaf no stored node covers reads 0.0.
-    """
-    tree = a.tree
-    signed = np.column_stack((a.pr, a.op))
-    k = len(a.node)
-    plus, minus = np.where(signed > 0.0, signed, 0.0), np.where(signed < 0.0, -signed, 0.0)
-    terms = np.concatenate([np.abs(signed), plus, minus, signed])
-    out = np.zeros((4, len(tree.leaves)))
-    bounds = [(s * k, (s + 1) * k) for s in range(4)]
-    for row, (leaves, sums) in zip(out, tree.path_sums(np.tile(a.node, 4), terms, bounds)):
-        row[leaves] = sums
-    return out
 
 
 @dataclass(frozen=True)

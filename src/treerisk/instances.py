@@ -126,16 +126,20 @@ def avar(Y: StaticRV, alpha: float) -> float:
     neighbours; it goes further only where g is flat to within rounding.
     The result is the smallest computed g over all realized losses, bit for
     bit, at O(L log L) for the sort and the bisection plus O(L) per
-    evaluated loss, against O(L^2) for evaluating every loss.
+    evaluated loss, against O(L^2) for evaluating every loss. Outcomes spread
+    past the float range are halved first (avar is positively homogeneous);
+    an infinite rounding bound stops the search at the two neighbours.
     """
     level = QuantileLevel(alpha)
     inv = 1.0 / level.alpha
     values, _, starts, outcomes, probs = ladder = _ladder(Y)
+    if values[-1] - values[0] == math.inf:
+        return 2.0 * avar(_new(StaticRV, Y.tree, Y.vector / 2.0), alpha)
 
     def g(i: int) -> float:
-        # loss - t for a leaf strictly beyond t = -values[i] rounds as values[i] - outcome
+        # loss - t beyond t = -values[i] rounds as values[i] - outcome; none at the worst atom (inv may be inf)
         w, s = values[i], starts[i]
-        return -w + inv * fsum(map(mul, probs[:s], map(sub, repeat(w, s), outcomes[:s])))
+        return -w + (inv * fsum(map(mul, probs[:s], map(sub, repeat(w, s), outcomes[:s]))) if s else 0.0)
 
     # With M = max |outcome| >= |t| and u = 2**-53, a computed g is within about
     # 13 u M (1 + inv sum p) of its exact value, plus inv u_min per underflowed
@@ -144,9 +148,10 @@ def avar(Y: StaticRV, alpha: float) -> float:
     err += inv * len(probs) * math.ulp(0.0)
     c = min(_crossing(ladder, level.alpha), len(values) - 1)  # the last atom if none crosses
     best = at_c = g(c)
+    reach = len(values) if err < math.inf else 1  # an infinite bound certifies nothing further out
     for step in (-1, 1):
         i, edge = c, at_c
-        while 0 <= i + step < len(values) and not edge > best + 2 * err:
+        while 0 <= i + step < len(values) and abs(i - c) < reach and not edge > best + 2 * err:
             i += step
             edge = g(i)
             best = min(best, edge)
@@ -259,20 +264,19 @@ def worst_case_spec(tree: ScenarioTree) -> RiskMeasureSpec:
 
 
 def entropic(Y: StaticRV, beta: float) -> float:
-    """Exponential risk (1/beta) log E[exp(-beta Y)], evaluated with a max shift."""
+    """Exponential risk (1/beta) log E[exp(-beta Y)], E under the leaf probabilities over their sum: with m
+    the worst loss and x = beta (-Y - m) <= 0, log E[exp(-beta Y)] is beta m + log E[exp(x)], taken as
+    log1p(E[expm1(x)]) above E[exp(x)] = 1/2, so small beta keeps every digit and a constant c gives -c."""
     beta = float(beta)
     if not beta > 0.0 or not math.isfinite(beta):
         raise ValidationError(f"entropic parameter must be positive, got {beta!r}")
-    tree = Y.tree
-    prob, y = tree.leaf_prob.tolist(), Y.vector.tolist()
-    m = max(-v for v in y)
-    shift = beta * m  # equals max(-beta Y): rounding is monotone
-    if not math.isfinite(shift):
-        # beta * m overflows: shift by m alone, every exponent stays <= 0
-        total = fsum(p * math.exp(beta * (-v - m)) for p, v in zip(prob, y))
-        return m + math.log(total) / beta
-    total = fsum(p * math.exp(-beta * v - shift) for p, v in zip(prob, y))
-    return (shift + math.log(total)) / beta
+    prob, y = Y.tree.leaf_prob.tolist(), Y.vector.tolist()
+    m, mass = max(-v for v in y), fsum(prob)
+    # generated, not held (a list of L exponents raised peak RSS); exp(-inf) = 0.0 where -v - m overflows
+    e = fsum(p * math.exp(beta * (-v - m)) for p, v in zip(prob, y)) / mass
+    if e <= 0.5:
+        return m + math.log(e) / beta
+    return m + math.log1p(fsum(p * math.expm1(beta * (-v - m)) for p, v in zip(prob, y)) / mass) / beta
 
 
 @dataclass(frozen=True)

@@ -87,8 +87,9 @@ class ScenarioTree:
     Per segment it returns the ascending DFS positions of the leaves whose
     paths meet the segment's nodes and, at each, the fsum of the (K + 1) C
     terms read along the path: rounded once, in no particular order, and the
-    0.0 read off the segment changes nothing. m nodes whose ranges span w
-    leaves cost O(m + w), plus O((K + 1) C) per covered leaf.
+    0.0 read off the segment changes nothing (an fsum that overflows raises
+    :class:`ValidationError` naming the first such leaf in canonical order).
+    m nodes whose ranges span w leaves cost O(m + w), plus O((K + 1) C) a leaf.
 
     Instances are immutable after construction and meant to be shared by the
     processes and bi-measures built on them (those types compare trees by
@@ -352,7 +353,16 @@ class ScenarioTree:
             scatter[:, nodes] = terms[lo:hi].T
             block = scatter[:, paths[leaves].T].reshape(width, len(leaves))  # one column per leaf
             scatter[:, nodes] = 0.0
-            out.append((leaves, np.array(segment_fsums(block))))
+            try:
+                sums = segment_fsums(block)
+            except OverflowError:  # fsum leaf by leaf, in canonical order, to name the first that overflows
+                at = paths[leaves, -1]
+                for i in np.argsort(at).tolist():
+                    try:
+                        fsum(block[:, i].tolist())
+                    except OverflowError:
+                        raise ValidationError(f"non-finite path sum at leaf '{self.order[at[i]]}'") from None
+            out.append((leaves, np.array(sums)))
         return out
 
     @property
@@ -389,7 +399,7 @@ def segment_fsums(terms: np.ndarray, starts: Sequence[int] | np.ndarray | None =
     """Per segment, what math.fsum returns for its terms, bit for bit and error for error: the
     columns of a 2-D ``terms``, or the runs of a 1-D ``terms`` from each of ``starts`` to the next."""
     if terms.size >= _FSUMS_CUTOFF:  # smaller calls make no numpy call
-        sizes = np.array([len(terms)]) if starts is None else np.append(starts[1:], len(terms)) - starts
+        sizes = np.array([len(terms)]) if starts is None else np.append(starts[1:], len(terms)).astype(np.intp) - starts
         M = int(sizes.max()).bit_length()
         big = max(terms.max(), -terms.min()) if sizes.min() > 0 else 0.0
     if terms.size < _FSUMS_CUTOFF or not ldexp(1.0, -900) <= big < ldexp(1.0, 999 - M):

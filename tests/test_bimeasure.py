@@ -10,7 +10,9 @@ from treerisk import (
     BiMeasure,
     RawBiMeasure,
     RawProcess,
+    ScenarioTree,
     StaticRV,
+    TreeNode,
     ValidationError,
     as_raw,
     dual_projection,
@@ -41,6 +43,8 @@ from conftest import (
     random_tree,
     value_sampler,
 )
+from test_riskcore import count_sweeps
+from treerisk.diagnostics import decomposition_battery
 
 TOL = 1e-12
 
@@ -240,6 +244,64 @@ class TestVariation:
                     node = tree.nodes.get(node.parent)
                 assert var.values[leaf] == math.fsum(abs(v) for v in incs)
                 assert ti.values[leaf] == math.fsum(incs)
+
+    def test_norms_match_a_path_walk_bit_for_bit(self):
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            tree = interleaved_tree(rng)
+            a = random_bimeasure(tree, rng)
+            walked = {}
+            for leaf in tree.leaves:
+                incs = [abs(f.get(nid, 0.0)) for nid in tree.path(leaf) for f in (a.pr_inc, a.op_inc)]
+                walked[leaf] = math.fsum(incs)
+            assert variation_norm(a, math.inf) == max(walked.values())
+            for p in (1.0, 2.0):
+                total = math.fsum(tree.prob[leaf] * v**p for leaf, v in walked.items())
+                assert float.hex(variation_norm(a, p)) == float.hex(total ** (1.0 / p))
+
+    def test_each_call_makes_one_path_sum_pass(self, monkeypatch):
+        rng = np.random.default_rng(47)
+        tree = interleaved_tree(rng)
+        measures = [random_bimeasure(tree, rng) for _ in range(3)]
+        sweeps = count_sweeps(monkeypatch)
+        calls = [variation, terminal_increment, *(lambda a, p=p: variation_norm(a, p) for p in (1.0, 2.0, math.inf))]
+        for call in calls:
+            call(measures[0])
+            assert len(sweeps) == 1
+            sweeps.clear()
+        decomposition_battery(measures)
+        assert len(sweeps) == len(measures)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            variation,
+            terminal_increment,
+            lambda a: variation_norm(a, 1.0),
+            lambda a: variation_norm(a, math.inf),
+            normalize_scenario,
+            lambda a: decomposition_battery([a]),
+        ],
+        ids=["variation", "terminal-increment", "norm-1", "norm-inf", "normalize", "battery"],
+    )
+    def test_overflowing_path_sum_names_its_leaf(self, call):
+        # root and d each at 1.5e308: every path through d sums past the float range
+        a = BiMeasure(uniform_binomial(3), {"root": 1.5e308}, {"d": 1.5e308})
+        with pytest.raises(ValidationError, match=r"^non-finite path sum at leaf 'ddd'$"):
+            call(a)
+
+    def test_overflowing_path_sum_names_the_first_canonical_leaf(self):
+        # the depth-first order visits z1 and z2 (under a) before a1 and a2 (under b)
+        rows = [("root", None, 0, 0.0, 1.0), ("a", "root", 1, 1.0, 0.5), ("b", "root", 1, 1.0, 0.5)]
+        rows += [(leaf, parent, 2, 2.0, 0.5) for leaf, parent in (("z1", "a"), ("z2", "a"), ("a1", "b"), ("a2", "b"))]
+        tree = ScenarioTree([TreeNode(*row) for row in rows])
+        assert tree.leaves_under("root")[0] == "z1" and tree.leaves[0] == "a1"
+        a = BiMeasure(tree, {"root": 1e308}, {"a": 1e308, "b": 1e308})
+        with pytest.raises(ValidationError, match=r"^non-finite path sum at leaf 'a1'$"):
+            variation(a)
+        a = BiMeasure(tree, {"root": 1e308}, {"a": 1e308})
+        with pytest.raises(ValidationError, match=r"^non-finite path sum at leaf 'z1'$"):
+            terminal_increment(a)
 
     def test_jordan_additivity(self):
         rng = np.random.default_rng(29)

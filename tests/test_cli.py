@@ -839,6 +839,34 @@ class TestOtherCommands:
         assert code == 0
         assert "entropic[10]  1.000000000000e+308" in out.splitlines()
 
+    @pytest.mark.parametrize(
+        "values, alpha, code, row",
+        [
+            ((-1.5e308, 1.5e308, 1.0, 2.0), "0.9", 0, ["avar[0.9]", "1.666666666667e+307"]),
+            ((1.0, 2.0, 3.0, -4.0), "1e-310", 2, ["avar[1e-310]", "4.000000000000"]),
+        ],
+        ids=["spread-past-the-float-range", "reciprocal-level-overflows"],
+    )
+    def test_avar_at_the_float_edges(self, capsys, tmp_path, values, alpha, code, row):
+        tree = uniform_binomial(2)
+        dump_tree(tree, tmp_path / "tree.json")
+        dump_static(StaticRV(tree, dict(zip(tree.leaves, values))), tmp_path / "y.json")
+        args = ["--tree", str(tmp_path / "tree.json"), "--process", str(tmp_path / "y.json"), "--alpha", alpha]
+        got, out, _ = run_cli(capsys, "instances", *args)
+        assert got == code  # 2: tce is undefined at the worst atom
+        assert row in [line.split() for line in out.splitlines()]
+
+    def test_entropic_of_a_constant_on_a_leaf_mass_off_one(self, capsys, tmp_path):
+        # branch probabilities 0.5 + 4e-13 each, which the tree accepts; the constant 2.0 read -1.9999999999992
+        rows = [TreeNode("root", None, 0, 0.0, 1.0)] + [TreeNode(nid, "root", 1, 1.0, 0.5 + 4e-13) for nid in "ab"]
+        tree = ScenarioTree(rows)
+        dump_tree(tree, tmp_path / "tree.json")
+        dump_static(StaticRV.constant(tree, 2.0), tmp_path / "y.json")
+        args = ["--tree", str(tmp_path / "tree.json"), "--process", str(tmp_path / "y.json"), "--alpha", "0.5"]
+        code, out, _ = run_cli(capsys, "instances", *args)
+        assert code == 2  # no outcome lies below the value at risk of a constant
+        assert ["entropic[1]", "-2.000000000000"] in [line.split() for line in out.splitlines()]
+
     def test_diagnose_ui(self, workdir, capsys, t1, tmp_path):
         _, p = workdir
         fp = tmp_path / "f.json"
@@ -1301,6 +1329,25 @@ class TestDeterminismAndErrors:
         )
         assert (code, out) == (1, "")
         assert err == "error: non-finite conditional mean at node 'root'\n"
+
+    @pytest.mark.parametrize("command", ["eval", "conjugate"])
+    def test_overflowing_path_sum_exits_1(self, capsys, tmp_path, command):
+        # root and d each at 1.5e308: fsum overflowed on the paths through d and ended in a traceback
+        tree = uniform_binomial(3)
+        dump_tree(tree, tmp_path / "tree.json")
+        dump_bimeasure(BiMeasure(tree, {"root": 1.5e308}, {"d": 1.5e308}), tmp_path / "m.json")
+        measure = json.loads((tmp_path / "m.json").read_text())
+        (tmp_path / "spec.json").write_text(json.dumps({"format": "spec", "elements": [{"measure": measure}]}))
+        dump_spec(worst_case_spec(tree), tmp_path / "worst.json")
+        dump_process(AdaptedProcess.zero(tree), tmp_path / "x.json")
+        args = {
+            "eval": ["--spec", "spec.json", "--process", "x.json"],
+            "conjugate": ["--spec", "worst.json", "--measure", "m.json"],
+        }[command]
+        argv = [command, "--tree", str(tmp_path / "tree.json"), *(str(tmp_path / a) if a.endswith(".json") else a for a in args)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: non-finite path sum at leaf 'ddd'\n"
 
     def test_module_entry_point(self, workdir):
         _, p = workdir

@@ -1,7 +1,9 @@
 """Canonical risk measure instances and their cross-checking oracles."""
 
+import decimal
 import itertools
 import math
+from fractions import Fraction
 from math import fsum
 
 import numpy as np
@@ -34,6 +36,7 @@ from treerisk import (
 )
 
 from treerisk.bimeasure import terminal_density_measure
+from treerisk import instances
 from treerisk.instances import _density_vertices
 
 from conftest import interleaved_tree, random_process, random_static, random_tree
@@ -383,6 +386,46 @@ class TestAvar:
             assert abs(scan - via_density) <= TRIPLE_TOL
 
 
+class TestAvarAtTheFloatEdges:
+    def test_spread_past_the_float_range(self):
+        # loss - t overflowed for t = -1.5e308 and read 4.166666666667e+307
+        Y = static_of(uniform_binomial(2), [-1.5e308, 1.5e308, 1.0, 2.0])
+        want = (Fraction(1.5e308) / 10 - Fraction(3, 4)) / Fraction(0.9)  # 1.666666666667e+307
+        assert abs(avar(Y, 0.9) - float(want)) <= 16 * U * 1.5e308 * (1.0 + 1.0 / 0.9)
+        rng = np.random.default_rng(257)
+        for _ in range(20):
+            tree = random_tree(rng, max_depth=3, max_branch=4)
+            values = rng.uniform(-1.0, 1.0, size=len(tree.leaves)) * 1.7e308
+            values[:2] = -1.7e308, 1.7e308
+            Y, alpha = static_of(tree, rng.permutation(values)), float(rng.uniform(0.01, 0.9))
+            got = avar(Y, alpha)
+            assert got == 2.0 * scan_avar(static_of(tree, Y.vector / 2.0), alpha)
+            want = exact_avar(Y, alpha)
+            assert abs(got - float(want)) <= 16 * U * 1.7e308 * (1.0 + 1.0 / alpha)
+
+    def test_level_whose_reciprocal_overflows(self):
+        # 1 / alpha is inf, and inv * 0.0 at the worst atom read nan
+        rng = np.random.default_rng(263)
+        for alpha in (1e-310, 5e-324):
+            for _ in range(10):
+                Y = random_static(random_tree(rng), rng)
+                assert avar(Y, alpha) == -Y.vector.min()
+
+    def test_infinite_rounding_bound_stops_at_the_neighbours(self, monkeypatch):
+        evaluations = []  # the objective makes one repeat() per evaluation past the worst atom
+        monkeypatch.setattr(instances, "repeat", lambda w, s: evaluations.append(w) or itertools.repeat(w, s))
+        Y = static_of(flat_tree([1 / 200] * 200), np.linspace(-1e300, 1e300, 200))
+        assert avar(Y, 1e-300) == 1e300  # every atom outweighs alpha: the worst loss
+        assert len(evaluations) == 1  # its one neighbour, not the 199 atoms past it
+
+
+def exact_avar(Y, alpha):
+    """min_t { t + E[(L - t)^+] / alpha } over the realized losses, in rational arithmetic."""
+    prob = [Fraction(p) for p in Y.tree.leaf_prob.tolist()]
+    losses = [-Fraction(v) for v in Y.vector.tolist()]
+    return min(t + sum(p * (x - t) for p, x in zip(prob, losses) if x > t) / Fraction(alpha) for t in losses)
+
+
 class TestAvarSpec:
     def test_binary_vertices(self, t1):
         spec = avar_spec(t1, 0.5)
@@ -512,27 +555,54 @@ class TestEntropic:
         # beta times the largest loss overflows to +inf or -inf
         assert entropic(StaticRV(t1, values), 10.0) == expected
 
-    def test_finite_results_keep_the_max_shift(self):
-        def max_shift(Y, beta):  # the form before the overflow branch
-            leaves, prob = Y.tree.leaves, Y.tree.prob
-            shift = max(-beta * Y.values[leaf] for leaf in leaves)
-            total = fsum(prob[leaf] * math.exp(-beta * Y.values[leaf] - shift) for leaf in leaves)
-            return (shift + math.log(total)) / beta
-
+    def test_finite_results_match_a_decimal_reference(self):
         rng = np.random.default_rng(113)
-        finite = 0
         for trial in range(300):
             tree = random_tree(rng)
             # beta and beta * scale as powers of 10; every other trial near the float range
             b, e = rng.uniform(-6, 6), rng.uniform(-300, 300) if trial % 2 else rng.uniform(300, 312)
             beta, scale = 10.0**b, 10.0 ** min(e - b, 307.0)
             Y = StaticRV(tree, {leaf: scale * float(rng.normal()) for leaf in tree.leaves})
-            expected, got = max_shift(Y, beta), entropic(Y, beta)
-            assert not math.isnan(got)
-            if not math.isnan(expected):
-                finite += 1
-                assert got.hex() == expected.hex()
-        assert 200 <= finite < 300  # both branches ran
+            assert_entropic_close(Y, beta)
+
+    def test_small_beta_keeps_every_digit(self):
+        # the log of a sum of exp rounds each term near 1: 1.2e-8 off at beta 1e-9, 3.2e-2 at 1e-15
+        tree = uniform_binomial(3)
+        Y = static_of(tree, [i - 3 + 0.1 * i * i for i in range(8)])
+        for k in range(-15, 4):
+            assert_entropic_close(Y, 10.0**k)
+
+    def test_constant_on_a_leaf_mass_off_one(self):
+        # branch probabilities 0.5 + 4e-13, which the tree accepts: the leaf mass is 1 + 8e-13
+        tree = flat_tree([0.5 + 4e-13, 0.5 + 4e-13])
+        for beta in (1e-15, 1e-9, 1.0, 1e3):
+            assert entropic(StaticRV.constant(tree, 2.0), beta) == -2.0
+        rng = np.random.default_rng(131)
+        for _ in range(20):
+            tree = random_tree(rng)
+            c = float(rng.normal() * 10.0 ** rng.uniform(-10, 10))
+            assert entropic(StaticRV.constant(tree, c), float(10.0 ** rng.uniform(-15, 3))) == -c
+
+
+def entropic_reference(Y, beta):
+    """(1/beta) log(sum p exp(-beta y) / sum p) with 50 digits, shifted by the worst loss m: m + log1p(s) / beta
+    for s = sum p expm1(beta (-y - m)) / sum p, by series where exp and ln would cancel the digits away."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        tiny = decimal.Decimal("1e-12")
+        p = [decimal.Decimal(q) for q in Y.tree.leaf_prob.tolist()]
+        y = [decimal.Decimal(v) for v in Y.vector.tolist()]
+        b = decimal.Decimal(beta)
+        m = max(-v for v in y)
+        x = [b * (-v - m) for v in y]
+        s = sum(q * (xi.exp() - 1 if abs(xi) > tiny else xi + xi**2 / 2 + xi**3 / 6) for q, xi in zip(p, x)) / sum(p)
+        return float(m + ((1 + s).ln() if abs(s) > tiny else s - s**2 / 2 + s**3 / 3) / b)
+
+
+def assert_entropic_close(Y, beta):
+    """Within 8 u (|reference| + max|Y|): the rounding of the shift, the exponents and the logarithm."""
+    got, want = entropic(Y, beta), entropic_reference(Y, beta)
+    assert abs(got - want) <= 8 * U * (abs(want) + float(np.abs(Y.vector).max())), (beta, got, want)
 
 
 def all_stopping_times(tree):

@@ -151,6 +151,13 @@ def test_empty_segments_read_zero():
     assert outcome(lambda: segment_fsums(terms, starts)) == expected(segments)
 
 
+def test_one_run_given_as_a_list():
+    """A list of starts with one entry: its run length is an integer, so an uncertified run slices the terms."""
+    with mock.patch.object(scenario, "_FSUMS_CUTOFF", 0):
+        assert outcome(lambda: segment_fsums(np.array([1.0, -1.0]), [0])) == expected([[1.0, -1.0]])
+        assert outcome(lambda: segment_fsums(np.array([0.5, 2.0**-60]), [0])) == expected([[0.5, 2.0**-60]])
+
+
 def test_normal_data_takes_the_certified_route(monkeypatch):
     """Above the cut-off, ordinary sums are certified: no segment falls back to fsum."""
     rng = np.random.default_rng(2)
