@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import fsum
+from math import fsum, inf
 from typing import Sequence
 
 import numpy as np
@@ -12,9 +12,10 @@ import numpy as np
 from .errors import ValidationError
 from .process import AdaptedProcess, _require_finite, _require_same_tree
 from .riskcore import _UNIT_ROUNDOFF, RiskMeasureSpec, _rho_result
-from .scenario import segment_fsums
+from .scenario import _named_fsums
 
 FAIRNESS_SLACK_TOL = 1e-12  # the audit passes when no blend undercuts by more
+_BLEND_FAULT = "non-finite value in the blended position at node '{}'"
 
 
 # Tolerance of the add-up check, from rounding analysis with u = 2**-53.
@@ -27,8 +28,12 @@ FAIRNESS_SLACK_TOL = 1e-12  # the audit passes when no blend undercuts by more
 # adds u |sum_k|. With S estimated by sum_i |k_i| + |rho| (an upper bound
 # unless a charge's own terms cancel), |sum_k - rho| <= (n + 8)u (sum_i |k_i|
 # + |rho|) to first order; the factor 2 covers the second-order terms.
+# Charges that cancel may hold magnitudes whose sum passes the float range: the bound is then inf.
 def _sum_tol(k: tuple[float, ...], rho: float) -> float:
-    return 2 * (len(k) + 8) * _UNIT_ROUNDOFF * (fsum(abs(x) for x in k) + abs(rho))
+    try:
+        return 2 * (len(k) + 8) * _UNIT_ROUNDOFF * (fsum(abs(x) for x in k) + abs(rho))
+    except OverflowError:
+        return inf
 
 
 @dataclass(frozen=True)
@@ -84,21 +89,6 @@ def _position_matrix(spec: RiskMeasureSpec, positions: list[AdaptedProcess]) -> 
     return np.array([X.vector for X in positions])
 
 
-def _blend(terms: np.ndarray, order: Sequence[str]) -> np.ndarray:
-    """Per node, the correctly rounded sum of its blend terms, one column per node."""
-    try:
-        return np.array(segment_fsums(terms))
-    except OverflowError:
-        for nid, col in zip(order, terms.T.tolist()):
-            try:
-                fsum(col)
-            except OverflowError:
-                raise ValidationError(
-                    f"non-finite value in the blended position at node '{nid}'"
-                ) from None
-        raise
-
-
 @dataclass(frozen=True)
 class FairnessCertificate:
     samples: int
@@ -143,7 +133,7 @@ def fairness_check(
     worst_slack, worst_alpha, witness_dev = float("inf"), alphas[0], 0.0
     for alpha in alphas:
         # per node, fsum of alpha_j X_j(n); alpha <= 1 keeps every product finite
-        blended = _blend(np.array(alpha)[:, None] * P, spec.tree.order)
+        blended = np.array(_named_fsums(np.array(alpha)[:, None] * P, None, _BLEND_FAULT, spec.tree.order))
         charged = fsum(alpha[j] * result.k[j] for j in range(n))
         slack = max(spec._penalized_losses(blended)) - charged
         if slack < worst_slack:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from math import fsum, isfinite
 from typing import Sequence
 
@@ -220,7 +219,12 @@ def variation_norm(a: BiMeasure, p: float = 1.0) -> float:
     if not p >= 1.0:
         raise ValidationError(f"norm order must satisfy p >= 1, got {p!r}")
     at = var.nonzero()[0]  # the covered leaves; the others would add 0.0 to the fsum
-    return fsum(q * v**p for q, v in zip(a.tree.leaf_prob[at].tolist(), var[at].tolist())) ** (1.0 / p)
+    prob, var = a.tree.leaf_prob[at].tolist(), var[at].tolist()
+    try:
+        return fsum(q * v**p for q, v in zip(prob, var)) ** (1.0 / p)
+    except OverflowError:  # a power or the sum passed the float range: ||v||_p = M ||v / M||_p
+        top = max(var)
+        return top * fsum(q * (v / top) ** p for q, v in zip(prob, var)) ** (1.0 / p)
 
 
 def jordan(a: BiMeasure) -> tuple[BiMeasure, BiMeasure]:
@@ -282,17 +286,17 @@ def stopping_time_measure(tree: ScenarioTree, tau: dict[str, int]) -> BiMeasure:
         k = tau[leaf]
         if not _is_int(k) or not 0 <= k <= K:
             raise ValidationError(f"stopping depth {k!r} at leaf '{leaf}' out of range 0..{K}")
-    dfs = [tau[leaf] for leaf in tree.leaves_under(tree.root)]
-    spans = enumerate(zip(*(bound.tolist() for bound in tree.node_spans())))
-    op: list[int] = []
-    for k, ids in enumerate(tree.depth_nodes):
-        stops = list(accumulate((t == k for t in dfs), initial=0))  # stops among the first d DFS leaves
-        for nid, (i, (lo, hi)) in zip(ids, spans):  # ids first: no span is drawn past the level
-            if 0 < stops[hi] - stops[lo] < hi - lo:
-                raise ValidationError(f"stopping decision at depth {k} is not measurable at node '{nid}'")
-            if stops[hi] > stops[lo]:
-                op.append(i)
-    return _build(tree, *_NO_ENTRIES, np.array(op, np.intp), np.ones(len(op)))
+    taus = np.fromiter(map(tau.__getitem__, tree.leaves), np.intp, len(tree.leaves))
+    at = _paths(tree)[np.arange(len(taus)), taus]  # the node where each leaf's path stops
+    stops = np.bincount(at, minlength=len(tree.order))  # per node, the leaves below it stopping there
+    lo, hi = tree.node_spans()
+    mixed = np.flatnonzero((stops > 0) & (stops < hi - lo))  # in canonical order, so depth by depth
+    if len(mixed):
+        i = mixed[0]
+        k = taus[(at == i).argmax()]
+        raise ValidationError(f"stopping decision at depth {k} is not measurable at node '{tree.order[i]}'")
+    op = np.flatnonzero(stops)
+    return _build(tree, *_NO_ENTRIES, op, np.ones(len(op)))
 
 
 def terminal_density_measure(f: StaticRV) -> BiMeasure:

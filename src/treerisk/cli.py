@@ -71,6 +71,7 @@ class ReportDoc:
     columns: list[str]
     rows: list[list[object]] = field(default_factory=list)
     summary: dict[str, object] = field(default_factory=dict)
+    exit_code: int = 0
 
 
 def fmt_real(x: float) -> str:
@@ -165,7 +166,7 @@ def _single_process_path(ns: argparse.Namespace) -> str:
     return ns.process[0]
 
 
-def _cmd_eval(ns: argparse.Namespace) -> int:
+def _cmd_eval(ns: argparse.Namespace) -> ReportDoc:
     tree = _load_tree(ns)
     _need(ns, spec=ns.spec)
     spec = fileio.load_spec(ns.spec, tree)
@@ -176,11 +177,10 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
         doc.rows.append([label, res.values[i], "*" if i in res.argmax else ""])
     doc.summary["value"] = res.value
     doc.summary["maximizers"] = ",".join(spec.labels[i] for i in res.argmax)
-    _emit(doc, ns)
-    return 0
+    return doc
 
 
-def _cmd_static_eval(ns: argparse.Namespace) -> int:
+def _cmd_static_eval(ns: argparse.Namespace) -> ReportDoc:
     tree = _load_tree(ns)
     _need(ns, spec=ns.spec)
     spec = fileio.load_spec(ns.spec, tree)
@@ -190,11 +190,10 @@ def _cmd_static_eval(ns: argparse.Namespace) -> int:
     doc.rows.append(["value", value])
     if spec.is_coherent:
         doc.rows.append(["coherent_direct", static_rho_coherent_direct(spec, Y)])
-    _emit(doc, ns)
-    return 0
+    return doc
 
 
-def _cmd_project(ns: argparse.Namespace) -> int:
+def _cmd_project(ns: argparse.Namespace) -> ReportDoc:
     tree = _load_tree(ns)
     source = fileio.load_projectable(_single_process_path(ns), tree)
     if isinstance(source, StaticRV):
@@ -208,11 +207,10 @@ def _cmd_project(ns: argparse.Namespace) -> int:
         doc = ReportDoc(command="project", columns=["node", "optional", "predictable"])
         doc.rows.extend(map(list, zip(tree.order, opt.vector.tolist(), pred.vector.tolist())))
         doc.summary["input"] = "raw_process"
-    _emit(doc, ns)
-    return 0
+    return doc
 
 
-def _cmd_conjugate(ns: argparse.Namespace) -> int:
+def _cmd_conjugate(ns: argparse.Namespace) -> ReportDoc:
     tree = _load_tree(ns)
     _need(ns, spec=ns.spec, measure=ns.measure)
     spec = fileio.load_spec(ns.spec, tree)
@@ -224,17 +222,16 @@ def _cmd_conjugate(ns: argparse.Namespace) -> int:
             doc.rows.append([label, g, ""])
         doc.summary["value"] = "inf"
         doc.summary["status"] = "infeasible"
-        _emit(doc, ns)
-        return 2
+        doc.exit_code = 2
+        return doc
     for label, g, w in zip(spec.labels, spec.gammas, sol.weights):
         doc.rows.append([label, g, w])
     doc.summary["value"] = sol.cost
     doc.summary["status"] = "feasible"
-    _emit(doc, ns)
-    return 0
+    return doc
 
 
-def _cmd_allocate(ns: argparse.Namespace) -> int:
+def _cmd_allocate(ns: argparse.Namespace) -> ReportDoc:
     tree = _load_tree(ns)
     _need(ns, spec=ns.spec, process=ns.process)
     seed = _seed(ns)
@@ -256,31 +253,28 @@ def _cmd_allocate(ns: argparse.Namespace) -> int:
     doc.summary["fairness_witness_dev"] = cert.max_witness_deviation
     doc.summary["fairness_passed"] = cert.passed
     doc.summary["seed"] = cert.seed
-    _emit(doc, ns)
-    return 0
+    return doc
 
 
-def _cmd_instances(ns: argparse.Namespace) -> int:
+def _cmd_instances(ns: argparse.Namespace) -> ReportDoc:
     tree = _load_tree(ns)
     _need(ns, alpha=ns.alpha)
     Y = fileio.load_static(_single_process_path(ns), tree)
     doc = ReportDoc(command="instances", columns=["measure", "value"])
-    exit_code = 0
     doc.rows.append([f"var[{ns.alpha:g}]", var_alpha(Y, ns.alpha)])
     try:
         doc.rows.append([f"tce[{ns.alpha:g}]", es_tce(Y, ns.alpha)])
     except UndefinedQuantityError:
         doc.rows.append([f"tce[{ns.alpha:g}]", "undefined"])
-        exit_code = 2
+        doc.exit_code = 2
     doc.rows.append([f"avar[{ns.alpha:g}]", avar(Y, ns.alpha)])
     doc.rows.append([f"entropic[{ns.beta:g}]", entropic(Y, ns.beta)])
     doc.rows.append(["worst_case", max(-v for v in Y.vector.tolist())])
-    doc.summary["status"] = "ok" if exit_code == 0 else "undefined-quantity"
-    _emit(doc, ns)
-    return exit_code
+    doc.summary["status"] = "ok" if doc.exit_code == 0 else "undefined-quantity"
+    return doc
 
 
-def _cmd_diagnose_ui(ns: argparse.Namespace) -> int:
+def _cmd_diagnose_ui(ns: argparse.Namespace) -> ReportDoc:
     tree = _load_tree(ns)
     _need(ns, process=ns.process)
     family = [fileio.load_static(p, tree) for p in ns.process]
@@ -290,11 +284,10 @@ def _cmd_diagnose_ui(ns: argparse.Namespace) -> int:
         doc.rows.append([k, eta])
     doc.summary["verdict"] = report.verdict
     doc.summary["family_size"] = len(family)
-    _emit(doc, ns)
-    return 0
+    return doc
 
 
-def _cmd_diagnose_lebesgue(ns: argparse.Namespace) -> int:
+def _cmd_diagnose_lebesgue(ns: argparse.Namespace) -> ReportDoc:
     _need(ns, depths=ns.depths)
     if max(ns.depths) > MAX_LEBESGUE_DEPTH:
         raise ValidationError(
@@ -319,8 +312,7 @@ def _cmd_diagnose_lebesgue(ns: argparse.Namespace) -> int:
     doc.summary["family"] = report.family_label
     doc.summary["exceedance_vanishing"] = report.exceedance_vanishing
     doc.summary["verdict"] = report.verdict
-    _emit(doc, ns)
-    return 0
+    return doc
 
 
 def _random_signed_bimeasure(tree, rng) -> BiMeasure:
@@ -342,7 +334,7 @@ def _random_raw_pair(tree, rng) -> tuple[RawProcess, RawBiMeasure]:
     return _new(RawProcess, tree, z), _new(RawBiMeasure, tree, left, right)
 
 
-def _cmd_diagnose_identities(ns: argparse.Namespace) -> int:
+def _cmd_diagnose_identities(ns: argparse.Namespace) -> ReportDoc:
     tree = _load_tree(ns)
     seed = _seed(ns)
     samples = 100 if ns.samples is None else ns.samples
@@ -386,8 +378,7 @@ def _cmd_diagnose_identities(ns: argparse.Namespace) -> int:
     )
     doc.summary["samples"] = samples
     doc.summary["seed"] = ns.seed
-    _emit(doc, ns)
-    return 0
+    return doc
 
 
 _COMMANDS = {
@@ -404,8 +395,10 @@ _COMMANDS = {
 
 
 def run(ns: argparse.Namespace) -> int:
-    """Execute one parsed command, returning the process exit code."""
-    return _COMMANDS[ns.command](ns)
+    """Execute one parsed command, write its report and return the process exit code."""
+    doc = _COMMANDS[ns.command](ns)
+    _emit(doc, ns)
+    return doc.exit_code
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:

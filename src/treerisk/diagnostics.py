@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,45 +64,29 @@ def ui_modulus(family: Sequence[StaticRV], thresholds: Sequence[float]) -> UIRep
     )
 
 
-class GeneratingFamily(Protocol):
-    """What a refinement probe needs from a scenario family at one depth."""
+class GeneratingFamily(NamedTuple):
+    """What a refinement probe reads from a scenario family at one depth: its label, its risk
+    ``rho(X)`` and ``variation_densities()``, the densities its tail modulus is taken over."""
 
     label: str
-
-    def rho(self, X: AdaptedProcess) -> float: ...
-
-    def variation_densities(self) -> list[StaticRV]: ...
+    rho: Callable[[AdaptedProcess], float]
+    variation_densities: Callable[[], list[StaticRV]]
 
 
-class SpecFamily:
-    """Wrap an explicit generating spec."""
-
-    def __init__(self, spec: RiskMeasureSpec, label: str = "spec"):
-        self.spec = spec
-        self.label = label
-
-    def rho(self, X: AdaptedProcess) -> float:
-        return rho_eval(self.spec, X).value
-
-    def variation_densities(self) -> list[StaticRV]:
-        return [variation(a) for a in self.spec.measures()]
+def SpecFamily(spec: RiskMeasureSpec, label: str = "spec") -> GeneratingFamily:
+    """An explicit generating spec as a family."""
+    return GeneratingFamily(
+        label, lambda X: rho_eval(spec, X).value, lambda: [variation(a) for a in spec.measures()]
+    )
 
 
-class WorstCaseFamily:
+def WorstCaseFamily(tree: ScenarioTree) -> GeneratingFamily:
     """Renormalized leaf point masses; exact at any depth."""
+    spec = worst_case_spec(tree)
 
-    def __init__(self, tree: ScenarioTree):
-        self.spec = worst_case_spec(tree)
-        self.tree = tree
-        self.label = "worst-case"
-
-    def rho(self, X: AdaptedProcess) -> float:
-        return rho_eval(self.spec, X).value
-
-    def variation_densities(self) -> list[StaticRV]:
+    def variation_densities() -> list[StaticRV]:
         # one representative point mass per distinct leaf probability carries
         # the whole family's tail modulus
-        tree = self.tree
         out, seen = [], set()
         for i, p in enumerate(tree.leaf_prob.tolist()):
             if p not in seen:
@@ -112,8 +96,10 @@ class WorstCaseFamily:
                 out.append(_new(StaticRV, tree, vector))
         return out
 
+    return GeneratingFamily("worst-case", lambda X: rho_eval(spec, X).value, variation_densities)
 
-class AVaRFamily:
+
+def AVaRFamily(tree: ScenarioTree, alpha: float) -> GeneratingFamily:
     """The full dual density polytope of avar, evaluated without enumeration.
 
     The generating elements are terminal densities, so the supremum over the
@@ -121,19 +107,13 @@ class AVaRFamily:
     Tail moduli are reported on representative extreme densities: every member
     is capped at 1/alpha, so the modulus vanishes exactly beyond that cap.
     """
+    level, label = float(alpha), f"avar[{alpha:g}]"
 
-    def __init__(self, tree: ScenarioTree, alpha: float):
-        self.tree = tree
-        self.alpha = float(alpha)
-        self.label = f"avar[{alpha:g}]"
-
-    def rho(self, X: AdaptedProcess) -> float:
-        return avar(terminal_values(X), self.alpha)
-
-    def variation_densities(self) -> list[StaticRV]:
-        tree = self.tree
+    def variation_densities() -> list[StaticRV]:
         ranking = _new(StaticRV, tree, np.arange(len(tree.leaves), dtype=float))
-        return [StaticRV.constant(tree, 1.0), avar_max_density(ranking, self.alpha)]
+        return [StaticRV.constant(tree, 1.0), avar_max_density(ranking, level)]
+
+    return GeneratingFamily(label, lambda X: avar(terminal_values(X), level), variation_densities)
 
 
 @dataclass(frozen=True)

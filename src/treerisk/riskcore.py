@@ -27,9 +27,10 @@ from .bimeasure import BiMeasure, increment_vector, variation_norm
 from .convexgeom import SimplexProgram, min_cost_combination
 from .errors import ValidationError
 from .process import AdaptedProcess, StaticRV, _new, _require_same_tree, optional_projection_static
-from .scenario import _UNIT_ROUNDOFF, SUM_TOL, ScenarioTree, segment_fsums
+from .scenario import _UNIT_ROUNDOFF, SUM_TOL, ScenarioTree, _named_fsums
 
 TIE_TOL = 1e-12
+_LOSS_FAULT = "non-finite loss at element '{}'"  # an element's fsum that overflows
 
 # Certified unit-variation check. For a nonnegative element with c = pr + op,
 # exactly E[Var(a)] = sum_l P(l) sum_{n on path(l)} c(n) = sum_n c(n) M(n),
@@ -221,7 +222,8 @@ class RiskMeasureSpec:
         """-<X, a_i> - gamma_i for every element, X given as a canonical node vector."""
         with np.errstate(all="ignore"):
             terms = self._weight * x[self._node]
-        return tuple(-s - g for s, g in zip(segment_fsums(terms, self._starts), self.gammas))
+        sums = _named_fsums(terms, self._starts, _LOSS_FAULT, self.labels)
+        return tuple(-s - g for s, g in zip(sums, self.gammas))
 
     def _pairings(self, i: int, xs: np.ndarray) -> list[float]:
         """<X, a_i> for each row X of ``xs``, term for term as :func:`pairing` forms it."""
@@ -229,7 +231,7 @@ class RiskMeasureSpec:
         node = self._node[lo:hi]
         with np.errstate(all="ignore"):
             terms = self._prob[node] * xs[:, node] * (self._pr[lo:hi] + self._op[lo:hi])
-        return segment_fsums(terms.T)
+        return _named_fsums(terms.T, None, "non-finite charge at position {}", range(len(xs)))
 
 
 @dataclass(frozen=True)
@@ -278,10 +280,10 @@ def static_rho_coherent_direct(spec: RiskMeasureSpec, Y: StaticRV) -> float:
     leaf_prob = spec._prob[dfs]
     y = Y.vector[dfs - tree.first_leaf]
     best = -math.inf
-    for leaves, var in spec._variations:
+    for label, (leaves, var) in zip(spec.labels, spec._variations):
         with np.errstate(all="ignore"):
-            terms = memoryview(leaf_prob[leaves] * var * y[leaves])  # yields Python floats
-        v = -fsum(terms)
+            terms = leaf_prob[leaves] * var * y[leaves]
+        v = -_named_fsums(terms, (0,), _LOSS_FAULT, (label,))[0]
         if v > best:
             best = v
     return best

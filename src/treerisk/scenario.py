@@ -427,6 +427,20 @@ def segment_fsums(terms: np.ndarray, starts: Sequence[int] | np.ndarray | None =
     return out
 
 
+def _named_fsums(terms: np.ndarray, starts, message: str, names: Iterable) -> list[float]:
+    """``segment_fsums(terms, starts)``; when an fsum overflows, the segments are fsummed in order and
+    the first that overflows raises :class:`ValidationError`, ``message`` formatted with its name."""
+    try:
+        return segment_fsums(terms, starts)
+    except OverflowError:
+        for name, segment in zip(names, terms.T.tolist() if starts is None else np.split(terms, starts[1:])):
+            try:
+                fsum(segment)
+            except OverflowError:
+                raise ValidationError(message.format(name)) from None
+        raise
+
+
 def _is_int(value: object) -> bool:
     """Whether ``value`` is a Python or numpy integer; bools and floats are not, integral or not."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)

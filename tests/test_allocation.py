@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ import pytest
 from treerisk import (
     AdaptedProcess,
     AllocationResult,
+    BiMeasure,
     FairnessCertificate,
+    RiskMeasureSpec,
     ValidationError,
     allocate,
     fairness_check,
@@ -19,6 +22,7 @@ from treerisk import (
     uniform_binomial,
     worst_case_spec,
 )
+from treerisk.allocation import _sum_tol
 from treerisk.riskcore import TIE_TOL
 from treerisk.scenario import _FSUMS_CUTOFF
 
@@ -167,6 +171,35 @@ class TestAllocate:
             AllocationResult(
                 k=(1.0, 1.0), maximizer=0, maximizer_label="x", rho_total=0.5, sum_k=2.0
             )
+
+
+    def test_overflowing_charge_names_its_position(self, t1):
+        # the portfolio, -max / 2, is finite; the charge of the position at -max is not
+        top = sys.float_info.max
+        spec = RiskMeasureSpec(t1, [(BiMeasure(t1, {}, {"d": 1.0000000004, "u": 1.0000000004}), 0.0)])
+        low = AdaptedProcess(t1, {nid: -top for nid in t1.order})
+        half = AdaptedProcess(t1, {nid: top / 2 for nid in t1.order})
+        for positions, i in (([low, half], 0), ([half, half, low], 2)):
+            with pytest.raises(ValidationError) as exc:
+                allocate(spec, positions)
+            assert str(exc.value) == f"non-finite charge at position {i}"
+
+    def test_cancelling_charges_add_up(self, t1):
+        # |k_1| + |k_2| passes the float range: the add-up bound is infinite and the charges stand
+        spec = RiskMeasureSpec(t1, [(BiMeasure(t1, {}, {"d": 1.0, "u": 1.0}), 0.0)])
+        positions = [AdaptedProcess(t1, {nid: s * 1e308 for nid in t1.order}) for s in (1.0, -1.0)]
+        result = allocate(spec, positions)
+        assert (result.k, result.sum_k, result.rho_total) == ((-1e308, 1e308), 0.0, 0.0)
+        assert fairness_check(result, spec, positions, samples=20, seed=3).passed
+
+    def test_finite_add_up_bounds_keep_their_bits(self):
+        rng = np.random.default_rng(19)
+        for n in (1, 2, 5, 40):
+            for scale in (1e-300, 1.0, 1e300):
+                k = tuple((rng.normal(size=n) * scale).tolist())
+                rho = float(rng.normal()) * scale
+                expected = 2 * (n + 8) * 2.0**-53 * (math.fsum(abs(x) for x in k) + abs(rho))
+                assert float.hex(_sum_tol(k, rho)) == float.hex(expected)
 
 
 class TestMatchesDictWalk:

@@ -1,5 +1,6 @@
 """Bi-measures: pairing, variation, Jordan parts, dual projection, canonical elements."""
 
+import decimal
 import math
 
 import numpy as np
@@ -33,6 +34,7 @@ from treerisk import (
 
 from conftest import (
     brute_mean,
+    brute_under,
     hexed,
     interleaved_tree,
     random_bimeasure,
@@ -314,6 +316,35 @@ class TestVariation:
                 assert abs(va.values[leaf] - vp.values[leaf] - vm.values[leaf]) <= TOL
 
 
+    def test_norms_past_the_float_range_rescale(self, t2):
+        # a point mass of 1e200 on one leaf: v**2 and v**3.5 pass the float range, the norms do not
+        a = BiMeasure(t2, {}, {"ud": 1e200})
+        assert variation_norm(a, 1.0) == 2.5e199
+        assert variation_norm(a, math.inf) == 1e200
+        assert abs(variation_norm(a, 2.0) - 5e199) <= 4 * math.ulp(5e199)
+        # several leaves at several sizes, the largest scaling the rest
+        b = BiMeasure(t2, {"root": 1e300}, {"ud": 1e300, "d": 3e299})
+        var = {"dd": 1.3e300, "du": 1.3e300, "ud": 2e300, "uu": 1e300}
+        for m, p in ((a, 3.5), (b, 2.0), (b, 3.0)):
+            with decimal.localcontext() as ctx:
+                ctx.prec = 60
+                D = decimal.Decimal
+                leaves = var.items() if m is b else [("ud", 1e200)]
+                exact = float(sum(D(t2.prob[leaf]) * D(v) ** D(p) for leaf, v in leaves) ** (1 / D(p)))
+            assert abs(variation_norm(m, p) - exact) <= 4 * math.ulp(exact)
+
+    def test_norms_within_the_float_range_keep_their_bits(self):
+        rng = np.random.default_rng(44)
+        for trial in range(30):
+            tree = (random_tree if trial % 2 else interleaved_tree)(rng)
+            scale = 10.0 ** float(rng.choice([-30, 0, 30, 80]))
+            a = random_bimeasure(tree, rng).scale(scale)
+            var = variation(a).values
+            for p in (1.0, 1.5, 2.0, 3.5):
+                total = math.fsum(tree.prob[leaf] * v**p for leaf, v in var.items() if v != 0.0)
+                assert float.hex(variation_norm(a, p)) == float.hex(total ** (1.0 / p))
+
+
 class TestJordan:
     def test_positive_measure_splits_trivially(self, t1):
         a = dirac_d(t1)
@@ -581,6 +612,35 @@ class TestStoppingTimeMeasure:
             with pytest.raises(ValidationError) as exc:
                 stopping_time_measure(tree, tau)
             assert str(exc.value) == "stopping decision at depth {} is not measurable at node '{}'".format(*first)
+
+
+    def test_matches_a_dfs_walk(self):
+        # the op nodes, or the first node whose leaves disagree, from each node's leaves gathered
+        # in DFS order; genuine stopping times with up to two leaves moved off them, on trees whose
+        # canonical order interleaves subtrees
+        rng = np.random.default_rng(79)
+        for _ in range(80):
+            tree = interleaved_tree(rng, max_depth=4)
+            under = brute_under(tree)
+            stop = {n for n in tree.order if rng.uniform() < 0.3} | set(tree.leaves)
+            tau = {leaf: next(k for k, n in enumerate(tree.path(leaf)) if n in stop) for leaf in tree.leaves}
+            for j in rng.choice(len(tree.leaves), size=int(rng.integers(0, 3))):
+                tau[tree.leaves[j]] = int(rng.integers(0, tree.K + 1))
+            op, first = {}, None
+            for nid in tree.order:
+                k = tree.nodes[nid].depth
+                stops = [tau[leaf] == k for leaf in under[nid]]
+                if all(stops):
+                    op[nid] = 1.0
+                elif any(stops) and first is None:
+                    first = f"stopping decision at depth {k} is not measurable at node '{nid}'"
+            if first is None:
+                m = stopping_time_measure(tree, tau)
+                assert (m.pr_inc, hexed(m.op_inc)) == ({}, hexed(op))
+                continue
+            with pytest.raises(ValidationError) as exc:
+                stopping_time_measure(tree, tau)
+            assert str(exc.value) == first
 
 
 class TestTerminalDensityMeasure:

@@ -1349,6 +1349,52 @@ class TestDeterminismAndErrors:
         assert (code, out) == (1, "")
         assert err == "error: non-finite path sum at leaf 'ddd'\n"
 
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("eval", "non-finite loss at element 'big'"),
+            ("static-eval", "non-finite loss at element 'big'"),
+            ("allocate", "non-finite charge at position 0"),
+        ],
+    )
+    def test_overflowing_loss_or_charge_exits_1(self, capsys, tmp_path, t1, command, message):
+        # expected variation 1 + 4e-10, within the unit norm check: at the float maximum the
+        # element's fsum of 0.5 w max and 0.5 w max overflowed and ended in a traceback
+        top = sys.float_info.max
+        w = 1.0000000004
+        dump_tree(t1, tmp_path / "tree.json")
+        spec = RiskMeasureSpec(t1, [(BiMeasure(t1, {}, {"d": w, "u": w}), 0.0)], labels=["big"])
+        dump_spec(spec, tmp_path / "spec.json")
+        dump_process(AdaptedProcess(t1, {nid: -top for nid in t1.order}), tmp_path / "low.json")
+        dump_process(AdaptedProcess(t1, {nid: top / 2 for nid in t1.order}), tmp_path / "half.json")
+        dump_static(StaticRV(t1, {leaf: -top for leaf in t1.leaves}), tmp_path / "y.json")
+        args = {
+            "eval": ["--process", "low.json"],
+            "static-eval": ["--process", "y.json"],
+            "allocate": ["--process", "low.json", "--process", "half.json", "--seed", "1"],
+        }[command]
+        argv = [command, "--tree", "tree.json", "--spec", "spec.json", *args]
+        code, out, err = run_cli(capsys, *(str(tmp_path / a) if a.endswith(".json") else a for a in argv))
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
+    def test_allocate_with_cancelling_charges(self, capsys, tmp_path, t1):
+        # |k_1| + |k_2| passes the float range; the charges add up to the portfolio's zero risk
+        dump_tree(t1, tmp_path / "tree.json")
+        spec = RiskMeasureSpec(t1, [(BiMeasure(t1, {}, {"d": 1.0, "u": 1.0}), 0.0)])
+        dump_spec(spec, tmp_path / "spec.json")
+        for name, v in (("xp", 1e308), ("xm", -1e308)):
+            dump_process(AdaptedProcess(t1, {nid: v for nid in t1.order}), tmp_path / f"{name}.json")
+        code, out, err = run_cli(
+            capsys, "allocate", "--tree", str(tmp_path / "tree.json"), "--spec", str(tmp_path / "spec.json"),
+            "--process", str(tmp_path / "xp.json"), "--process", str(tmp_path / "xm.json"),
+            "--seed", "1", "--samples", "5", "--format", "structured",
+        )
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert [k for _, k in report["rows"]] == [-1e308, 1e308]
+        assert (report["summary"]["sum_k"], report["summary"]["fairness_passed"]) == (0.0, True)
+
     def test_module_entry_point(self, workdir):
         _, p = workdir
         result = subprocess.run(

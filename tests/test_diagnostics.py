@@ -10,11 +10,14 @@ from treerisk import (
     AVaRFamily,
     BiMeasure,
     RefinementSchedule,
+    ScenarioTree,
+    SpecFamily,
     StaticRV,
     ValidationError,
     WorstCaseFamily,
     attainment_check,
     avar_crash_schedule,
+    avar_spec,
     crash_sequence,
     decomposition_battery,
     jordan,
@@ -27,6 +30,7 @@ from treerisk import (
     worst_case_crash_schedule,
     worst_case_spec,
 )
+from treerisk.diagnostics import GeneratingFamily
 
 from conftest import (
     random_bimeasure,
@@ -117,6 +121,72 @@ class TestFamilies:
                 for _ in range(5):
                     X = random_process(tree, rng)
                     assert abs(family.rho(X) - rho_eval(spec, X).value) <= 1e-10
+
+    def test_spec_family_reads_its_spec(self):
+        rng = np.random.default_rng(30)
+        for depth, alpha in ((2, 0.3), (3, 0.5), (3, 0.2)):
+            tree = uniform_binomial(depth)
+            spec = avar_spec(tree, alpha)
+            family = SpecFamily(spec)
+            assert family.label == "spec" and SpecFamily(spec, "mine").label == "mine"
+            for _ in range(5):
+                X = random_process(tree, rng)
+                assert float.hex(family.rho(X)) == float.hex(rho_eval(spec, X).value)
+            densities = [d.vector.tolist() for d in family.variation_densities()]
+            assert densities == [variation(a).vector.tolist() for a in spec.measures()]
+
+    def test_spec_family_schedule_matches_the_worst_case_one(self):
+        # every leaf point mass against one representative per leaf probability: the same
+        # risks and, by the representatives' construction, the same tail modulus
+        depths = range(1, 7)
+        spec_family = RefinementSchedule(
+            depths=tuple(depths),
+            family_builder=lambda tree: SpecFamily(worst_case_spec(tree)),
+            sequence_builder=crash_sequence,
+        )
+        ours, theirs = lebesgue_probe(spec_family), lebesgue_probe(worst_case_crash_schedule(depths))
+        assert (ours.family_label, theirs.family_label) == ("spec", "worst-case")
+        for a, b in zip(ours.rows, theirs.rows, strict=True):
+            assert [a.rho_moving.hex(), a.rho_limit.hex()] == [b.rho_moving.hex(), b.rho_limit.hex()]
+            assert a.modulus == b.modulus
+        assert ours.verdict == theirs.verdict
+
+    def test_builders_give_the_pinned_records(self):
+        # leaf masses 0.2, 0.2, 0.15, 0.45: the worst-case family keeps one point mass per
+        # distinct mass, the spec family one per leaf
+        rows = [("root", None, 0, 0.0, 1.0), ("a", "root", 1, 0.5, 0.4), ("b", "root", 1, 0.5, 0.6)]
+        rows += [("aa", "a", 2, 1.0, 0.5), ("ab", "a", 2, 1.0, 0.5)]
+        rows += [("ba", "b", 2, 1.0, 0.25), ("bb", "b", 2, 1.0, 0.75)]
+        tree = ScenarioTree(rows)
+        X = AdaptedProcess(tree, {nid: ((5 * i) % 7 - 3) / 7 for i, nid in enumerate(tree.order)})
+
+        def point(i, v):
+            return ["0x0.0p+0"] * i + [v] + ["0x0.0p+0"] * (3 - i)
+
+        five, six, nine = "0x1.4000000000000p+2", "0x1.aaaaaaaaaaaabp+2", "0x1.1c71c71c71c72p+1"
+        worst = "0x1.2492492492492p-2"
+        expected = [
+            ("worst-case", worst, [point(0, five), point(2, six), point(3, nine)]),
+            ("avar[0.3]", "0x1.e79e79e79e79ep-3", [
+                ["0x1.0000000000000p+0"] * 4,
+                ["0x1.aaaaaaaaaaaabp+1", "0x1.aaaaaaaaaaaa9p+0", "0x0.0p+0", "0x0.0p+0"],
+            ]),
+            ("spec", worst, [point(0, five), point(1, five), point(2, six), point(3, nine)]),
+        ]
+        families = WorstCaseFamily(tree), AVaRFamily(tree, 0.3), SpecFamily(worst_case_spec(tree))
+        for family, (label, rho, densities) in zip(families, expected):
+            assert type(family) is GeneratingFamily
+            assert family.label == label
+            assert family.rho(X).hex() == rho
+            assert [[v.hex() for v in d.vector.tolist()] for d in family.variation_densities()] == densities
+
+    def test_builders_resolve_in_both_namespaces(self):
+        import treerisk
+        import treerisk.diagnostics
+
+        assert GeneratingFamily._fields == ("label", "rho", "variation_densities")
+        for name in ("SpecFamily", "WorstCaseFamily", "AVaRFamily"):
+            assert getattr(treerisk, name) is getattr(treerisk.diagnostics, name)
 
     def test_crash_sequence_shape(self, t2):
         X_n, X_lim = crash_sequence(t2)

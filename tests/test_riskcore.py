@@ -1,6 +1,7 @@
 """Risk evaluation, axioms, conjugates, subgradients for generated measure specs."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -420,6 +421,23 @@ class TestStaticRho:
         spec = RiskMeasureSpec(t1, [(a, 0.0), (b, 1.0)])
         with pytest.raises(ValidationError):
             static_rho_coherent_direct(spec, StaticRV.constant(t1, 0.0))
+
+
+class TestLossesPastTheFloatRange:
+    def test_the_first_overflowing_element_is_named(self, t1):
+        # expected variation 1 + 4e-10 passes the unit norm check; at -max on every node its
+        # loss, 0.5 w max + 0.5 w max, passes the float range, and the unit element's does not
+        top = sys.float_info.max
+        elements = [(BiMeasure(t1, {}, {"d": w, "u": w}), 0.0) for w in (1.0, 1.0000000004, 1.0000000004)]
+        spec = RiskMeasureSpec(t1, elements, labels=["unit", "big", "bigger"])
+        X = AdaptedProcess(t1, {nid: -top for nid in t1.order})
+        Y = StaticRV(t1, {leaf: -top for leaf in t1.leaves})
+        for evaluate, arg in ((rho_eval, X), (static_rho, Y), (static_rho_coherent_direct, Y)):
+            with pytest.raises(ValidationError) as exc:
+                evaluate(spec, arg)
+            assert str(exc.value) == "non-finite loss at element 'big'"
+        one = RiskMeasureSpec(t1, elements[:1])
+        assert rho_eval(one, X).value == static_rho_coherent_direct(one, Y) == top
 
 
 class TestPathVariations:

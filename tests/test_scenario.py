@@ -606,6 +606,20 @@ def test_build_tree_requires_branch_probabilities():
     assert str(exc.value) == "missing branch probability for node 'a'"
 
 
+def test_build_tree_matches_the_constructor():
+    # rows in a shuffled order, with and without a root entry in branch_prob
+    rng = np.random.default_rng(61)
+    for tree in [interleaved_tree(rng) for _ in range(8)] + [random_tree(rng), uniform_binomial(3)]:
+        rows = [tree.nodes[nid] for nid in rng.permutation(tree.order).tolist()]
+        ref = ScenarioTree(tuple(row) for row in rows)
+        branch = {row.id: row.branch_prob for row in rows if row.parent is not None}
+        for branch_prob in (branch, {**branch, ref.root: 1.0}):
+            built = build_tree([(row.id, row.parent, row.depth, row.time) for row in rows], branch_prob)
+            assert built.order == ref.order and built.parent.tolist() == ref.parent.tolist()
+            assert [p.hex() for p in built.node_prob.tolist()] == [p.hex() for p in ref.node_prob.tolist()]
+            assert [b.tolist() for b in built.node_spans()] == [b.tolist() for b in ref.node_spans()]
+
+
 def test_uniform_binomial_depth_must_be_an_integer():
     for bad in (2.5, True, 2.0):
         with pytest.raises(ValidationError) as exc:
