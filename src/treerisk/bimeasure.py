@@ -16,6 +16,7 @@ fields there (+0.0 where a field stores nothing). ``_layout`` builds it from
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from math import fsum, isfinite
 from typing import Sequence
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .process import AdaptedProcess, RawProcess, StaticRV, _require_same_tree
-from .process import _Arrays, _dfs_rows, _grid_dict, _hold, _new, _paths, _read_grid
+from .process import _Arrays, _dfs_rows, _grid_dict, _hold, _new, _read_grid
 from .scenario import ScenarioTree, _is_int, segment_fsums
 
 DENSITY_NORM_TOL = 1e-9  # how far from 1 a terminal density's mean may be
@@ -161,7 +162,7 @@ def as_raw(a: BiMeasure) -> RawBiMeasure:
     tree = a.tree
     nodes = np.zeros((len(tree.order), 2))  # pr and op per canonical node
     nodes[a.node] = np.column_stack((a.pr, a.op))
-    paths = _paths(tree)
+    paths = tree._paths
     left = np.zeros(paths.shape)
     left[:, 1:] = nodes[paths[:, :-1], 0]  # a predictable increment acts one step after its node
     return _new(RawBiMeasure, tree, left, nodes[paths, 1])
@@ -178,7 +179,11 @@ def pairing(X: AdaptedProcess, a: BiMeasure) -> float:
     _require_same_tree(X.tree, a.tree)
     node = a.node
     with np.errstate(all="ignore"):
-        return fsum((X.tree.node_prob[node] * X.vector[node] * (a.pr + a.op)).tolist())
+        terms = (X.tree.node_prob[node] * X.vector[node] * (a.pr + a.op)).tolist()
+    with suppress(OverflowError, ValueError):  # a partial sum past the float range; inf - inf
+        if isfinite(total := fsum(terms)):
+            return total
+    raise ValidationError("non-finite pairing: a term or the sum passes the float range")
 
 
 def raw_pairing(Z: RawProcess, a: RawBiMeasure) -> float:
@@ -287,7 +292,7 @@ def stopping_time_measure(tree: ScenarioTree, tau: dict[str, int]) -> BiMeasure:
         if not _is_int(k) or not 0 <= k <= K:
             raise ValidationError(f"stopping depth {k!r} at leaf '{leaf}' out of range 0..{K}")
     taus = np.fromiter(map(tau.__getitem__, tree.leaves), np.intp, len(tree.leaves))
-    at = _paths(tree)[np.arange(len(taus)), taus]  # the node where each leaf's path stops
+    at = tree._paths[np.arange(len(taus)), taus]  # the node where each leaf's path stops
     stops = np.bincount(at, minlength=len(tree.order))  # per node, the leaves below it stopping there
     lo, hi = tree.node_spans()
     mixed = np.flatnonzero((stops > 0) & (stops < hi - lo))  # in canonical order, so depth by depth

@@ -13,7 +13,7 @@ from .errors import ValidationError
 from .instances import avar, avar_max_density, worst_case_spec
 from .process import AdaptedProcess, StaticRV, _new, prob_sup_exceedance, terminal_values
 from .riskcore import RiskMeasureSpec, rho_eval
-from .scenario import ScenarioTree, _is_int, segment_fsums, uniform_binomial
+from .scenario import ScenarioTree, _is_int, _named_fsums, uniform_binomial
 
 DEFAULT_K_GRID = (0.0, 1.0, 5.0, 10.0, 20.0, 50.0)
 EPS_GRID = (0.5, 0.25, 0.125)  # separation levels lebesgue_probe records
@@ -54,7 +54,8 @@ def ui_modulus(family: Sequence[StaticRV], thresholds: Sequence[float]) -> UIRep
             raise ValidationError("tree mismatch inside the family")
     size = np.abs(np.array([f.vector for f in family]).T)  # one column per member
     weighted = tree.leaf_prob[:, None] * size
-    etas = [max([0.0, *segment_fsums(np.where(size > k, weighted, 0.0))]) for k in ks]
+    names, fault = range(len(family)), "non-finite tail mass of family member {}"  # an fsum that overflows
+    etas = [max([0.0, *_named_fsums(np.where(size > k, weighted, 0.0), None, fault, names)]) for k in ks]
     verdict = "decaying" if etas[-1] < DECAY_THRESHOLD else "non-decaying"
     return UIReport(
         thresholds=tuple(ks),
@@ -274,16 +275,17 @@ def decomposition_battery(measures: Sequence[BiMeasure]) -> DecompositionReport:
     jord = np.max(np.abs(term - (var_p - var_m)), axis=1)
     term_envelope = np.max(np.abs(term), axis=0)
     var_envelope = np.max(var, axis=0)
-    rows = tuple(
-        DecompositionRow(
-            terminal_bound_slack=float(bound_slack[e]),
-            additivity_deviation=float(addv[e]),
-            jordan_deviation=float(jord[e]),
-            var_within_2_terminal_envelope=bool(np.all(var[e] <= 2.0 * term_envelope)),
-            terminal_within_2_var_envelope=bool(np.all(np.abs(term[e]) <= 2.0 * var_envelope)),
+    with np.errstate(over="ignore"):  # a doubled envelope past the float maximum compares as inf
+        rows = tuple(
+            DecompositionRow(
+                terminal_bound_slack=float(bound_slack[e]),
+                additivity_deviation=float(addv[e]),
+                jordan_deviation=float(jord[e]),
+                var_within_2_terminal_envelope=bool(np.all(var[e] <= 2.0 * term_envelope)),
+                terminal_within_2_var_envelope=bool(np.all(np.abs(term[e]) <= 2.0 * var_envelope)),
+            )
+            for e in range(len(measures))
         )
-        for e in range(len(measures))
-    )
     return DecompositionReport(
         rows=rows,
         sup_variation=float(var_envelope.max()),

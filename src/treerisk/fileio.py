@@ -178,7 +178,7 @@ def load_tree(path: str | Path) -> ScenarioTree:
     if not isinstance(rows, list) or not rows:
         raise FileFormatError(f"{path}: 'nodes' must be a non-empty array")
     ids, parents, depths, times, probs = _columns(path, [("nodes", rows, "")], _TREE)
-    return ScenarioTree(zip(ids, parents, depths, map(float, times), map(float, probs)))
+    return ScenarioTree(_columns=(ids, parents, depths, [*map(float, times)], [*map(float, probs)]))
 
 
 def dump_tree(tree: ScenarioTree, path: str | Path) -> None:

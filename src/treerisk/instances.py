@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import UndefinedQuantityError, ValidationError
-from .process import AdaptedProcess, StaticRV, _new, _paths
+from .process import AdaptedProcess, StaticRV, _new
 from .riskcore import _UNIT_ROUNDOFF, RiskMeasureSpec
 from .scenario import ScenarioTree
 
@@ -301,5 +301,5 @@ def stopped_worst_case(tree: ScenarioTree, X: AdaptedProcess) -> StoppedWorstCas
         if cont[i] and not V[i] >= (c := fsum(cont[i])):  # ties stop
             stop[i], V[i] = False, c
         cont[parent[i]].append(branch[i] * V[i])
-    tau = dict(zip(tree.leaves, np.array(stop)[_paths(tree)].argmax(axis=1).tolist()))  # each path's first stop
+    tau = dict(zip(tree.leaves, np.array(stop)[tree._paths].argmax(axis=1).tolist()))  # each path's first stop
     return StoppedWorstCase(value=V[0], tau=tau)

@@ -122,11 +122,6 @@ def _new(cls, tree: ScenarioTree, *arrays: np.ndarray):
     return obj
 
 
-def _paths(tree: ScenarioTree) -> np.ndarray:
-    """Shape (L, K + 1): row i holds the path of ``tree.leaves[i]`` as canonical indices."""
-    return tree.leaf_paths()[tree.node_spans()[0][tree.first_leaf :]]
-
-
 def _dfs_rows(tree: ScenarioTree, grid: np.ndarray) -> np.ndarray:
     """The columns of an (L, K + 1) grid as rows over the DFS leaves, as ``node_means`` reads them."""
     return grid[tree.leaf_paths()[:, -1] - tree.first_leaf].T
@@ -237,7 +232,7 @@ class RawProcess(_Arrays):
     @classmethod
     def from_adapted(cls, X: AdaptedProcess) -> "RawProcess":
         """Resolve an adapted process along each path: value at (leaf, k) is X at the depth-k ancestor."""
-        return _new(cls, X.tree, X.vector[_paths(X.tree)])
+        return _new(cls, X.tree, X.vector[X.tree._paths])
 
 
 def terminal_values(X: AdaptedProcess) -> StaticRV:
@@ -247,7 +242,7 @@ def terminal_values(X: AdaptedProcess) -> StaticRV:
 
 def running_sup(X: AdaptedProcess) -> StaticRV:
     """Pathwise supremum of |X| from the root through each leaf."""
-    return _new(StaticRV, X.tree, np.abs(X.vector)[_paths(X.tree)].max(axis=1))
+    return _new(StaticRV, X.tree, np.abs(X.vector)[X.tree._paths].max(axis=1))
 
 
 def sup_norm(X: AdaptedProcess) -> float:

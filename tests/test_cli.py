@@ -1311,15 +1311,20 @@ class TestDeterminismAndErrors:
         assert out == ""
         assert err == "error: project expects a 'static' or 'raw_process' document, got 'process'\n"
 
-    def test_overflowing_projection_exits_1(self, capsys, tmp_path):
-        # three levels of branch probabilities 0.3, 0.3, 0.4 + 1e-13: the leaf mass exceeds 1, so the
-        # root's weighted sum of leaf values at the float maximum and its predecessor overflows
+    @staticmethod
+    def _heavy_tree():
+        """Three levels of branch probabilities 0.3, 0.3, 0.4 + 1e-13: the leaf mass exceeds 1, so a
+        weighted sum of leaf values at the float maximum overflows."""
         rows, level = [TreeNode("root", None, 0, 0.0, 1.0)], [""]
         for k in range(1, 4):
             level = [nid + c for nid in level for c in "abc"]
             rows += [TreeNode(nid, nid[:-1] or "root", k, float(k), 0.4 + 1e-13 if nid[-1] == "c" else 0.3)
                      for nid in level]
-        tree = ScenarioTree(rows)
+        return ScenarioTree(rows)
+
+    def test_overflowing_projection_exits_1(self, capsys, tmp_path):
+        # the root's weighted sum of leaf values at the float maximum and its predecessor overflows
+        tree = self._heavy_tree()
         top = sys.float_info.max
         y = {leaf: np.nextafter(top, 0.0) if i % 2 else top for i, leaf in enumerate(tree.leaves)}
         dump_tree(tree, tmp_path / "tree.json")
@@ -1329,6 +1334,17 @@ class TestDeterminismAndErrors:
         )
         assert (code, out) == (1, "")
         assert err == "error: non-finite conditional mean at node 'root'\n"
+
+    def test_overflowing_tail_modulus_exits_1(self, capsys, tmp_path):
+        # the second member's tail mass at threshold 0, densities at the float maximum, overflows
+        tree = self._heavy_tree()
+        dump_tree(tree, tmp_path / "tree.json")
+        for name, value in (("one", 1.0), ("top", sys.float_info.max)):
+            dump_static(StaticRV(tree, dict.fromkeys(tree.leaves, value)), tmp_path / f"{name}.json")
+        files = [a for name in ("one", "top") for a in ("--process", str(tmp_path / f"{name}.json"))]
+        code, out, err = run_cli(capsys, "diagnose-ui", "--tree", str(tmp_path / "tree.json"), *files)
+        assert (code, out) == (1, "")
+        assert err == "error: non-finite tail mass of family member 1\n"
 
     @pytest.mark.parametrize("command", ["eval", "conjugate"])
     def test_overflowing_path_sum_exits_1(self, capsys, tmp_path, command):
@@ -1459,6 +1475,15 @@ TREE_ROWS = {
         "{bad}: nodes[1].parent must be a string or null",
     ),
     "string-depth": ([_ROOT, _node("d", depth="1"), _node("u")], "{bad}: nodes[1].depth must be an integer"),
+    "integer-time-clash": (
+        [_ROOT, _node("d", time=1), _node("u", time=2)],
+        "node 'u' has time 2.0, but depth 1 was already placed at time 1.0",
+    ),
+    "integer-p-past-one": ([_ROOT, _node("d", p=2), _node("u")], "branch probability of node 'd' must lie in (0, 1], got 2.0"),
+    "integer-grid-start": (
+        [{**_ROOT, "time": 1}, _node("d", time=2), _node("u", time=2)],
+        "the time grid must start at 0, got t_0 = 1.0",
+    ),
 }
 
 # t1's rows in other forms that load, through the walk (a root with p = 1 or not first) or not

@@ -22,6 +22,7 @@ from treerisk import (
     decomposition_battery,
     jordan,
     lebesgue_probe,
+    pairing,
     rho_eval,
     terminal_increment,
     ui_modulus,
@@ -328,6 +329,17 @@ class TestDecompositionBattery:
                 )
             assert report.sup_variation == max(var_env.values())
             assert report.sup_terminal == max(term_env.values())
+
+    def test_envelopes_past_half_the_float_maximum(self, t2):
+        # a variation of 1e308 doubles past the float maximum: the comparisons read inf, with no
+        # overflow warning (warnings are errors here), and both envelopes hold
+        a = BiMeasure(t2, pr_inc={}, op_inc={leaf: 1e308 for leaf in t2.leaves})
+        [row] = decomposition_battery([a]).rows
+        assert row.var_within_2_terminal_envelope and row.terminal_within_2_var_envelope
+        X = AdaptedProcess(t2, {n: 1e308 for n in t2.order})
+        with pytest.raises(ValidationError) as exc:
+            pairing(X, a)
+        assert str(exc.value) == "non-finite pairing: a term or the sum passes the float range"
 
     def test_validation(self, t1, t2):
         with pytest.raises(ValidationError):

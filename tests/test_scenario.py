@@ -2,6 +2,7 @@
 
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -425,141 +426,261 @@ def _binary(p=0.5):
     return [_root()] + [TreeNode(nid, nid[:-1] or "r", len(nid), float(len(nid)), p) for nid in ids]
 
 
-@pytest.mark.parametrize(
-    "nodes, message",
-    [
-        ([], "tree has no nodes"),
-        ([_root(id="")], "node id must be a non-empty string, got ''"),
-        ([_root(depth=1)], "root node 'r' must have depth 0, got 1"),
-        ([_root(branch_prob=0.5)], "root node 'r' must carry branch probability 1"),
-        ([_root(), TreeNode("a", "ghost", 1, 1.0, 1.0)], "node 'a' references unknown parent 'ghost'"),
-        ([_root(), TreeNode("a", "r", 1, math.nan, 1.0)], "node 'a' has non-finite time nan"),
-        (
-            [_root(), TreeNode("a", "r", 1, 1.0, 0.5), TreeNode("b", "r", 1, 2.0, 0.5)],
-            "node 'b' has time 2.0, but depth 1 was already placed at time 1.0",
-        ),
-        ([_root(time=0.5), TreeNode("a", "r", 1, 1.0, 1.0)], "the time grid must start at 0, got t_0 = 0.5"),
-        (
-            [_root(), TreeNode("a", "r", 1, 1.0, 0.5), TreeNode("a", "r", 1, 1.0, 0.5)],
-            "duplicate node id 'a'",
-        ),
-        ([TreeNode("a", "ghost", 1, 1.0, 1.0)], "expected exactly one root node, found 0"),
-        ([_root(id="r1"), _root(id="r2")], "expected exactly one root node, found 2"),
-        (
-            [_root(), TreeNode("a", "r", 2, 1.0, 1.0)],
-            "node 'a' at depth 2 must sit one level below parent 'r' at depth 0",
-        ),
-        (
-            [_root(), TreeNode("a", "r", 1, 1.0, 0.0), TreeNode("b", "r", 1, 1.0, 1.0)],
-            "branch probability of node 'a' must lie in (0, 1], got 0.0",
-        ),
-        (
-            [_root(), TreeNode("a", "r", 1, 1.0, 1.5)],
-            "branch probability of node 'a' must lie in (0, 1], got 1.5",
-        ),
-        (
-            [_root(), TreeNode("a", "r", 1, 0.0, 1.0)],
-            "times must be strictly increasing, got t_0 = 0.0 and t_1 = 0.0",
-        ),
-        (
-            _binary()[:5],
-            "node 'b' has no children but sits at depth 1 < 2; all leaves must share the terminal depth",
-        ),
-        (
-            [_root(), TreeNode("a", "r", 1, 1.0, 0.6), TreeNode("b", "r", 1, 1.0, 0.6)],
-            "children probabilities sum != 1 under node 'r' (got 1.2)",
-        ),
-        # field types: integral floats and bools pass the depth arithmetic but are no depths
-        ([_root(), TreeNode("a", "r", 1.0, 1.0, 1.0)], "node 'a' has depth 1.0; depths must be integers"),
-        ([_root(), TreeNode("a", "r", True, 1.0, 1.0)], "node 'a' has depth True; depths must be integers"),
-        ([_root(depth=0.0), TreeNode("a", "r", 1, 1.0, 1.0)], "node 'r' has depth 0.0; depths must be integers"),
-        ([_root(), TreeNode("a", "r", 1, "1.0", 1.0)], "node 'a' has non-numeric time '1.0'"),
-        (
-            [_root(), TreeNode("a", "r", 1, 1.0, "1.0")],
-            "branch probability of node 'a' must lie in (0, 1], got '1.0'",
-        ),
-        # one check, two faulty nodes: the first in input order is named, whatever its id
-        (
-            [_root(), TreeNode("b", "r", 1, 1.0, 0.5), TreeNode("a", "r", 1, 1.0, 0.5),
-             TreeNode("a", "r", 1, 1.0, 0.5), TreeNode("b", "r", 1, 1.0, 0.5)],
-            "duplicate node id 'a'",
-        ),
-        (
-            [_root(), TreeNode("y", "ghost2", 1, 1.0, 1.0), TreeNode("x", "ghost1", 1, 1.0, 1.0)],
-            "node 'y' references unknown parent 'ghost2'",
-        ),
-        (
-            [_root(), TreeNode("b", "r", 1, 1.0, 0.0), TreeNode("a", "r", 1, 1.0, 1.5)],
-            "branch probability of node 'b' must lie in (0, 1], got 0.0",
-        ),
-        (
-            [_root(), TreeNode("c", "r", 1, 1.0, 0.5), TreeNode("b", "r", 1, 1.0, 0.25),
-             TreeNode("a", "r", 1, 1.0, 0.25), TreeNode("cc", "c", 2, 2.0, 1.0)],
-            "node 'b' has no children but sits at depth 1 < 2; all leaves must share the terminal depth",
-        ),
-        (
-            [_binary()[0], _binary()[2], _binary()[1], *_binary(0.2)[3:5], *_binary(0.7)[5:]],
-            "children probabilities sum != 1 under node 'b' (got 1.4)",
-        ),
-        (
-            [*_binary()[:3], *_binary(0.2)[3:5], *_binary(0.7)[5:]],
-            "children probabilities sum != 1 under node 'a' (got 0.4)",
-        ),
-        # one pass, two checks: node by node in input order
-        (
-            [_root(), TreeNode("a", "r", 1, 1.0, 0.0), TreeNode("b", "r", 2, 1.0, 1.0)],
-            "branch probability of node 'a' must lie in (0, 1], got 0.0",
-        ),
-        # two passes: every node meets the earlier check before any meets the later one
-        (
-            [_root(id="r1"), _root(id="r2"), TreeNode("a", "r1", 1, 1.0, 0.5), TreeNode("a", "r1", 1, 1.0, 0.5)],
-            "duplicate node id 'a'",
-        ),
-        (
-            [_root(), TreeNode("a", "r", 1, math.nan, 0.5), TreeNode("b", "ghost", 1, 1.0, 0.5)],
-            "node 'b' references unknown parent 'ghost'",
-        ),
-        (
-            [_root(), TreeNode("a", "r", 1, 1.0, 0.5), TreeNode("b", "r", 1, 2.0, 0.5),
-             TreeNode("c", "r", 1, 1.0, 1.5)],
-            "branch probability of node 'c' must lie in (0, 1], got 1.5",
-        ),
-        (
-            [*_binary()[:3], TreeNode("aa", "a", 2, 1.0, 1.0)],
-            "times must be strictly increasing, got t_1 = 1.0 and t_2 = 1.0",
-        ),
-        (
-            [_root(), TreeNode("a", "r", 1, 1.0, 0.6), TreeNode("b", "r", 1, 1.0, 0.6),
-             TreeNode("aa", "a", 2, 2.0, 1.0)],
-            "node 'b' has no children but sits at depth 1 < 2; all leaves must share the terminal depth",
-        ),
-        (
-            [*_binary()[:3], *_binary(0.6)[3:5], *_binary(0.5 + 4.5e-13)[5:]],
-            "children probabilities sum != 1 under node 'a' (got 1.2)",
-        ),
-        # two path probabilities underflow: the first in input order is named
-        (
-            [_root(), TreeNode("a", "r", 1, 1.0, 1e-200), TreeNode("b", "r", 1, 1.0, 1.0),
-             TreeNode("ac", "a", 2, 2.0, 1.0), TreeNode("ab", "a", 2, 2.0, 1e-200),
-             TreeNode("aa", "a", 2, 2.0, 1e-200), TreeNode("ba", "b", 2, 2.0, 1.0)],
-            "path probability of node 'ab' underflows to 0.0",
-        ),
-    ],
-    ids=[
-        "empty", "empty-id", "root-depth", "root-prob", "unknown-parent", "nan-time", "two-times", "t0",
-        "duplicate", "no-root", "two-roots", "depth-below-parent", "prob-zero", "prob-above-one",
-        "times-not-increasing", "short-leaf", "sibling-sum",
-        "float-depth", "bool-depth", "float-root-depth", "string-time", "string-branch-prob",
-        "first-duplicate", "first-unknown-parent", "first-branch-prob", "first-short-leaf",
-        "first-sibling-sum-b", "first-sibling-sum-a", "prob-before-depth", "duplicate-before-roots",
-        "parent-before-time", "prob-before-time", "times-before-short-leaf", "short-leaf-before-sibling-sum",
-        "sibling-sum-before-leaf-mass", "first-path-prob-underflow",
-    ],
-)
+# each faulty tree with the message naming its first fault
+TREE_FAULTS = [
+    ([], "tree has no nodes"),
+    ([_root(id="")], "node id must be a non-empty string, got ''"),
+    ([_root(depth=1)], "root node 'r' must have depth 0, got 1"),
+    ([_root(branch_prob=0.5)], "root node 'r' must carry branch probability 1"),
+    ([_root(), TreeNode("a", "ghost", 1, 1.0, 1.0)], "node 'a' references unknown parent 'ghost'"),
+    ([_root(), TreeNode("a", "r", 1, math.nan, 1.0)], "node 'a' has non-finite time nan"),
+    (
+        [_root(), TreeNode("a", "r", 1, 1.0, 0.5), TreeNode("b", "r", 1, 2.0, 0.5)],
+        "node 'b' has time 2.0, but depth 1 was already placed at time 1.0",
+    ),
+    ([_root(time=0.5), TreeNode("a", "r", 1, 1.0, 1.0)], "the time grid must start at 0, got t_0 = 0.5"),
+    (
+        [_root(), TreeNode("a", "r", 1, 1.0, 0.5), TreeNode("a", "r", 1, 1.0, 0.5)],
+        "duplicate node id 'a'",
+    ),
+    ([TreeNode("a", "ghost", 1, 1.0, 1.0)], "expected exactly one root node, found 0"),
+    ([_root(id="r1"), _root(id="r2")], "expected exactly one root node, found 2"),
+    (
+        [_root(), TreeNode("a", "r", 2, 1.0, 1.0)],
+        "node 'a' at depth 2 must sit one level below parent 'r' at depth 0",
+    ),
+    (
+        [_root(), TreeNode("a", "r", 1, 1.0, 0.0), TreeNode("b", "r", 1, 1.0, 1.0)],
+        "branch probability of node 'a' must lie in (0, 1], got 0.0",
+    ),
+    (
+        [_root(), TreeNode("a", "r", 1, 1.0, 1.5)],
+        "branch probability of node 'a' must lie in (0, 1], got 1.5",
+    ),
+    (
+        [_root(), TreeNode("a", "r", 1, 0.0, 1.0)],
+        "times must be strictly increasing, got t_0 = 0.0 and t_1 = 0.0",
+    ),
+    (
+        _binary()[:5],
+        "node 'b' has no children but sits at depth 1 < 2; all leaves must share the terminal depth",
+    ),
+    (
+        [_root(), TreeNode("a", "r", 1, 1.0, 0.6), TreeNode("b", "r", 1, 1.0, 0.6)],
+        "children probabilities sum != 1 under node 'r' (got 1.2)",
+    ),
+    # field types: integral floats and bools pass the depth arithmetic but are no depths
+    ([_root(), TreeNode("a", "r", 1.0, 1.0, 1.0)], "node 'a' has depth 1.0; depths must be integers"),
+    ([_root(), TreeNode("a", "r", True, 1.0, 1.0)], "node 'a' has depth True; depths must be integers"),
+    ([_root(depth=0.0), TreeNode("a", "r", 1, 1.0, 1.0)], "node 'r' has depth 0.0; depths must be integers"),
+    ([_root(), TreeNode("a", "r", 1, "1.0", 1.0)], "node 'a' has non-numeric time '1.0'"),
+    (
+        [_root(), TreeNode("a", "r", 1, 1.0, "1.0")],
+        "branch probability of node 'a' must lie in (0, 1], got '1.0'",
+    ),
+    # one check, two faulty nodes: the first in input order is named, whatever its id
+    (
+        [_root(), TreeNode("b", "r", 1, 1.0, 0.5), TreeNode("a", "r", 1, 1.0, 0.5),
+         TreeNode("a", "r", 1, 1.0, 0.5), TreeNode("b", "r", 1, 1.0, 0.5)],
+        "duplicate node id 'a'",
+    ),
+    (
+        [_root(), TreeNode("y", "ghost2", 1, 1.0, 1.0), TreeNode("x", "ghost1", 1, 1.0, 1.0)],
+        "node 'y' references unknown parent 'ghost2'",
+    ),
+    (
+        [_root(), TreeNode("b", "r", 1, 1.0, 0.0), TreeNode("a", "r", 1, 1.0, 1.5)],
+        "branch probability of node 'b' must lie in (0, 1], got 0.0",
+    ),
+    (
+        [_root(), TreeNode("c", "r", 1, 1.0, 0.5), TreeNode("b", "r", 1, 1.0, 0.25),
+         TreeNode("a", "r", 1, 1.0, 0.25), TreeNode("cc", "c", 2, 2.0, 1.0)],
+        "node 'b' has no children but sits at depth 1 < 2; all leaves must share the terminal depth",
+    ),
+    (
+        [_binary()[0], _binary()[2], _binary()[1], *_binary(0.2)[3:5], *_binary(0.7)[5:]],
+        "children probabilities sum != 1 under node 'b' (got 1.4)",
+    ),
+    (
+        [*_binary()[:3], *_binary(0.2)[3:5], *_binary(0.7)[5:]],
+        "children probabilities sum != 1 under node 'a' (got 0.4)",
+    ),
+    # one pass, two checks: node by node in input order
+    (
+        [_root(), TreeNode("a", "r", 1, 1.0, 0.0), TreeNode("b", "r", 2, 1.0, 1.0)],
+        "branch probability of node 'a' must lie in (0, 1], got 0.0",
+    ),
+    # two passes: every node meets the earlier check before any meets the later one
+    (
+        [_root(id="r1"), _root(id="r2"), TreeNode("a", "r1", 1, 1.0, 0.5), TreeNode("a", "r1", 1, 1.0, 0.5)],
+        "duplicate node id 'a'",
+    ),
+    (
+        [_root(), TreeNode("a", "r", 1, math.nan, 0.5), TreeNode("b", "ghost", 1, 1.0, 0.5)],
+        "node 'b' references unknown parent 'ghost'",
+    ),
+    (
+        [_root(), TreeNode("a", "r", 1, 1.0, 0.5), TreeNode("b", "r", 1, 2.0, 0.5),
+         TreeNode("c", "r", 1, 1.0, 1.5)],
+        "branch probability of node 'c' must lie in (0, 1], got 1.5",
+    ),
+    (
+        [*_binary()[:3], TreeNode("aa", "a", 2, 1.0, 1.0)],
+        "times must be strictly increasing, got t_1 = 1.0 and t_2 = 1.0",
+    ),
+    (
+        [_root(), TreeNode("a", "r", 1, 1.0, 0.6), TreeNode("b", "r", 1, 1.0, 0.6),
+         TreeNode("aa", "a", 2, 2.0, 1.0)],
+        "node 'b' has no children but sits at depth 1 < 2; all leaves must share the terminal depth",
+    ),
+    (
+        [*_binary()[:3], *_binary(0.6)[3:5], *_binary(0.5 + 4.5e-13)[5:]],
+        "children probabilities sum != 1 under node 'a' (got 1.2)",
+    ),
+    # two path probabilities underflow: the first in input order is named
+    (
+        [_root(), TreeNode("a", "r", 1, 1.0, 1e-200), TreeNode("b", "r", 1, 1.0, 1.0),
+         TreeNode("ac", "a", 2, 2.0, 1.0), TreeNode("ab", "a", 2, 2.0, 1e-200),
+         TreeNode("aa", "a", 2, 2.0, 1e-200), TreeNode("ba", "b", 2, 2.0, 1.0)],
+        "path probability of node 'ab' underflows to 0.0",
+    ),
+]
+TREE_FAULT_IDS = [
+    "empty", "empty-id", "root-depth", "root-prob", "unknown-parent", "nan-time", "two-times", "t0",
+    "duplicate", "no-root", "two-roots", "depth-below-parent", "prob-zero", "prob-above-one",
+    "times-not-increasing", "short-leaf", "sibling-sum",
+    "float-depth", "bool-depth", "float-root-depth", "string-time", "string-branch-prob",
+    "first-duplicate", "first-unknown-parent", "first-branch-prob", "first-short-leaf",
+    "first-sibling-sum-b", "first-sibling-sum-a", "prob-before-depth", "duplicate-before-roots",
+    "parent-before-time", "prob-before-time", "times-before-short-leaf", "short-leaf-before-sibling-sum",
+    "sibling-sum-before-leaf-mass", "first-path-prob-underflow",
+]
+
+
+@pytest.mark.parametrize("nodes, message", TREE_FAULTS, ids=TREE_FAULT_IDS)
 def test_tree_validation_messages(nodes, message):
     with pytest.raises(ValidationError) as exc:
         ScenarioTree(nodes)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("nodes, message", TREE_FAULTS, ids=TREE_FAULT_IDS)
+def test_tree_validation_messages_on_the_column_route(nodes, message):
+    """Above the cutoff the column checks find the fault, and the walk names the same first one."""
+    with mock.patch.object(scenario, "_TREE_CUTOFF", 0), pytest.raises(ValidationError) as exc:
+        ScenarioTree(nodes)
+    assert str(exc.value) == message
+
+
+def _layout(tree):
+    """What a tree lays out, floats as float.hex."""
+    hexes = lambda values: [float.hex(v) for v in values]
+    return (
+        tree.order, tree.index, tree.parent.tolist(), tree.depth_nodes, hexes(tree.times), hexes(tree.branch_prob),
+        hexes(tree.node_prob.tolist()), [tree.leaves_under(nid) for nid in tree.order],
+        [bound.tolist() for bound in tree.node_spans()], tree.leaf_paths().tolist(),
+    )
+
+
+def _loop_layout(rows):
+    """What the rows lay out, by Python loops and a recursive depth-first walk: the reference for
+    the constructor's numpy passes, in the terms of _layout."""
+    grid = {}
+    for r in rows:
+        grid.setdefault(r.depth, r.time)  # each depth's first row's time
+    rows = sorted(rows, key=lambda r: (r.depth, r.id))
+    order = tuple(r.id for r in rows)
+    index = dict(zip(order, range(len(rows))))
+    parent = [index.get(r.parent, 0) for r in rows]
+    prob, kids = [1.0] * len(rows), [[] for _ in rows]
+    for c in range(1, len(rows)):
+        prob[c] = prob[parent[c]] * rows[c].branch_prob
+        kids[parent[c]].append(c)  # in id order
+    dfs, lo, hi = [], [0] * len(rows), [0] * len(rows)
+
+    def visit(c):
+        lo[c] = len(dfs)
+        for k in kids[c]:
+            visit(k)
+        dfs.extend([] if kids[c] else [c])
+        hi[c] = len(dfs)
+
+    visit(0)
+    paths = [[c] for c in dfs]
+    for path in paths:
+        while path[0]:
+            path.insert(0, parent[path[0]])
+    hexes = lambda values: [float.hex(float(v)) for v in values]
+    return (
+        order, index, parent, tuple(tuple(r.id for r in rows if r.depth == k) for k in sorted(grid)),
+        hexes(grid[k] for k in sorted(grid)), hexes(r.branch_prob for r in rows), hexes(prob),
+        [tuple(order[d] for d in dfs[lo[c] : hi[c]]) for c in range(len(rows))], [lo, hi], paths,
+    )
+
+
+def _skewed_tree(rng, depth):
+    """Three children a node, branch probabilities spread over ten orders of magnitude."""
+    rows, level = [TreeNode("root", None, 0, 0.0, 1.0)], ["root"]
+    for k in range(1, depth + 1):
+        kids = []
+        for parent in level:
+            p = rng.uniform(size=3) ** 10
+            kids += [(f"{parent}.{j}", parent, float(q)) for j, q in enumerate(p / p.sum())]
+        rows += [TreeNode(nid, parent, k, float(k), q) for nid, parent, q in kids]
+        level = [nid for nid, _, _ in kids]
+    return ScenarioTree(rows)
+
+
+def test_both_routes_lay_out_the_same_tree(tmp_path):
+    """The column route (the walk never called) and the row route, on rows in a shuffled order, give
+    the tree that load_tree reads back from dump_tree and the loops' layout, bit for bit."""
+    rng = np.random.default_rng(67)
+    trees = [uniform_binomial(d) for d in range(1, 13)] + [_skewed_tree(rng, d) for d in (2, 4, 6)]
+    trees += [interleaved_tree(rng, max_depth=6, max_branch=4, min_depth=3) for _ in range(4)]
+    trees += [random_tree(rng, max_depth=5, max_branch=5, min_depth=2) for _ in range(4)]
+    for tree in trees:
+        rows = [tree.nodes[nid] for nid in rng.permutation(tree.order).tolist()]
+        columns = [list(column) for column in zip(*rows)]
+        with mock.patch.object(scenario, "_TREE_CUTOFF", 0), mock.patch.object(scenario, "_walk", None):
+            by_columns = ScenarioTree(_columns=columns)
+        with mock.patch.object(scenario, "_TREE_CUTOFF", 2**62):
+            by_rows = ScenarioTree(rows)
+        dump_tree(tree, tmp_path / "tree.json")
+        assert _layout(by_columns) == _layout(by_rows) == _layout(load_tree(tmp_path / "tree.json")) == _layout(tree)
+        assert _layout(by_columns) == _loop_layout(rows)
+
+
+def test_time_grid_reads_each_depth_s_first_row():
+    """Times equal within a depth may differ in sign (0.0 and -0.0): the grid keeps the first row's."""
+    for first, second in ((-0.0, 0.0), (0.0, -0.0)):
+        rows = [_root(time=-1e-13), TreeNode("b", "r", 1, first, 0.5), TreeNode("a", "r", 1, second, 0.5)]
+        for cutoff in (0, 2**62):
+            with mock.patch.object(scenario, "_TREE_CUTOFF", cutoff):
+                assert float.hex(ScenarioTree(rows).times[1]) == float.hex(first)
+
+
+def test_time_grid_is_checked_as_floats():
+    """Integer times the float grid cannot tell apart are refused, on both routes, as the grid the tree keeps."""
+    rows = [_root(time=0), TreeNode("a", "r", 1, 2**53, 1.0), TreeNode("b", "a", 2, 2**53 + 1, 1.0)]
+    for cutoff in (0, 2**62):
+        with mock.patch.object(scenario, "_TREE_CUTOFF", cutoff), pytest.raises(ValidationError) as exc:
+            ScenarioTree(rows)
+        assert str(exc.value) == "times must be strictly increasing, got t_1 = 9007199254740992.0 and t_2 = 9007199254740992.0"
+
+
+def test_uniform_binomial_columns_are_unchanged():
+    """The ids, parents, depths, times and probabilities uniform_binomial hands the constructor are the
+    rows it built one by one, in that order, and the tree is the one those rows build."""
+    init, seen = ScenarioTree.__init__, []
+    for depth in range(1, 9):
+        rows, level = [("root", None, 0, 0.0, 1.0)], [""]
+        for k in range(1, depth + 1):
+            level = [prefix + letter for prefix in level for letter in "du"]
+            rows += [(nid, nid[:-1] or "root", k, k / depth, 0.5) for nid in level]
+        with mock.patch.object(ScenarioTree, "__init__", lambda tree, **kw: seen.append(kw["_columns"]) or init(tree, **kw)):
+            tree = uniform_binomial(depth)
+        assert [list(column) for column in seen.pop()] == [list(column) for column in zip(*rows)]
+        assert _layout(tree) == _layout(ScenarioTree(rows))
 
 
 def test_leaf_mass_within_the_compounded_sibling_bound():

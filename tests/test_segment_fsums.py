@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treerisk import scenario, uniform_binomial
@@ -106,8 +106,24 @@ def ragged(segments):
     return np.array([v for seg in segments for v in seg], float), starts
 
 
+# Hypothesis also draws literals from the source under test, so the drawn examples move whenever
+# src/ gains a constant; these shapes run whatever it draws: a list of starts with an empty segment,
+# max|v| just below 2**(999 - M) (M = 2 for three terms) and at 2**-900, and short sibling families
+# as a tree's probability check sums them
+PINNED_RUNS = [
+    [[1.0, -1.0], [], [0.5, 2.0**-60]],
+    [[math.nextafter(2.0**997, 0.0), -(2.0**996), 1.0], [2.0**996]],
+    [[2.0**-900, 2.0**-953, -(2.0**-901)], [-(2.0**-900)]],
+    [[0.5, 0.5], [0.3, 0.3, 0.4 + 1e-13], [1.0], [0.25] * 4, [0.1] * 10],
+]
+
+
 @SETTINGS
 @given(segment_lists())
+@example(PINNED_RUNS[0])
+@example(PINNED_RUNS[1])
+@example(PINNED_RUNS[2])
+@example(PINNED_RUNS[3])
 def test_runs_match_fsum(segments):
     terms, starts = ragged(segments)
     with mock.patch.object(scenario, "_FSUMS_CUTOFF", 0):  # the certified route at any size
@@ -125,6 +141,9 @@ def test_columns_match_fsum(segments):
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(segment_lists(), st.sampled_from([-1, 0, 1]), st.integers(0, 2**32 - 1))
+@example([[1.0]], -1, 0)  # CUTOFF - 1 terms, then CUTOFF: each side of the cutoff
+@example([[1.0]], 0, 0)
+@example(PINNED_RUNS[3], 0, 1)
 def test_totals_on_both_sides_of_the_cutoff(segments, side, seed):
     size = sum(map(len, segments))
     filler = np.random.default_rng(seed).normal(size=max(CUTOFF + side - size, 1)).tolist()
