@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .process import AdaptedProcess, RawProcess, StaticRV, _require_same_tree
-from .process import _Arrays, _dfs_rows, _grid_dict, _hold, _new, _read_grid
+from .process import _Arrays, _dfs_rows, _dict_grid, _grid_dict, _hold, _new
 from .scenario import ScenarioTree, _is_int, segment_fsums
 
 DENSITY_NORM_TOL = 1e-9  # how far from 1 a terminal density's mean may be
@@ -150,8 +150,8 @@ class RawBiMeasure(_Arrays):
 
     def __post_init__(self):
         tree, fields = self.tree, vars(self)
-        left = _read_grid(tree, fields.pop("left_inc"), 1, "left increment")
-        self._keep(left, _read_grid(tree, fields.pop("right_inc"), 0, "right increment"))
+        left = _dict_grid(tree, fields.pop("left_inc"), 1, "left increment")
+        self._keep(left, _dict_grid(tree, fields.pop("right_inc"), 0, "right increment"))
 
     def _keep(self, left: np.ndarray, right: np.ndarray) -> None:
         _hold(self, left_grid=left, right_grid=right)

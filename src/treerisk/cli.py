@@ -1,9 +1,10 @@
 """Command line driver: file-driven evaluation, projection, allocation, diagnostics.
 
 Exit codes: 0 on success, 1 on validation problems (malformed files, broken
-invariants, bad flags, an unwritable ``--out``), 2 when a requested quantity
-is infeasible or undefined. Reports are deterministic: same inputs and seed
-give identical bytes.
+invariants, bad flags, an unwritable ``--out``, a stdout whose encoding cannot
+hold the report), 2 when a requested quantity is infeasible or undefined.
+Reports are deterministic: same inputs and seed give identical bytes, and
+``--out`` is written as UTF-8 whatever the locale.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from math import fsum
 from pathlib import Path
 
@@ -88,6 +90,9 @@ def _cell(x: object) -> str:
     return str(x)
 
 
+_SCALARS = {str, int, float, bool, type(None)}  # cells whose json text render may indent by replace
+
+
 def _sanitize(x: object) -> object:
     if isinstance(x, float) and math.isinf(x):
         return "inf" if x > 0 else "-inf"
@@ -96,13 +101,23 @@ def _sanitize(x: object) -> object:
 
 def render(doc: ReportDoc, fmt: str) -> str:
     if fmt == "structured":
-        payload = {
-            "command": doc.command,
-            "columns": doc.columns,
-            "rows": [[_sanitize(c) for c in row] for row in doc.rows],
-            "summary": {k: _sanitize(v) for k, v in doc.summary.items()},
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        # json.dumps(payload, indent=2) + "\n". An indent takes json's Python encoder, so rows of
+        # scalars go through its C encoder and are indented by replace: no encoded scalar holds a
+        # newline, so ",\n      " parts two cells and "],\n      [" two rows; the first '"rows": null'
+        # is the key, as a quote in a string is escaped. The cells are sanitized only when their text
+        # holds "Infinity", json's word for an infinite float.
+        sanitized = lambda: [[_sanitize(c) for c in row] for row in doc.rows]
+        scalars = bool(doc.rows) and all(doc.rows) and set(map(type, chain.from_iterable(doc.rows))) <= _SCALARS
+        payload = {"command": doc.command, "columns": doc.columns, "rows": None if scalars else sanitized(),
+                   "summary": {k: _sanitize(v) for k, v in doc.summary.items()}}
+        text = json.dumps(payload, indent=2)
+        if scalars:
+            cells = lambda rows: json.dumps(rows, separators=(",\n      ", ": "))[2:-2]
+            body = cells(doc.rows)
+            body = cells(sanitized()) if "Infinity" in body else body
+            body = body.replace("],\n      [", "\n    ],\n    [\n      ")
+            text = text.replace('"rows": null', f'"rows": [\n    [\n      {body}\n    ]\n  ]', 1)
+        return text + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -134,11 +149,14 @@ def _emit(doc: ReportDoc, ns: argparse.Namespace) -> None:
     text = render(doc, ns.format)
     if ns.out:
         try:
-            Path(ns.out).write_text(text)
+            Path(ns.out).write_text(text, encoding="utf-8")
         except OSError as exc:
             raise ValidationError(f"cannot write report to {ns.out}: {exc.strerror}") from exc
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+        except UnicodeEncodeError as exc:  # the text is encoded whole before any byte is written
+            raise ValidationError(f"cannot write report to stdout: {exc}") from None
 
 
 def _need(ns: argparse.Namespace, **flags: object) -> None:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bimeasure import BiMeasure, _layout, _read_fields
 from .errors import ValidationError
-from .process import AdaptedProcess, RawProcess, StaticRV, _new
+from .process import AdaptedProcess, RawProcess, StaticRV, _new, _read_grid
 from .riskcore import RiskMeasureSpec
 from .scenario import ScenarioTree
 
@@ -244,10 +244,14 @@ def _raw_process_from(path: str | Path, doc: dict, tree: ScenarioTree) -> RawPro
         raise FileFormatError(f"{path}: 'entries' must be an array")
     arrays = [("entries", entries, "duplicate entry for ({}, {})")]
     leaf, depth, value = _columns(path, arrays, _ENTRY)
-    values = dict(zip(zip(leaf, depth), value))
-    if len(values) < len(entries):
+    try:
+        grid = _read_grid(tree, zip(leaf, depth), value, 0, "raw process", lambda: (leaf, depth))
+    except ValidationError:
+        _columns(path, arrays, _ENTRY, walk=True)  # a repeated entry is named before the grid's faults
+        raise
+    if grid.size < len(entries):  # every cell given, some more than once
         _columns(path, arrays, _ENTRY, walk=True)  # names the first repeated entry
-    return RawProcess(tree, values)
+    return _new(RawProcess, tree, grid)
 
 
 def dump_raw_process(Z: RawProcess, path: str | Path) -> None:

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import fsum, isfinite
-from typing import Callable, Mapping, Sequence
+from operator import index
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -29,28 +30,24 @@ def _require_same_tree(a: ScenarioTree, b: ScenarioTree) -> None:
         raise ValidationError("tree mismatch: operands were built on different scenario trees")
 
 
-def _read(tree: ScenarioTree, entries: Mapping, keys: Sequence, place: Callable, missing: Callable):
-    """The values of ``entries`` at ``keys`` as a float64 vector in that order, read in one pass.
-    When it fails, the entries are walked in input order and the first fault raises: a key that
-    ``place(tree, key)`` refuses (else it names its place), a value ``float`` refuses, a
-    non-finite value, an absent key."""
-    try:
-        vector = np.fromiter(map(float, map(entries.get, keys)), float, len(keys))
-        if len(entries) == len(keys) and np.isfinite(vector).all():
-            return vector
-    except (TypeError, ValueError, OverflowError):
-        pass
-    for key, value in entries.items():
-        where = place(tree, key)
+def _walk(out: np.ndarray, entries: Iterable, place: Callable, missing: Callable) -> np.ndarray:
+    """``out`` with the (key, value) ``entries`` put at their keys' flat positions, walked in input
+    order; the first fault raises: a key ``place(key)`` refuses (else it gives the key's place and
+    position), a value ``float`` refuses, a non-finite value, then the first position left nan,
+    worded by ``missing(position)``. A position given twice keeps its last value."""
+    for key, value in entries:
+        where, at = place(key)
         try:
-            v = float(value)
+            out.flat[at] = v = float(value)
         except (TypeError, ValueError):
             raise ValidationError(f"non-numeric value {value!r} at {where}") from None
         except OverflowError:
             raise ValidationError(f"value at {where} is an integer beyond the float range") from None
         if not isfinite(v):
             raise ValidationError(f"non-finite value {value!r} at {where}")
-    raise ValidationError(missing(next(key for key in keys if key not in entries)))
+    for at in np.flatnonzero(np.isnan(out))[:1].tolist():
+        raise ValidationError(missing(at))
+    return out
 
 
 def _require_finite(vector: np.ndarray, names: Sequence[str], where: str) -> None:
@@ -61,16 +58,32 @@ def _require_finite(vector: np.ndarray, names: Sequence[str], where: str) -> Non
         raise ValidationError(f"non-finite value {vector[i].item()!r} {where.format(names[i])}")
 
 
-def _read_grid(tree: ScenarioTree, entries: Mapping, lo: int, label: str):
-    """The (L, K + 1) grid of values keyed on (leaf, k), k = lo..K (columns below lo hold
-    0.0), read as ``_read`` reads them."""
-    K = tree.K
+def _read_grid(tree: ScenarioTree, keys: Iterable, values: Sequence, lo: int, label: str, columns: Callable):
+    """The (L, K + 1) grid of ``values`` at their (leaf, k) ``keys``, k = lo..K (columns below lo hold
+    0.0), read in one pass over ``columns()``, the keys' leaf and depth columns: one bincount checks
+    that the values' flat positions cover the cells from column lo on once each, one scatter puts
+    them. When that fails, ``_walk`` names the first fault of the (key, value) entries."""
+    K, first, n = tree.K, tree.first_leaf, len(values)
+    grid = np.full((len(tree.leaves), K + 1), np.nan)
+    grid[:, :lo] = 0.0
+    try:  # bincount refuses the negative position of an interior node or a depth out of range
+        leaves, depths = columns()
+        row = np.fromiter(map(tree.index.__getitem__, leaves), np.intp, n) - first
+        k = np.fromiter(map(index, depths), np.intp, n)
+        at = np.where((lo <= k) & (k <= K), row * (K + 1) + k, -1)
+        flat = np.fromiter(map(float, values), float, n)
+        if grid[:, lo:].size == n == np.count_nonzero(np.bincount(at, None, grid.size)) and np.isfinite(flat).all():
+            grid.flat[at] = flat
+            return grid
+    except (KeyError, TypeError, ValueError, OverflowError):
+        pass
 
-    def place(tree: ScenarioTree, key) -> str:
+    def place(key) -> tuple[str, int]:
         if not (isinstance(key, tuple) and len(key) == 2):
             raise ValidationError(f"{label} keyed on {key!r}, not on a (leaf, depth) pair")
         leaf, k = key
-        if tree.index.get(leaf, -1) < tree.first_leaf:
+        i = tree.index.get(leaf, -1) - first
+        if i < 0:
             raise ValidationError(f"{label} keyed on unknown leaf '{leaf}'")
         try:
             in_range = lo <= k <= K
@@ -80,13 +93,17 @@ def _read_grid(tree: ScenarioTree, entries: Mapping, lo: int, label: str):
             raise ValidationError(f"{label} at ({leaf}, {k}) out of range {lo}..{K}")
         if k != int(k):
             raise ValidationError(f"{label} at ({leaf}, {k}) is not at an integer depth")
-        return f"{label} ({leaf}, {k})"
+        return f"{label} ({leaf}, {k})", i * (K + 1) + int(k)
 
-    keys = list(product(tree.leaves, range(lo, K + 1)))
-    flat = _read(tree, entries, keys, place, lambda key: f"{label} is missing at ({key[0]}, {key[1]})")
-    grid = np.zeros((len(tree.leaves), K + 1))
-    grid[:, lo:] = flat.reshape(len(tree.leaves), K + 1 - lo)
-    return grid
+    missing = lambda at: f"{label} is missing at ({tree.leaves[at // (K + 1)]}, {at % (K + 1)})"
+    return _walk(grid, zip(keys, values), place, missing)
+
+
+def _dict_grid(tree: ScenarioTree, entries: Mapping, lo: int, label: str) -> np.ndarray:
+    """``_read_grid`` of a dict keyed on (leaf, k); keys that are not all tuples go to the walk."""
+    pairs = set(map(type, entries)) == {tuple}
+    columns = lambda: zip(*entries, strict=True) if pairs else ((), ())
+    return _read_grid(tree, entries, [*entries.values()], lo, label, columns)
 
 
 def _grid_dict(field: str, lo: int) -> Callable:
@@ -130,15 +147,23 @@ def _dfs_rows(tree: ScenarioTree, grid: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class _Vector(_Arrays):
     """One value per key of the tree's ``order`` or ``leaves`` (``_KEYS``), held in ``vector``;
-    ``_place``, ``_MISSING`` and ``_AT`` word the faults of a given key, an absent key and a value."""
+    ``_place``, ``_MISSING`` and ``_AT`` word the faults of a given key (else ``_place`` gives its
+    place and position), an absent key and a value."""
 
     tree: ScenarioTree
     values: dict[str, float]
     _DICTS = {"values": lambda X: dict(zip(getattr(X.tree, X._KEYS), X.vector.tolist()))}
 
     def __post_init__(self):
-        keys = getattr(self.tree, self._KEYS)
-        _hold(self, vector=_read(self.tree, vars(self).pop("values"), keys, self._place, self._MISSING.format))
+        tree, entries, keys = self.tree, vars(self).pop("values"), getattr(self.tree, self._KEYS)
+        try:  # the values at the keys, read in one pass; when that fails, the walk names the first fault
+            vector = np.fromiter(map(float, map(entries.get, keys)), float, len(keys))
+            if len(entries) == len(keys) and np.isfinite(vector).all():
+                return _hold(self, vector=vector)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        place, missing = lambda key: self._place(tree, key), lambda i: self._MISSING.format(keys[i])
+        _hold(self, vector=_walk(np.full(len(keys), np.nan), entries.items(), place, missing))
 
     def _keep(self, vector: np.ndarray) -> None:
         _require_finite(vector, getattr(self.tree, self._KEYS), self._AT)
@@ -178,10 +203,10 @@ class AdaptedProcess(_Vector):
     _KEYS, _MISSING, _AT = "order", "process is missing a value at node '{}'", "at node '{}'"
 
     @staticmethod
-    def _place(tree: ScenarioTree, nid: object) -> str:
+    def _place(tree: ScenarioTree, nid: object) -> tuple[str, int]:
         if nid not in tree.index:
             raise ValidationError(f"process value given for unknown node '{nid}'")
-        return f"node '{nid}'"
+        return f"node '{nid}'", tree.index[nid]
 
     @classmethod
     def zero(cls, tree: ScenarioTree) -> "AdaptedProcess":
@@ -198,12 +223,12 @@ class StaticRV(_Vector):
     _KEYS, _MISSING, _AT = "leaves", "missing value at leaf '{}'", "at leaf '{}'"
 
     @staticmethod
-    def _place(tree: ScenarioTree, leaf: object) -> str:
+    def _place(tree: ScenarioTree, leaf: object) -> tuple[str, int]:
         if leaf not in tree.index:
             raise ValidationError(f"value given for unknown leaf '{leaf}'")
         if tree.index[leaf] < tree.first_leaf:
             raise ValidationError(f"'{leaf}' is not a leaf; static values live on leaves only")
-        return f"leaf '{leaf}'"
+        return f"leaf '{leaf}'", tree.index[leaf] - tree.first_leaf
 
     def expectation(self) -> float:
         return fsum((self.tree.leaf_prob * self.vector).tolist())
@@ -224,7 +249,7 @@ class RawProcess(_Arrays):
     _DICTS = {"values": _grid_dict("grid", 0)}
 
     def __post_init__(self):
-        _hold(self, grid=_read_grid(self.tree, vars(self).pop("values"), 0, "raw process"))
+        _hold(self, grid=_dict_grid(self.tree, vars(self).pop("values"), 0, "raw process"))
 
     def _keep(self, grid: np.ndarray) -> None:
         _hold(self, grid=grid)

@@ -331,7 +331,7 @@ def segment_fsums(terms: np.ndarray, starts: Sequence[int] | np.ndarray | None =
     if terms.size < _FSUMS_CUTOFF or not ldexp(1.0, -900) <= big < ldexp(1.0, 999 - M):
         if starts is None:
             return list(map(fsum, terms.T.tolist()))
-        flat = memoryview(terms)
+        flat, starts = memoryview(terms), np.asarray(starts).tolist()  # a numpy integer slices slowly
         return [fsum(flat[lo:hi]) for lo, hi in zip(starts, [*starts[1:], len(terms)])]
     fold = (lambda f, x: f.reduce(x)) if starts is None else (lambda f, x: f.reduceat(x, starts))
     e, r, sums = frexp(big)[1], terms, []

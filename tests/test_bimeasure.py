@@ -478,9 +478,9 @@ class TestInterleavedIds:
         a = random_bimeasure(tree, rng)
         X = random_process(tree, rng)
         checks = []
-        read = treerisk.process._read
+        read = treerisk.process._read_grid
         counted = lambda *args: checks.append(1) or read(*args)
-        monkeypatch.setattr(treerisk.process, "_read", counted)
+        monkeypatch.setattr(treerisk.process, "_read_grid", counted)
         raw = as_raw(a)
         Z = RawProcess.from_adapted(X)
         assert checks == []

@@ -1,5 +1,6 @@
 """File formats and the command line driver."""
 
+import io
 import json
 import math
 import os
@@ -11,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treerisk import (
@@ -31,7 +32,7 @@ from treerisk import (
     worst_case_spec,
 )
 from treerisk import cli, fileio
-from treerisk.cli import fmt_real, main
+from treerisk.cli import ReportDoc, fmt_real, main, render
 from treerisk.fileio import (
     FileFormatError,
     dump_bimeasure,
@@ -258,6 +259,22 @@ RAW_PROCESS_FILES = {
     ),
     "interior-node-then-missing": ([_entry("root", 0), _entry("d", 0)], "raw process keyed on unknown leaf 'root'"),
     "missing-cell": (_GRID[:3], "raw process is missing at (u, 1)"),
+    # the one pass takes exactly one entry per cell: each of these has as many entries as cells, or
+    # names a repeat before the process checks
+    "unknown-leaf-then-duplicate": (
+        [*_GRID, _entry("zz", 0), _entry("d", 0)],
+        "{path}: duplicate entry for (d, 0)",
+    ),
+    "duplicate-for-a-cell": ([*_GRID[:3], _entry("d", 0)], "{path}: duplicate entry for (d, 0)"),
+    "duplicate-after-every-cell": ([*_GRID, _entry("u", 1)], "{path}: duplicate entry for (u, 1)"),
+    "bool-depth-for-a-cell": ([*_GRID[:3], _entry("u", True)], "{path}: entries[3].depth must be an integer"),
+    "interior-node-for-a-cell": ([_entry("root", 0), *_GRID[1:]], "raw process keyed on unknown leaf 'root'"),
+    "depth-range-for-a-cell": ([*_GRID[:3], _entry("u", 2)], "raw process at (u, 2) out of range 0..1"),
+    "no-entries": ([], "raw process is missing at (d, 0)"),
+    "int-overflow-for-a-cell": (
+        [*_GRID[:3], _entry("u", 1, 10**400)],
+        "{path}: field 'entries[3].value' is an integer beyond the float range",
+    ),
 }
 
 
@@ -269,6 +286,22 @@ def test_raw_process_file_messages(tmp_path, t1, case):
     with pytest.raises(ValidationError) as err:
         load_raw_process(p, t1)
     assert str(err.value) == message.format(path=p)
+
+
+def test_raw_process_file_grid_is_exact(tmp_path):
+    """Shuffled entries, read in one pass, give the grid of float() of each value, -0.0 and ints
+    (one that float() rounds among them) included, as the dict constructor does."""
+    rng = np.random.default_rng(27)
+    tree = interleaved_tree(rng)
+    cells = [(leaf, k) for leaf in tree.leaves for k in range(tree.K + 1)]
+    values = [-0.0, 0.0, 3, -(2**53 + 1), 5e-324, *rng.normal(size=len(cells)).tolist()][: len(cells)]
+    order = rng.permutation(len(cells)).tolist()
+    entries = [_entry(*cells[i], values[i]) for i in order]
+    p = tmp_path / "z.json"
+    p.write_text(json.dumps({"format": "raw_process", "entries": entries}))
+    expected = [float(v).hex() for v in values]
+    assert [v.hex() for v in load_raw_process(p, tree).grid.ravel().tolist()] == expected
+    assert [v.hex() for v in RawProcess(tree, {cells[i]: values[i] for i in order}).grid.ravel().tolist()] == expected
 
 
 def _element(op='[{"node": "du", "inc": 4.0}]', pr="[]", extra=""):
@@ -573,6 +606,42 @@ class TestFormatting:
         assert fmt_real(math.inf) == "inf"
         assert fmt_real(-math.inf) == "-inf"
         assert fmt_real(12345.6) == "1.234560000000e+04"
+
+
+def _sanitized(x):
+    return ("inf" if x > 0 else "-inf") if isinstance(x, float) and math.isinf(x) else x
+
+
+def _indented(doc):
+    """The structured report as json's indenting encoder writes it."""
+    payload = {"command": doc.command, "columns": doc.columns, "rows": [[_sanitized(c) for c in row] for row in doc.rows],
+               "summary": {k: _sanitized(v) for k, v in doc.summary.items()}}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+_TRICKY = ["],\n[", '"rows": []', '"rows": null', "],\n      [", 'q"\\', "\x00\x1f\n\t", "€lément", "Infinity", "NaN"]
+_CELLS = st.one_of(
+    st.text(), st.sampled_from(_TRICKY), st.integers(), st.integers(2**63, 2**200).map(lambda n: -n), st.floats(),
+    st.floats().map(np.float64), st.booleans(), st.none(), st.lists(st.integers(), max_size=2),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.builds(ReportDoc, command=st.text(), columns=st.lists(st.text(), max_size=3),
+                 rows=st.lists(st.lists(_CELLS, max_size=4), max_size=4),
+                 summary=st.dictionaries(st.text(), _CELLS, max_size=3)))
+@example(ReportDoc("project", ["node", "optional"]))  # no rows, an empty summary
+@example(ReportDoc("x", ["a"], [[]]))  # an empty row
+@example(ReportDoc("x", ["a"], [[1.5], [], ["b"]]))
+@example(ReportDoc('"rows": null', ['"rows": null', "],\n["], [
+    ["],\n[", '"rows": []', math.inf, -math.inf, math.nan, -0.0, 5e-324, 2**70, -(2**64)],
+    [True, False, None, 'q"\\', "\x01\n\t", "€lément", "Infinity", "NaN"],
+], {"rows": None, "inf": math.inf, "nan": math.nan, "": "€"}))
+@example(ReportDoc("x", ["a", "b"], [[np.float64(1.5), np.float64(-math.inf)], [1e308, -1.0]]))
+@example(ReportDoc("x", ["a", "b"], [["Infinity", 1.0], [2, 3]]))  # json's word for an infinity, in a string
+@example(ReportDoc("x", ["a"], [[[1, 2]], [{"k": 1}]]))  # cells that are no scalar
+def test_structured_report_is_json_indented(doc):
+    assert render(doc, "structured") == _indented(doc)
 
 
 def run_cli(capsys, *argv):
@@ -1050,6 +1119,39 @@ class TestDeterminismAndErrors:
         )
         assert code == 1
         assert err.startswith("error:")
+
+    @pytest.fixture
+    def labelled(self, workdir, t1, tmp_path):
+        """eval's argv on a spec whose one label is not ASCII."""
+        _, p = workdir
+        spec = tmp_path / "labelled.json"
+        dump_spec(RiskMeasureSpec(t1, [(BiMeasure(t1, {}, {"d": 2.0}), 0.0)], labels=["€lément"]), spec)
+        return ["eval", "--tree", str(p["tree"]), "--spec", str(spec), "--process", str(p["x"])]
+
+    def test_stdout_that_cannot_encode_the_report_exits_1(self, labelled, capsys, monkeypatch):
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(labelled) == 1
+        stdout.flush()
+        assert stdout.buffer.getvalue() == b""
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write report to stdout: 'ascii' codec can't encode") and err.count("\n") == 1
+
+    def test_reports_are_utf8_whatever_the_locale(self, labelled, capsys, tmp_path):
+        """Under an ASCII locale, --out holds render's text as UTF-8, and stdout refuses it by name."""
+        assert main(labelled) == 0  # a table: a structured report escapes what is not ASCII
+        expected = capsys.readouterr().out.encode("utf-8")
+        assert "€lément".encode("utf-8") in expected
+        env = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+        env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONPATH=SRC)
+        out = tmp_path / "report.json"
+        argv = [sys.executable, "-X", "utf8=0", "-m", "treerisk", *labelled]
+        written = subprocess.run([*argv, "--out", str(out)], env=env, capture_output=True)
+        assert (written.returncode, written.stdout, written.stderr) == (0, b"", b"")
+        assert out.read_bytes() == expected
+        printed = subprocess.run(argv, env=env, capture_output=True)
+        assert (printed.returncode, printed.stdout) == (1, b"")
+        assert printed.stderr.startswith(b"error: cannot write report to stdout: ") and printed.stderr.count(b"\n") == 1
 
     def test_out_into_missing_directory_exits_1(self, workdir, capsys, tmp_path):
         _, p = workdir

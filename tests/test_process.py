@@ -323,6 +323,19 @@ def _raw_bimeasure(tree, left=(), right=()):
     return RawBiMeasure(tree, _grid(tree, lo=1, edits=left), _grid(tree, edits=right))
 
 
+class _PairLike:
+    """A hashable key that iterates as a (leaf, depth) pair but is no tuple."""
+
+    def __init__(self, *items):
+        self.items = items
+
+    def __iter__(self):
+        return iter(self.items)
+
+    def __repr__(self):
+        return f"_PairLike{self.items!r}"
+
+
 INF, NAN = math.inf, math.nan
 # (a call on the depth-1 binomial tree: canonical order root, d, u; leaves d, u; K = 1, message)
 VALUE_TYPE_FAULTS = {
@@ -416,6 +429,27 @@ VALUE_TYPE_FAULTS = {
     "raw-value-before-missing": (
         lambda t: RawProcess(t, {("u", 0): -INF}),
         "non-finite value -inf at raw process (u, 0)",
+    ),
+    # as many keys as cells, one of them refused
+    "raw-interior-node-for-a-cell": (
+        lambda t: RawProcess(t, _grid(t, edits=[(("d", 0), None), (("root", 0), 1.0)])),
+        "raw process keyed on unknown leaf 'root'",
+    ),
+    "raw-depth-above-for-a-cell": (
+        lambda t: RawProcess(t, _grid(t, edits=[(("u", 1), None), (("u", 2), 1.0)])),
+        "raw process at (u, 2) out of range 0..1",
+    ),
+    "left-depth-zero-for-a-cell": (
+        lambda t: _raw_bimeasure(t, left=[(("u", 1), None), (("u", 0), 1.0)]),
+        "left increment at (u, 0) out of range 1..1",
+    ),
+    "raw-fractional-depth-for-a-cell": (
+        lambda t: RawProcess(t, _grid(t, edits=[(("u", 0), None), (("u", 0.5), 1.0)])),
+        "raw process at (u, 0.5) is not at an integer depth",
+    ),
+    "raw-pair-like-key-for-a-cell": (
+        lambda t: RawProcess(t, _grid(t, edits=[(("u", 1), None), (_PairLike("u", 1), 1.0)])),
+        "raw process keyed on _PairLike('u', 1), not on a (leaf, depth) pair",
     ),
     "left-unknown-leaf": (
         lambda t: _raw_bimeasure(t, left=[(("ghost", 1), 1.0)]),
@@ -597,6 +631,8 @@ class TestValueLayout:
         Z = RawProcess(t1, {("d", 0.0): 1.0, ("d", np.int64(1)): 2.0, ("u", 0): 3.0, ("u", 1): 4.0})
         assert Z.values == {("d", 0): 1.0, ("d", 1): 2.0, ("u", 0): 3.0, ("u", 1): 4.0}
         assert all(type(k) is int for _, k in Z.values)
+        bools = RawProcess(t1, {("d", False): 1.0, ("d", True): 2.0, ("u", 0): 3.0, ("u", 1): 4.0})
+        assert [v.hex() for v in bools.grid.ravel().tolist()] == [v.hex() for v in Z.grid.ravel().tolist()]
         # a fractional depth once collided with its integer part; it is refused now
         with pytest.raises(ValidationError) as caught:
             RawProcess(t1, {("d", 0): 1.0, ("d", 1): 2.0, ("u", 0): 3.0, ("u", 1): 4.0, ("u", 0.5): 5.0})
