@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .process import AdaptedProcess, RawProcess, StaticRV, _require_same_tree
-from .process import _Arrays, _dfs_rows, _dict_grid, _grid_dict, _hold, _new
+from .process import _Arrays, _dict_grid, _grid_dict, _hold, _new
 from .scenario import ScenarioTree, _is_int, segment_fsums
 
 DENSITY_NORM_TOL = 1e-9  # how far from 1 a terminal density's mean may be
@@ -204,8 +204,8 @@ def _leaf_sums(a: BiMeasure, *maps) -> np.ndarray:
     incs = np.array((a.pr, a.op)).T
     node, terms = (a.node, maps[0](incs)) if m == 1 else (np.tile(a.node, m), np.concatenate([f(incs) for f in maps]))
     sums = tree.path_sums(node, terms, [(s * k, s * k + k) for s in range(m)])
-    out, at = np.zeros((m, len(tree.leaves))), tree.leaf_paths()[:, -1][sums[0][0]] - tree.first_leaf
-    for row, (_, s) in zip(out, sums):
+    out = np.zeros((m, len(tree.leaves)))
+    for row, (at, s) in zip(out, sums):
         row[at] = s
     return out
 
@@ -254,8 +254,8 @@ def dual_projection(a: RawBiMeasure) -> BiMeasure:
     time no mass is left over for a continuous part.
     """
     tree = a.tree
-    pr = tree.node_means(_dfs_rows(tree, a.left_grid)[1:])  # the depth-(k + 1) slice at depth k
-    op = tree.node_means(_dfs_rows(tree, a.right_grid))
+    pr = tree.node_means(a.left_grid.T[1:])  # the depth-(k + 1) slice at depth k
+    op = tree.node_means(a.right_grid.T)
     return _build(tree, np.arange(len(pr)), pr, np.arange(len(op)), op)
 
 

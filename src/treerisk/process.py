@@ -8,7 +8,6 @@ is in canonical node order and a ``StaticRV.vector`` in canonical leaf order
 and ``right_grid`` have shape (L, K + 1), row i for ``tree.leaves[i]`` and
 column k for depth k; left increments act from depth 1 on, so column 0 of a
 left grid holds 0.0.
-``node_means`` reads the depth-first leaf order, taken by one gather.
 """
 
 from __future__ import annotations
@@ -137,11 +136,6 @@ def _new(cls, tree: ScenarioTree, *arrays: np.ndarray):
     object.__setattr__(obj, "tree", tree)
     obj._keep(*arrays)
     return obj
-
-
-def _dfs_rows(tree: ScenarioTree, grid: np.ndarray) -> np.ndarray:
-    """The columns of an (L, K + 1) grid as rows over the DFS leaves, as ``node_means`` reads them."""
-    return grid[tree.leaf_paths()[:, -1] - tree.first_leaf].T
 
 
 @dataclass(frozen=True)
@@ -282,13 +276,12 @@ def optional_projection_static(Y: StaticRV) -> AdaptedProcess:
     one-step martingale identity up to rounding.
     """
     tree = Y.tree
-    rows = np.broadcast_to(_dfs_rows(tree, Y.vector[:, None]), (tree.K + 1, len(tree.leaves)))
-    return _new(AdaptedProcess, tree, tree.node_means(rows))
+    return _new(AdaptedProcess, tree, tree.node_means(np.broadcast_to(Y.vector, (tree.K + 1, len(tree.leaves)))))
 
 
 def optional_projection_raw(Z: RawProcess) -> AdaptedProcess:
     """Optional projection: at a depth-k node, the conditional mean of the depth-k raw slice."""
-    return _new(AdaptedProcess, Z.tree, Z.tree.node_means(_dfs_rows(Z.tree, Z.grid)))
+    return _new(AdaptedProcess, Z.tree, Z.tree.node_means(Z.grid.T))
 
 
 def predictable_projection_raw(Z: RawProcess) -> AdaptedProcess:
@@ -299,9 +292,8 @@ def predictable_projection_raw(Z: RawProcess) -> AdaptedProcess:
     value.
     """
     tree = Z.tree
-    rows = _dfs_rows(tree, Z.grid)
-    ahead = tree.node_means(rows[1:])  # at each node above depth K, the next slice's mean
-    return _new(AdaptedProcess, tree, np.concatenate((tree.node_means(rows[:1]), ahead[tree.parent[1:]])))
+    ahead = tree.node_means(Z.grid.T[1:])  # at each node above depth K, the next slice's mean
+    return _new(AdaptedProcess, tree, np.concatenate((tree.node_means(Z.grid.T[:1]), ahead[tree.parent[1:]])))
 
 
 def prob_sup_exceedance(X: AdaptedProcess, Y: AdaptedProcess, eps: float) -> float:

@@ -140,15 +140,13 @@ class RiskMeasureSpec:
     def _load(self, tree, node, pr, op, bounds, gammas, norm_tol) -> None:
         """Take the arrays as the family; check each element's signs, its unit variation,
         then its penalty, element after element."""
-        prob = tree.node_prob
         with np.errstate(over="ignore"):  # overflow gives inf, as Python floats do
-            weight = prob[node]
+            weight = tree.node_prob[node]
             weight *= pr + op
         self.tree = tree
         self.norm_tol = norm_tol
         self._bounds = bounds
         self._starts = np.array([lo for lo, _ in bounds], np.intp)  # the bounds tile the arrays
-        self._prob = prob
         self._node = node
         self._pr = pr
         self._op = op
@@ -192,7 +190,7 @@ class RiskMeasureSpec:
 
     @functools.cached_property
     def _variations(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per element, (DFS positions of the covered leaves, variation at each)."""
+        """Per element, (positions in ``tree.leaves`` of the covered leaves, variation at each)."""
         terms = np.column_stack((self._pr, self._op))  # pr(n) and op(n) as separate terms
         return tuple(self.tree.path_sums(self._node, terms, self._bounds))
 
@@ -230,7 +228,7 @@ class RiskMeasureSpec:
         lo, hi = self._bounds[i]
         node = self._node[lo:hi]
         with np.errstate(all="ignore"):
-            terms = self._prob[node] * xs[:, node] * (self._pr[lo:hi] + self._op[lo:hi])
+            terms = self.tree.node_prob[node] * xs[:, node] * (self._pr[lo:hi] + self._op[lo:hi])
         return _named_fsums(terms.T, None, "non-finite charge at position {}", range(len(xs)))
 
 
@@ -275,14 +273,10 @@ def static_rho_coherent_direct(spec: RiskMeasureSpec, Y: StaticRV) -> float:
     _require_same_tree(spec.tree, Y.tree)
     if not spec.is_coherent:
         raise ValidationError("direct static evaluation requires a coherent spec")
-    tree = spec.tree
-    dfs = tree.leaf_paths()[:, -1]
-    leaf_prob = spec._prob[dfs]
-    y = Y.vector[dfs - tree.first_leaf]
     best = -math.inf
     for label, (leaves, var) in zip(spec.labels, spec._variations):
         with np.errstate(all="ignore"):
-            terms = leaf_prob[leaves] * var * y[leaves]
+            terms = spec.tree.leaf_prob[leaves] * var * Y.vector[leaves]
         v = -_named_fsums(terms, (0,), _LOSS_FAULT, (label,))[0]
         if v > best:
             best = v

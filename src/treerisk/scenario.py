@@ -49,9 +49,8 @@ class ScenarioTree:
     have branch probabilities summing to 1 within ``SUM_TOL``; no path
     probability (the product of the branch probabilities along the path)
     underflows to 0.0; the leaves' probabilities sum to 1 within the bound
-    that implies. From ``_TREE_CUTOFF`` nodes on, whole-column reads run the
-    row checks first, and the rows are walked, to name the fault, only when
-    those find one; smaller trees are walked at once.
+    that implies. Whole-column reads run the row checks first, and the rows
+    are walked, to name the fault, only when those find one.
 
     ``index`` maps each node id to its position in the canonical (depth, id)
     ``order``, the order of the columns the tree keeps: ``parent`` (an
@@ -71,25 +70,27 @@ class ScenarioTree:
     reference for these layouts.
 
     ``node_means`` is the one conditional-mean kernel: given (m, L) rows over
-    the DFS leaves, it returns E[rows[k] | node] at each node of depth k < m,
-    in canonical order: a range whose values all compare equal gives its first
+    ``leaves``, it returns E[rows[k] | node] at each node of depth k < m, in
+    canonical order: a range whose values all compare equal gives its first
     DFS value (a leaf its own), any other the fsum of P(l) v(l) over P(node);
     an fsum that overflows raises :class:`ValidationError` naming the first
-    such node in canonical order.
-    Rows of ``_FSUMS_CUTOFF`` terms or more take one segmented pass over every
-    node's range (one ``segment_fsums``, one min == max); smaller ones a loop.
+    such node in canonical order. The rows are gathered into DFS order once;
+    then rows of ``_FSUMS_CUTOFF`` terms or more take one segmented pass over
+    every node's range (one ``segment_fsums``, one min == max), smaller ones
+    a loop.
 
     ``path_sums`` is the one kernel for sums along paths (variation, terminal
     increments, a spec's per-leaf variations). It takes canonical node
     indices, a term matrix with one row per node (a node's C terms, one per
     column, enter the sum separately) and segment bounds (lo, hi); nodes must
     be distinct within a segment, as their rows are scattered into one buffer.
-    Per segment it returns the ascending DFS positions of the leaves whose
-    paths meet the segment's nodes and, at each, the fsum of the (K + 1) C
-    terms read along the path: rounded once, in no particular order, and the
-    0.0 read off the segment changes nothing (an fsum that overflows raises
-    :class:`ValidationError` naming the first such leaf in canonical order).
-    m nodes whose ranges span w leaves cost O(m + w), plus O((K + 1) C) a leaf.
+    Per segment it returns the positions in ``leaves`` of the leaves whose
+    paths meet the segment's nodes, listed in DFS order, and, at each, the
+    fsum of the (K + 1) C terms read along the path: rounded once, in no
+    particular order, and the 0.0 read off the segment changes nothing (an
+    fsum that overflows raises :class:`ValidationError` naming the first such
+    leaf in canonical order). m nodes whose ranges span w leaves cost
+    O(m + w), plus O((K + 1) C) a leaf.
 
     Instances are immutable after construction and meant to be shared by the
     processes and bi-measures built on them (those types compare trees by
@@ -110,7 +111,7 @@ class ScenarioTree:
             parent, depth, b = np.array(up, np.intp)[perm], depth[perm], b[perm]
             starts = [0, *(np.flatnonzero(depth[1:] != depth[:-1]) + 1).tolist(), n]  # where each depth starts
             grid = time[np.minimum.reduceat(perm, starts[:-1])]  # each depth's first row's time
-            sound = n >= _TREE_CUTOFF and bool(  # the row checks as whole-column reads
+            sound = bool(  # the row checks as whole-column reads
                 set(map(type, ids)) <= {str} and set(map(type, depths)) <= {int} and set(map(type, times)) <= {float}
                 and set(map(type, branch)) <= {int, float} and len(index) == n and "" not in index
                 and parents[perm[0]] is None and depth[0] == 0 and (depth[parent[1:]] + 1 == depth[1:]).all()
@@ -175,7 +176,8 @@ class ScenarioTree:
         self.leaf_prob = prob[first:]
         self._leaf_paths = np.ascontiguousarray(flat.reshape(K + 1, n - first).T)
         self._paths = paths.T  # row i: the path of leaves[i]
-        self._dfs_prob = prob[self._leaf_paths[:, -1]]
+        self._dfs = self._leaf_paths[:, -1] - first  # the DFS leaves' positions in leaves
+        self._dfs_prob = self.leaf_prob[self._dfs]
         self._spans = (lo, hi)
         self._mean_ranges = (node, start)
 
@@ -233,7 +235,8 @@ class ScenarioTree:
 
     def node_means(self, rows: np.ndarray) -> np.ndarray:
         """E[rows[k] | node] at each node of depth k < len(rows), in canonical order, from an (m, L)
-        float64 array of rows over the DFS leaves; the class docstring gives the contract."""
+        float64 array of rows over ``leaves``; the class docstring gives the contract."""
+        rows = np.ascontiguousarray(rows[:, self._dfs])  # C order, so the ravels below are views
         if rows.size >= _FSUMS_CUTOFF:
             node, start = self._mean_ranges
             n = start.searchsorted(rows.size)  # the nodes above depth len(rows)
@@ -265,8 +268,8 @@ class ScenarioTree:
     def path_sums(
         self, node: np.ndarray, terms: np.ndarray, bounds: Iterable[tuple[int, int]]
     ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per segment (lo, hi) of ``bounds``, the ascending DFS positions of the leaves
-        whose paths meet node[lo:hi], and at each the fsum of the terms (row j of
+        """Per segment (lo, hi) of ``bounds``, the positions in ``leaves``, in DFS order, of
+        the leaves whose paths meet node[lo:hi], and at each the fsum of the terms (row j of
         ``terms`` for node[j]) on its path; the class docstring gives the contract."""
         paths = self.leaf_paths()
         span_lo, span_hi = self.node_spans()
@@ -286,12 +289,13 @@ class ScenarioTree:
             scatter[:, nodes] = terms[lo:hi].T
             block = scatter[:, paths[leaves].T].reshape(width, len(leaves))  # one column per leaf
             scatter[:, nodes] = 0.0
+            at = self._dfs[leaves]
             try:
                 sums = segment_fsums(block)
             except OverflowError:  # fsum the leaves in canonical order to name the first that overflows
-                c = np.argsort(at := paths[leaves, -1])
-                _named_fsums(block[:, c], None, "non-finite path sum at leaf '{}'", [self.order[i] for i in at[c]])
-            out.append((leaves, np.array(sums)))
+                c = np.argsort(at)
+                _named_fsums(block[:, c], None, "non-finite path sum at leaf '{}'", [self.leaves[i] for i in at[c]])
+            out.append((at, np.array(sums)))
         return out
 
     @property
@@ -372,12 +376,6 @@ def _is_int(value: object) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-# Trees of this many nodes or more are checked as whole columns first, and walked only when those
-# checks find a fault. The column reads cost about 25 us plus 0.1 us a node, the walk 0.55 us a node
-# (binomial trees of 31 and 63 nodes: 23 against 19 us, 26 against 35 us; 8 191 nodes: 0.86 ms against 4.4 ms).
-_TREE_CUTOFF = 48
-
-
 def _walk(ids, parents, depths, times, branch) -> None:
     """Walk the rows in input order and raise :class:`ValidationError` at the first fault of the row
     checks the class docstring lists (all but the sibling sums and path probabilities)."""
@@ -395,17 +393,17 @@ def _walk(ids, parents, depths, times, branch) -> None:
         raise ValidationError(f"expected exactly one root node, found {roots}")
     r = parents.index(None)
     if depths[r] != 0:
-        raise ValidationError(f"root node '{ids[r]}' must have depth 0, got {depths[r]}")
+        raise ValidationError(f"root node '{ids[r]}' must have depth 0, got {depths[r]!r}")
     if branch[r] != 1.0:
         raise ValidationError(f"root node '{ids[r]}' must carry branch probability 1")
 
     for nid, p, d, b in zip(ids, parents, depths, branch):
         if p is None:
             continue
-        j = at.get(p)
+        j = at.get(p) if isinstance(p, str) else None  # ids are strings: any other parent is unknown
         if j is None:
             raise ValidationError(f"node '{nid}' references unknown parent '{p}'")
-        if d != depths[j] + 1:
+        if not isinstance(depths[j], _REAL) or d != depths[j] + 1:  # a parent's depth that is no number fails
             raise ValidationError(
                 f"node '{nid}' at depth {d} must sit one level below parent '{p}' at depth {depths[j]}")
         if not isinstance(b, _REAL) or not 0.0 < b <= 1.0:

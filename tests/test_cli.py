@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -2089,3 +2090,78 @@ def test_computation_paths_build_no_dicts(tmp_path, capsys, dict_builds):
 
     assert M.values is M.values  # an explicit read builds the dict, once
     assert dict_builds == [("AdaptedProcess", "values")]
+
+
+# what the robustness sweep puts in place of a field: the JSON types, signed zeros, the float edges,
+# integers past int64 and empty containers
+_HOSTILE_VALUES = [None, True, False, 0.0, -0.0, 1.7976931348623157e308, -1.7976931348623157e308, 5e-324,
+                   -5e-324, 2**63 + 1, -(2**63) - 1, "", [], {}]
+
+
+def _slots(doc):
+    """Every (container, key) of a parsed document: its dict fields and list items, at every level."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in list(items):
+        yield doc, key
+        yield from _slots(value)
+
+
+def _mutated(doc, rng):
+    """A copy of ``doc`` with one field replaced by a hostile value, deleted, or (a list item) doubled."""
+    doc = json.loads(json.dumps(doc))
+    slots = list(_slots(doc))
+    container, key = slots[int(rng.integers(len(slots)))]
+    move = int(rng.integers(len(_HOSTILE_VALUES) + 2))
+    if move < len(_HOSTILE_VALUES):
+        container[key] = _HOSTILE_VALUES[move]
+    elif move == len(_HOSTILE_VALUES) or isinstance(container, dict):
+        del container[key]
+    else:
+        container.insert(key, container[key])
+    return doc
+
+
+def test_mutated_documents_keep_the_cli_contract(tmp_path, capsys):
+    """A seeded sweep: valid inputs on one small tree, one field of one document mutated per case, run
+    through every file-reading command. Each call exits 0, 1 or 2 with no RuntimeWarning; a refusal
+    prints one error line and no report, and an exit 2 with a report names no error."""
+    rng = np.random.default_rng(2028)
+    tree = interleaved_tree(np.random.default_rng(3))
+    files = {
+        "tree": lambda p: dump_tree(tree, p),
+        "spec": lambda p: dump_spec(random_spec(tree, rng, n_elements=3), p),
+        "coherent": lambda p: dump_spec(random_spec(tree, rng, n_elements=3, coherent=True), p),
+        "x": lambda p: dump_process(random_process(tree, rng), p),
+        "y": lambda p: dump_static(random_static(tree, rng), p),
+        "z": lambda p: dump_raw_process(RawProcess.from_adapted(random_process(tree, rng)), p),
+        "f": lambda p: dump_static(StaticRV.constant(tree, 1.0), p),
+    }
+    docs = {}
+    for name, dump in files.items():
+        dump(tmp_path / f"{name}.json")
+        docs[name] = json.loads((tmp_path / f"{name}.json").read_text())
+    commands = [
+        ("eval", "--spec", "{spec}", "--process", "{x}"),
+        ("static-eval", "--spec", "{spec}", "--process", "{y}"),
+        ("project", "--process", "{y}"),
+        ("project", "--process", "{z}"),
+        ("allocate", "--spec", "{coherent}", "--process", "{x}", "--seed", "1", "--samples", "3"),
+        ("instances", "--process", "{y}", "--alpha", "0.3"),
+        ("diagnose-ui", "--process", "{f}", "--process", "{y}"),
+    ]
+    for case in range(200):
+        command = ("--tree", "{tree}", *commands[case % len(commands)])
+        names = [a[1:-1] for a in command if a.startswith("{")]
+        bad = names[int(rng.integers(len(names)))]
+        (tmp_path / "bad.json").write_text(json.dumps(_mutated(docs[bad], rng)))
+        paths = {name: str(tmp_path / f"{name}.json") for name in docs} | {bad: str(tmp_path / "bad.json")}
+        argv = [command[2], *(a.format(**paths) for a in command[:2] + command[3:])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, *argv)
+        where = f"case {case}: {argv} with {bad} mutated"
+        assert code in (0, 1, 2), where
+        if code == 0 or (code == 2 and out):  # a report; an undefined quantity is one of its rows
+            assert out and err == "", where
+        else:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), where

@@ -74,9 +74,9 @@ def count_sweeps(monkeypatch):
 
 
 def hexed_variation(a):
-    """variation(a) as float.hex strings in DFS leaf order."""
+    """variation(a) as float.hex strings in canonical leaf order."""
     var = variation(a).values
-    return [float.hex(var[leaf]) for leaf in a.tree.leaves_under(a.tree.root)]
+    return [float.hex(var[leaf]) for leaf in a.tree.leaves]
 
 
 def dense_variations(spec):
@@ -84,8 +84,8 @@ def dense_variations(spec):
     out = []
     for leaves, var in spec._variations:
         dense = [0.0] * len(spec.tree.leaves)
-        for d, v in zip(leaves.tolist(), var.tolist()):
-            dense[d] = v
+        for i, v in zip(leaves.tolist(), var.tolist()):
+            dense[i] = v
         out.append([float.hex(v) for v in dense])
     return out
 

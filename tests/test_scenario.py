@@ -234,13 +234,12 @@ def test_conditional_mean_matches_brute_force():
     rng = np.random.default_rng(17)
     for i in range(20):
         tree = interleaved_tree(rng)
-        dfs = sorted(tree.leaves, key=tree.path)
         draw = value_sampler(rng, coarse=i % 2 == 0)
-        # rows for depths 0..depth - 1 only: deeper nodes get no mean
+        # rows over the canonical leaves, for depths 0..depth - 1 only: deeper nodes get no mean
         depth = int(rng.integers(1, tree.K + 2))
-        rows = [[draw() for _ in dfs] for _ in range(depth)]
+        rows = [[draw() for _ in tree.leaves] for _ in range(depth)]
         expected = [
-            brute_mean(tree, dict(zip(dfs, rows[tree.nodes[nid].depth])), nid)
+            brute_mean(tree, dict(zip(tree.leaves, rows[tree.nodes[nid].depth])), nid)
             for nid in tree.order
             if tree.nodes[nid].depth < depth
         ]
@@ -265,10 +264,9 @@ def test_conditional_mean_above_the_cutoff_matches_brute_force():
     for i in range(4):
         tree = large_interleaved(rng)
         under = brute_under(tree)
-        dfs = under[tree.root]
         draw = value_sampler(rng, coarse=i % 2 == 0)
-        rows = [[draw() for _ in dfs] for _ in range(tree.K + 1)]
-        slices = [dict(zip(dfs, row)) for row in rows]
+        rows = [[draw() for _ in tree.leaves] for _ in range(tree.K + 1)]  # over the canonical leaves
+        slices = [dict(zip(tree.leaves, row)) for row in rows]
         expected = [brute_mean(tree, slices[k], nid, under[nid]) for k, ids in enumerate(tree.depth_nodes) for nid in ids]
         for m in (1, tree.K, tree.K + 1):  # the means at the nodes above depth m, a canonical prefix
             got = tree.node_means(np.array(rows[:m])).tolist()
@@ -353,12 +351,12 @@ def test_path_sums_match_brute_force():
         assert len(out) == len(segments)
         for (lo, hi), (leaves, sums) in zip(bounds, out):
             seg = [tree.order[i] for i in node[lo:hi]]
-            expected = {}
-            for d, leaf in enumerate(dfs):
+            expected = {}  # keyed on the position in tree.leaves, listed in DFS order
+            for leaf in dfs:
                 path = brute_path(tree, leaf)
                 on_path = [t for nid, row in zip(seg, terms[lo:hi].tolist()) if nid in path for t in row if t]
                 if any(nid in path for nid in seg):
-                    expected[d] = math.fsum(on_path)
+                    expected[tree.leaves.index(leaf)] = math.fsum(on_path)
             assert leaves.tolist() == list(expected)
             assert [float.hex(v) for v in sums.tolist()] == [float.hex(v) for v in expected.values()]
 
@@ -544,6 +542,15 @@ TREE_FAULTS = [
          TreeNode("aa", "a", 2, 2.0, 1e-200), TreeNode("ba", "b", 2, 2.0, 1.0)],
         "path probability of node 'ab' underflows to 0.0",
     ),
+    # a parent that is no string names no node, even an unhashable one; a root depth is shown by repr;
+    # a parent whose depth is no number sits at no level
+    ([_root(), TreeNode("a", ["r"], 1, 1.0, 1.0)], "node 'a' references unknown parent '['r']'"),
+    ([_root(), TreeNode("a", {"r": 0}, 1, 1.0, 1.0)], "node 'a' references unknown parent '{'r': 0}'"),
+    ([_root(depth="0")], "root node 'r' must have depth 0, got '0'"),
+    (
+        [_root(), TreeNode("aa", "a", 2, 2.0, 1.0), TreeNode("a", "r", None, 1.0, 1.0)],
+        "node 'aa' at depth 2 must sit one level below parent 'a' at depth None",
+    ),
 ]
 TREE_FAULT_IDS = [
     "empty", "empty-id", "root-depth", "root-prob", "unknown-parent", "nan-time", "two-times", "t0",
@@ -554,6 +561,7 @@ TREE_FAULT_IDS = [
     "first-sibling-sum-b", "first-sibling-sum-a", "prob-before-depth", "duplicate-before-roots",
     "parent-before-time", "prob-before-time", "times-before-short-leaf", "short-leaf-before-sibling-sum",
     "sibling-sum-before-leaf-mass", "first-path-prob-underflow",
+    "list-parent", "dict-parent", "string-root-depth", "none-depth-parent",
 ]
 
 
@@ -566,9 +574,9 @@ def test_tree_validation_messages(nodes, message):
 
 @pytest.mark.parametrize("nodes, message", TREE_FAULTS, ids=TREE_FAULT_IDS)
 def test_tree_validation_messages_on_the_column_route(nodes, message):
-    """Above the cutoff the column checks find the fault, and the walk names the same first one."""
-    with mock.patch.object(scenario, "_TREE_CUTOFF", 0), pytest.raises(ValidationError) as exc:
-        ScenarioTree(nodes)
+    """The same faults handed over as list columns, the entry load_tree and build_tree use."""
+    with pytest.raises(ValidationError) as exc:
+        ScenarioTree(_columns=[list(column) for column in zip(*nodes)])
     assert str(exc.value) == message
 
 
@@ -641,10 +649,9 @@ def test_both_routes_lay_out_the_same_tree(tmp_path):
     for tree in trees:
         rows = [tree.nodes[nid] for nid in rng.permutation(tree.order).tolist()]
         columns = [list(column) for column in zip(*rows)]
-        with mock.patch.object(scenario, "_TREE_CUTOFF", 0), mock.patch.object(scenario, "_walk", None):
-            by_columns = ScenarioTree(_columns=columns)
-        with mock.patch.object(scenario, "_TREE_CUTOFF", 2**62):
-            by_rows = ScenarioTree(rows)
+        with mock.patch.object(scenario, "_walk", None):
+            by_columns, by_rows = ScenarioTree(_columns=columns), ScenarioTree(rows)
+        assert scenario._walk(*columns) is None  # the walk accepts the rows too
         dump_tree(tree, tmp_path / "tree.json")
         assert _layout(by_columns) == _layout(by_rows) == _layout(load_tree(tmp_path / "tree.json")) == _layout(tree)
         assert _layout(by_columns) == _loop_layout(rows)
@@ -654,17 +661,17 @@ def test_time_grid_reads_each_depth_s_first_row():
     """Times equal within a depth may differ in sign (0.0 and -0.0): the grid keeps the first row's."""
     for first, second in ((-0.0, 0.0), (0.0, -0.0)):
         rows = [_root(time=-1e-13), TreeNode("b", "r", 1, first, 0.5), TreeNode("a", "r", 1, second, 0.5)]
-        for cutoff in (0, 2**62):
-            with mock.patch.object(scenario, "_TREE_CUTOFF", cutoff):
-                assert float.hex(ScenarioTree(rows).times[1]) == float.hex(first)
+        assert float.hex(ScenarioTree(rows).times[1]) == float.hex(first)
+        assert scenario._walk(*zip(*rows)) is None  # the walk accepts the rows too
 
 
 def test_time_grid_is_checked_as_floats():
-    """Integer times the float grid cannot tell apart are refused, on both routes, as the grid the tree keeps."""
+    """Integer times the float grid cannot tell apart are refused, by the tree and by the walk on its
+    own, as the grid the tree keeps."""
     rows = [_root(time=0), TreeNode("a", "r", 1, 2**53, 1.0), TreeNode("b", "a", 2, 2**53 + 1, 1.0)]
-    for cutoff in (0, 2**62):
-        with mock.patch.object(scenario, "_TREE_CUTOFF", cutoff), pytest.raises(ValidationError) as exc:
-            ScenarioTree(rows)
+    for check in (lambda: ScenarioTree(rows), lambda: scenario._walk(*zip(*rows))):
+        with pytest.raises(ValidationError) as exc:
+            check()
         assert str(exc.value) == "times must be strictly increasing, got t_1 = 9007199254740992.0 and t_2 = 9007199254740992.0"
 
 
