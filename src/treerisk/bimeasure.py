@@ -199,11 +199,11 @@ def raw_pairing(Z: RawProcess, a: RawBiMeasure) -> float:
 def _leaf_sums(a: BiMeasure, *maps) -> np.ndarray:
     """Shape (len(maps), L) over the canonical leaves: row s holds, per leaf, the fsum of maps[s] of
     the increments (pr and op in two columns) along its path, 0.0 where no increment lies on it. One
-    ``path_sums`` call, one segment of a's nodes per map; a single map's terms go in uncopied."""
+    ``path_sums`` call, one segment of a's nodes per map."""
     tree, k, m = a.tree, len(a.node), len(maps)
     incs = np.array((a.pr, a.op)).T
-    node, terms = (a.node, maps[0](incs)) if m == 1 else (np.tile(a.node, m), np.concatenate([f(incs) for f in maps]))
-    sums = tree.path_sums(node, terms, [(s * k, s * k + k) for s in range(m)])
+    terms = np.concatenate([f(incs) for f in maps])
+    sums = tree.path_sums(np.tile(a.node, m), terms, [(s * k, s * k + k) for s in range(m)])
     out = np.zeros((m, len(tree.leaves)))
     for row, (at, s) in zip(out, sums):
         row[at] = s

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import frexp, fsum, isfinite, ldexp
-from operator import mul
 from numbers import Real
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -74,10 +73,9 @@ class ScenarioTree:
     canonical order: a range whose values all compare equal gives its first
     DFS value (a leaf its own), any other the fsum of P(l) v(l) over P(node);
     an fsum that overflows raises :class:`ValidationError` naming the first
-    such node in canonical order. The rows are gathered into DFS order once;
-    then rows of ``_FSUMS_CUTOFF`` terms or more take one segmented pass over
-    every node's range (one ``segment_fsums``, one min == max), smaller ones
-    a loop.
+    such node in canonical order. The rows are gathered into DFS order once,
+    then every node's range is read in one segmented pass: one min == max and
+    one ``segment_fsums`` (itself a plain fsum loop on small calls).
 
     ``path_sums`` is the one kernel for sums along paths (variation, terminal
     increments, a spec's per-leaf variations). It takes canonical node
@@ -237,33 +235,22 @@ class ScenarioTree:
         """E[rows[k] | node] at each node of depth k < len(rows), in canonical order, from an (m, L)
         float64 array of rows over ``leaves``; the class docstring gives the contract."""
         rows = np.ascontiguousarray(rows[:, self._dfs])  # C order, so the ravels below are views
-        if rows.size >= _FSUMS_CUTOFF:
-            node, start = self._mean_ranges
-            n = start.searchsorted(rows.size)  # the nodes above depth len(rows)
-            node, start, values = node[:n], start[:n], rows.ravel()
-            try:
-                sums = segment_fsums((self._dfs_prob * rows).ravel(), start)
-            except OverflowError:  # the loop below skips the constant ranges and names the overflowing node
-                pass
-            else:
-                constant = np.minimum.reduceat(values, start) == np.maximum.reduceat(values, start)
-                out = np.empty(n)
-                with np.errstate(over="ignore"):  # as Python's / does; the value's _keep names the node
-                    out[node] = np.where(constant, values[start], sums / self.node_prob[node])
-                return out
-        dfs_prob, spans = self._dfs_prob.tolist(), zip(*(s.tolist() for s in self._spans), self.node_prob.tolist())
-        out = []
-        for row, ids in zip(rows.tolist(), self.depth_nodes):
-            for nid, (lo, hi, prob) in zip(ids, spans):  # ids first: no span is drawn past the level
-                values = row[lo:hi]
-                if values.count(values[0]) == len(values):
-                    out.append(values[0])
-                    continue
-                try:
-                    out.append(fsum(map(mul, dfs_prob[lo:hi], values)) / prob)
-                except OverflowError:  # a partial sum passed the float maximum
-                    raise ValidationError(f"non-finite conditional mean at node '{nid}'") from None
-        return np.array(out)
+        node, start = self._mean_ranges
+        n = start.searchsorted(rows.size)  # the nodes above depth len(rows)
+        node, start, values, terms = node[:n], start[:n], rows.ravel(), (self._dfs_prob * rows).ravel()
+        constant = np.minimum.reduceat(values, start) == np.maximum.reduceat(values, start)
+        try:
+            sums = segment_fsums(terms, start)
+        except OverflowError:
+            # a constant range's mean is its first value: its terms go. Only a range of leaf mass about 1 or more
+            # can overflow, and a level's ranges split the leaf mass, so at most one a level can; the ranges run
+            # level by level, as canonical order does, so the first to overflow is the first in canonical order
+            terms[np.repeat(constant, np.diff(start, append=len(terms)))] = 0.0
+            sums = _named_fsums(terms, start, "non-finite conditional mean at node '{}'", (self.order[i] for i in node))
+        out = np.empty(n)
+        with np.errstate(over="ignore"):  # as Python's / does; the value's _keep names the node
+            out[node] = np.where(constant, values[start], sums / self.node_prob[node])
+        return out
 
     def path_sums(
         self, node: np.ndarray, terms: np.ndarray, bounds: Iterable[tuple[int, int]]
@@ -381,6 +368,7 @@ def _walk(ids, parents, depths, times, branch) -> None:
     checks the class docstring lists (all but the sibling sums and path probabilities)."""
     if not ids:
         raise ValidationError("tree has no nodes")
+    shown = lambda depth: str(depth) if _is_int(depth) else repr(depth)  # ints (numpy's too) plainly, others by repr
     at: dict[str, int] = {}  # id -> input position
     for i, nid in enumerate(ids):
         if not isinstance(nid, str) or not nid:
@@ -393,7 +381,7 @@ def _walk(ids, parents, depths, times, branch) -> None:
         raise ValidationError(f"expected exactly one root node, found {roots}")
     r = parents.index(None)
     if depths[r] != 0:
-        raise ValidationError(f"root node '{ids[r]}' must have depth 0, got {depths[r]!r}")
+        raise ValidationError(f"root node '{ids[r]}' must have depth 0, got {shown(depths[r])}")
     if branch[r] != 1.0:
         raise ValidationError(f"root node '{ids[r]}' must carry branch probability 1")
 
@@ -405,7 +393,7 @@ def _walk(ids, parents, depths, times, branch) -> None:
             raise ValidationError(f"node '{nid}' references unknown parent '{p}'")
         if not isinstance(depths[j], _REAL) or d != depths[j] + 1:  # a parent's depth that is no number fails
             raise ValidationError(
-                f"node '{nid}' at depth {d} must sit one level below parent '{p}' at depth {depths[j]}")
+                f"node '{nid}' at depth {shown(d)} must sit one level below parent '{p}' at depth {shown(depths[j])}")
         if not isinstance(b, _REAL) or not 0.0 < b <= 1.0:
             raise ValidationError(f"branch probability of node '{nid}' must lie in (0, 1], got {b!r}")
 
@@ -450,8 +438,7 @@ def build_tree(
     for nid, parent in zip(ids, parents):
         if parent is not None and nid not in branch_prob:
             raise ValidationError(f"missing branch probability for node '{nid}'")
-    branch = [float(branch_prob.get(nid, 1.0)) for nid in ids]
-    return ScenarioTree(_columns=(ids, parents, depths, list(map(float, times)), branch))
+    return ScenarioTree(_columns=(ids, parents, depths, times, [branch_prob.get(nid, 1.0) for nid in ids]))
 
 
 def uniform_binomial(depth: int) -> ScenarioTree:

@@ -284,7 +284,8 @@ def _regular_tree(depth, probs):
 
 
 def test_segmented_route_matches_the_loop(monkeypatch):
-    """The same large rows through both routes of node_means, the loop's taken by raising the cutoff."""
+    """The same large rows through node_means twice: segment_fsums' certified route, then, with the
+    cutoff raised, its plain loop of one fsum a node."""
     rng = np.random.default_rng(29)
     ternary = _regular_tree(7, lambda nid: (0.3, 0.3, 0.4 + 1e-13))  # its leaf mass exceeds 1
     cases = [(ternary, np.full((1, len(ternary.leaves)), sys.float_info.max))]  # the root's fsum overflows
@@ -300,6 +301,21 @@ def test_segmented_route_matches_the_loop(monkeypatch):
     assert fast[0] == [sys.float_info.max.hex()]  # a constant range gives its value, with no sum
     monkeypatch.setattr(scenario, "_FSUMS_CUTOFF", 2**62)
     assert fast == [hexes(tree.node_means(rows).tolist()) for tree, rows in cases]
+
+
+def test_overflowing_means_below_the_cutoff():
+    """A small tree whose leaf mass exceeds 1, so segment_fsums' plain fsum route overflows: a constant
+    range at the float maximum still gives its value, and the first varying range to overflow is named."""
+    leaves = [TreeNode(nid, "a", 2, 2.0, 0.5 + 4e-13) for nid in ("aa", "ab")]
+    tree = ScenarioTree([_root(), TreeNode("a", "r", 1, 1.0, 1.0), *leaves])
+    top = sys.float_info.max
+    constant, varying = [top, top], [top, np.nextafter(top, 0.0)]
+    assert hexes(tree.node_means(np.array([constant, constant])).tolist()) == [top.hex()] * 2
+    for rows, nid in ([constant, varying], "a"), ([varying, constant], "r"), ([varying, varying], "r"):
+        assert len(rows) * len(tree.leaves) < _FSUMS_CUTOFF
+        with pytest.raises(ValidationError) as caught:
+            tree.node_means(np.array(rows))
+        assert str(caught.value) == f"non-finite conditional mean at node '{nid}'"
 
 
 def test_overflowing_means_name_their_node():
@@ -551,6 +567,13 @@ TREE_FAULTS = [
         [_root(), TreeNode("aa", "a", 2, 2.0, 1.0), TreeNode("a", "r", None, 1.0, 1.0)],
         "node 'aa' at depth 2 must sit one level below parent 'a' at depth None",
     ),
+    # a depth that is no integer is shown by repr, an integer plainly, numpy's too
+    (
+        [_root(), TreeNode("aa", "a", 2, 2.0, 1.0), TreeNode("a", "r", "", 1.0, 1.0)],
+        "node 'aa' at depth 2 must sit one level below parent 'a' at depth ''",
+    ),
+    ([_root(), TreeNode("a", "r", "1", 1.0, 1.0)], "node 'a' at depth '1' must sit one level below parent 'r' at depth 0"),
+    ([_root(depth=np.int64(1))], "root node 'r' must have depth 0, got 1"),
 ]
 TREE_FAULT_IDS = [
     "empty", "empty-id", "root-depth", "root-prob", "unknown-parent", "nan-time", "two-times", "t0",
@@ -562,6 +585,7 @@ TREE_FAULT_IDS = [
     "parent-before-time", "prob-before-time", "times-before-short-leaf", "short-leaf-before-sibling-sum",
     "sibling-sum-before-leaf-mass", "first-path-prob-underflow",
     "list-parent", "dict-parent", "string-root-depth", "none-depth-parent",
+    "empty-string-depth-parent", "string-depth", "numpy-root-depth",
 ]
 
 
@@ -577,6 +601,14 @@ def test_tree_validation_messages_on_the_column_route(nodes, message):
     """The same faults handed over as list columns, the entry load_tree and build_tree use."""
     with pytest.raises(ValidationError) as exc:
         ScenarioTree(_columns=[list(column) for column in zip(*nodes)])
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("nodes, message", TREE_FAULTS, ids=TREE_FAULT_IDS)
+def test_tree_validation_messages_through_build_tree(nodes, message):
+    """The same faults handed to build_tree: times and branch probabilities reach the checks as given."""
+    with pytest.raises(ValidationError) as exc:
+        build_tree([row[:4] for row in nodes], {row[0]: row[4] for row in nodes})
     assert str(exc.value) == message
 
 
